@@ -78,18 +78,14 @@ for i, ssr in enumerate(bucket.ssrs):
 
 print("\n== per-function step costs ==")
 ctx = costs.CostContext.from_bucket(bucket)
-for i, ssr in enumerate(bucket.ssrs):
-    for f in ssr.functions:
-        from fogplace.model import fog_feasible
-        fog_ok = fog_feasible(f, bucket.fog)
-        cloud_c = ctx.fn_step_cost(ssr, f, on_fog=False)
-        if fog_ok:
-            fog_c = ctx.fn_step_cost(ssr, f, on_fog=True)
-            pick = "fog" if fog_c < cloud_c else "cloud"
-            print(f"SSR {i} fn {f.index}: fog {fog_c:.4f} vs cloud {cloud_c:.4f}"
-                  f" -> {pick}")
-        else:
-            print(f"SSR {i} fn {f.index}: fog infeasible, cloud {cloud_c:.4f} -> cloud")
+for k, (i, f) in enumerate(bucket.functions()):
+    fog_c, cloud_c = ctx.fog_step[k], ctx.cloud_step[k]
+    if ctx.fog_ok[k]:
+        pick = "fog" if fog_c < cloud_c else "cloud"
+        print(f"SSR {i} fn {f.index}: fog {fog_c:.4f} vs cloud {cloud_c:.4f}"
+              f" -> {pick}")
+    else:
+        print(f"SSR {i} fn {f.index}: fog infeasible, cloud {cloud_c:.4f} -> cloud")
 
 print("\n== whole-bucket objective for two candidate placements ==")
 all_cloud = Placement(flags=((0, 1),) * bucket.n_functions)

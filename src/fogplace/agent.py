@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .env import Action, EpisodeRecord, PlacementEnv
-from .model import Placement
+from .model import Placement, StateError
 
 CHECKPOINT_VERSION = 1
 
@@ -47,6 +46,15 @@ class AgentConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
+        if not 0 < self.epsilon_decay <= 1:
+            raise ValueError("epsilon decay must be in (0, 1]")
+        for name in ("batch_size", "replay_capacity", "target_sync_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.episodes < 0:
+            raise ValueError("episodes must be >= 0")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden sizes must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -181,45 +189,97 @@ class ValueNetwork:
 
 
 class ReplayBuffer:
-    """FIFO experience store of (state, action, reward, next state, done, next mask)."""
+    """FIFO experience store in ring arrays, one row per transition.
 
-    def __init__(self, capacity: int):
+    Once the ring is full, row ``(oldest + i) % capacity`` holds the i-th
+    oldest transition; before that, row i does.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        if capacity < 1:
+            raise ValueError("replay capacity must be >= 1")
         self.capacity = capacity
-        self.entries: deque = deque(maxlen=capacity)
+        # Rows are allocated as they fill, doubling from 1024 (a few episodes of
+        # 16-100 functions) up to the capacity, so a short training run does not
+        # hold a full ring. A row is written before it can be sampled, so the
+        # arrays start uninitialised.
+        rows = min(capacity, 1024)
+        self.states = np.empty((rows, width))
+        self.next_states = np.empty((rows, width))
+        self.actions = np.empty(rows, dtype=np.intp)
+        self.rewards = np.empty(rows)
+        self.dones = np.empty(rows, dtype=bool)
+        self.next_masks = np.empty((rows, 2), dtype=bool)
+        self._size = 0
+        self._next = 0  # row the next push overwrites
+        # batch-sized state buffers, reused by every sample: a fresh pair of
+        # batch x width arrays per sample cost more in page faults than the copy
+        self._batch = (np.empty((0, width)), np.empty((0, width)))
+
+    def _grow(self) -> None:
+        rows = min(2 * len(self.rewards), self.capacity)
+        for name in ("states", "next_states", "actions", "rewards", "dones", "next_masks"):
+            old = getattr(self, name)
+            new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
 
     def push(self, state, action, reward, next_state, done, next_mask) -> None:
-        self.entries.append((state, action, reward, next_state, done, next_mask))
+        row = self._next
+        if row == len(self.rewards):  # every allocated row is in use
+            self._grow()
+        self.states[row] = state
+        self.actions[row] = action
+        self.rewards[row] = reward
+        self.next_states[row] = next_state
+        self.dones[row] = done
+        self.next_masks[row] = next_mask
+        self._next = (row + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.integers(0, len(self.entries), size=batch_size)
-        return [self.entries[i] for i in idx]
+        """Uniform batch: (states, actions, rewards, next states, dones, next masks).
+
+        The two state arrays are buffers of this replay that the next sample overwrites.
+        """
+        idx = rng.integers(0, self._size, size=batch_size)
+        if self._size == self.capacity:
+            idx = (idx + self._next) % self.capacity  # i-th oldest, after wrap-around
+        states, next_states = self._batch
+        if len(states) != batch_size:
+            states, next_states = self._batch = (
+                np.empty((batch_size, self.states.shape[1])),
+                np.empty((batch_size, self.states.shape[1])),
+            )
+        # every index is in range; "clip" lets take write straight into out
+        np.take(self.states, idx, axis=0, out=states, mode="clip")
+        np.take(self.next_states, idx, axis=0, out=next_states, mode="clip")
+        return (states, self.actions[idx], self.rewards[idx],
+                next_states, self.dones[idx], self.next_masks[idx])
 
 
 def select_action(
     net: ValueNetwork,
-    encoded,
+    encoded: np.ndarray,
     mask: tuple[bool, bool],
     epsilon: float,
     rng: np.random.Generator,
 ) -> Action:
     """Epsilon-greedy over the feasible actions; greedy ties go to the cloud."""
-    feasible = [a for a in (Action.FOG, Action.CLOUD) if mask[a]]
-    if not feasible:
-        raise StateErrorForSelection("no feasible action")
-    if len(feasible) == 1:
-        return feasible[0]
+    fog_ok, cloud_ok = mask
+    if not (fog_ok and cloud_ok):
+        if fog_ok:
+            return Action.FOG
+        if cloud_ok:
+            return Action.CLOUD
+        raise StateError("no feasible action")
     if rng.uniform() < epsilon:
-        return feasible[int(rng.integers(0, len(feasible)))]
-    q = net.forward(np.asarray(encoded))
-    best = max(feasible, key=lambda a: (q[a], a == Action.CLOUD))
-    return best
-
-
-class StateErrorForSelection(RuntimeError):
-    """Empty feasibility mask handed to action selection."""
+        return Action(int(rng.integers(0, 2)))
+    q = net.forward(encoded)
+    return Action.CLOUD if q[1] >= q[0] else Action.FOG
 
 
 @dataclass
@@ -231,13 +291,7 @@ class TrainResult:
 def _batch_targets(
     batch, target_net: ValueNetwork, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    states = np.asarray([b[0] for b in batch], dtype=float)
-    actions = np.asarray([b[1] for b in batch], dtype=int)
-    rewards = np.asarray([b[2] for b in batch], dtype=float)
-    next_states = np.asarray([b[3] for b in batch], dtype=float)
-    dones = np.asarray([b[4] for b in batch], dtype=bool)
-    masks = np.asarray([b[5] for b in batch], dtype=bool)
-
+    states, actions, rewards, next_states, dones, masks = batch
     q_next = target_net.forward(next_states)
     # infeasible continuations are excluded from the max
     q_next = np.where(masks, q_next, -np.inf)
@@ -254,7 +308,7 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
     input_size = len(probe.reset().encoded)
     net = ValueNetwork(input_size, cfg.hidden_sizes, rng)
     target = net.copy()
-    replay = ReplayBuffer(cfg.replay_capacity)
+    replay = ReplayBuffer(cfg.replay_capacity, input_size)
 
     epsilon = cfg.epsilon_start
     log: list[dict] = []

@@ -7,57 +7,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs
-from .model import Placement, SSRBucket, cloud_feasible, fog_feasible
+from .model import Placement, SSRBucket
 
 BRUTE_FORCE_LIMIT = 14
 
 
-def _feasible_pairs(bucket: SSRBucket) -> list[tuple[bool, bool]]:
-    return [
-        (fog_feasible(fn, bucket.fog), cloud_feasible(fn, bucket.cloud))
-        for _, fn in bucket.functions()
-    ]
-
-
-def fog_first(bucket: SSRBucket) -> Placement:
+def fog_first(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
     """Fog whenever the per-function fog constraints permit; stand-in for
     fog-greedy offloading baselines, not a re-implementation of any of them."""
-    flags = tuple(
-        (1, 0) if fog_ok else (0, 1) for fog_ok, _ in _feasible_pairs(bucket)
-    )
-    return Placement(flags=flags)
+    return Placement.from_fog(costs.context_for(bucket, ctx).fog_ok.tolist())
 
 
 def cloud_only(bucket: SSRBucket) -> Placement:
     return Placement(flags=((0, 1),) * bucket.n_functions)
 
 
-def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
-    flags = []
-    for fog_ok, cloud_ok in _feasible_pairs(bucket):
-        options = [(1, 0)] * fog_ok + [(0, 1)] * cloud_ok
-        if not options:
+def random_feasible(
+    bucket: SSRBucket, rng: np.random.Generator, ctx: costs.CostContext | None = None
+) -> Placement:
+    """Uniform over each function's feasible platforms; one rng draw per function."""
+    ctx = costs.context_for(bucket, ctx)
+    on_fog = []
+    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
+        if not (fog_ok or cloud_ok):
             raise ValueError("function with no feasible platform")
-        flags.append(options[int(rng.integers(0, len(options)))])
-    return Placement(flags=tuple(flags))
+        pick = int(rng.integers(0, fog_ok + cloud_ok))
+        on_fog.append(fog_ok and pick == 0)
+    return Placement.from_fog(on_fog)
 
 
 def greedy_cost(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
     """Per function, the feasible action with the smaller step cost; ties to cloud."""
-    ctx = ctx or costs.CostContext.from_bucket(bucket)
-    flags = []
-    for (ssr_idx, fn), (fog_ok, cloud_ok) in zip(bucket.functions(), _feasible_pairs(bucket)):
-        ssr = bucket.ssrs[ssr_idx]
-        if not fog_ok:
-            flags.append((0, 1))
-            continue
-        if not cloud_ok:
-            flags.append((1, 0))
-            continue
-        fog_c = ctx.fn_step_cost(ssr, fn, on_fog=True)
-        cloud_c = ctx.fn_step_cost(ssr, fn, on_fog=False)
-        flags.append((1, 0) if fog_c < cloud_c else (0, 1))
-    return Placement(flags=tuple(flags))
+    ctx = costs.context_for(bucket, ctx)
+    cheaper_on_fog = ctx.fog_step < ctx.cloud_step
+    return Placement.from_fog((ctx.fog_ok & (cheaper_on_fog | ~ctx.cloud_ok)).tolist())
 
 
 @dataclass(frozen=True)
@@ -80,29 +63,21 @@ def brute_force_optimum(bucket: SSRBucket) -> BruteForceResult:
     ctx = costs.CostContext.from_bucket(bucket)
 
     options = []
-    for fog_ok, cloud_ok in _feasible_pairs(bucket):
-        opts = [a for a, ok in ((0, fog_ok), (1, cloud_ok)) if ok]
+    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
+        opts = [on_fog for on_fog, ok in ((True, fog_ok), (False, cloud_ok)) if ok]
         if not opts:
             raise ValueError("function with no feasible platform")
         options.append(opts)
 
-    best_step: tuple[float, Placement] | None = None
-    best_obj: tuple[float, Placement] | None = None
-    for combo in itertools.product(*options):
-        placement = Placement(
-            flags=tuple((1, 0) if a == 0 else (0, 1) for a in combo)
-        )
-        step = costs.placement_step_cost_sum(bucket, placement, ctx)
-        _, objective = costs.bucket_objective(bucket, placement, ctx)
-        if best_step is None or step < best_step[0]:
-            best_step = (step, placement)
-        if best_obj is None or objective < best_obj[0]:
-            best_obj = (objective, placement)
-
-    assert best_step is not None and best_obj is not None
+    # one row of fog flags per placement, in enumeration order
+    combos = np.array(list(itertools.product(*options)), dtype=bool).reshape(-1, n)
+    steps = ctx.step_cost_sum(combos)
+    objectives = ctx.objective_total(combos)
+    best_step = int(np.argmin(steps))  # first minimum: the enumeration's tie rule
+    best_obj = int(np.argmin(objectives))
     return BruteForceResult(
-        best_step_placement=best_step[1],
-        best_step_cost=best_step[0],
-        best_objective_placement=best_obj[1],
-        best_objective=best_obj[0],
+        best_step_placement=Placement.from_fog(combos[best_step].tolist()),
+        best_step_cost=float(steps[best_step]),
+        best_objective_placement=Placement.from_fog(combos[best_obj].tolist()),
+        best_objective=float(objectives[best_obj]),
     )

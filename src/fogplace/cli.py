@@ -16,6 +16,7 @@ from pathlib import Path
 from . import baselines
 from .agent import TrainingFault, ValueNetwork, train, write_training_log
 from .experiment import (
+    MAX_FUNCTIONS,
     ExperimentConfig,
     load_config,
     run_compare,
@@ -24,7 +25,8 @@ from .experiment import (
     write_mean_csv,
     aggregate_rows,
 )
-from .model import GenerationError, load_bucket, save_bucket, validate_bucket
+from .env import SLOT_WIDTH
+from .model import GenerationError, SSRBucket, load_bucket, save_bucket, validate_bucket
 from .workload import generate_bucket, generate_sweep
 
 CONFIG_ENV_VAR = "FOGPLACE_CONFIG"
@@ -64,10 +66,7 @@ def cmd_generate(args) -> int:
     except (GenerationError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     save_bucket(bucket, args.out)
-    violations = validate_bucket(bucket)
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
+    if _print_violations(bucket):
         return 1
     print(f"wrote valid bucket with {bucket.n_functions} functions to {args.out}")
     return 0
@@ -98,6 +97,12 @@ def cmd_compare(args) -> int:
         if not Path(args.checkpoint).exists():
             raise UsageError(f"checkpoint {args.checkpoint} does not exist")
         net = ValueNetwork.load(args.checkpoint)
+        width = MAX_FUNCTIONS * SLOT_WIDTH + 1
+        if net.input_size != width:
+            raise UsageError(
+                f"checkpoint {args.checkpoint} takes {net.input_size} inputs; compare "
+                f"encodes states of {width} (MAX_FUNCTIONS * SLOT_WIDTH + 1)"
+            )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_compare(cfg, net)
@@ -107,8 +112,28 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _load_bucket(path: str) -> SSRBucket:
+    """A bucket file; a document that is JSON but not a bucket is a usage error."""
+    try:
+        return load_bucket(path)
+    except json.JSONDecodeError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"malformed bucket {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _print_violations(bucket: SSRBucket) -> bool:
+    """Print one VIOLATION line per broken invariant; True when there were any."""
+    violations = validate_bucket(bucket)
+    for v in violations:
+        print(f"VIOLATION: {v}")
+    return bool(violations)
+
+
 def cmd_oracle(args) -> int:
-    bucket = load_bucket(args.bucket)
+    bucket = _load_bucket(args.bucket)
+    if _print_violations(bucket):
+        return 1
     try:
         result = baselines.brute_force_optimum(bucket)
     except ValueError as exc:
@@ -124,11 +149,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    bucket = load_bucket(args.bucket)
-    violations = validate_bucket(bucket)
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
+    if _print_violations(_load_bucket(args.bucket)):
         return 1
     print("bucket is valid")
     return 0

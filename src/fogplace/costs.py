@@ -1,28 +1,36 @@
-"""Latency cost model: per-function and per-SSR objectives plus RL step costs.
+"""Latency cost model: per-function step costs and per-SSR objectives.
 
 Latencies enter every formula in normalized form: the user latency as its
 unit-interval latency priority and the fog-cloud link latency divided by
 the bucket's maximum user latency. This keeps each cost term dimensionless
 and commensurate with the unit-interval user priority; it preserves all
 argmin decisions relative to any fixed positive latency scaling.
+
+``CostContext.from_bucket`` is the one place that turns a bucket into
+per-function arrays, in the bucket's flattened insertion order. Environment
+steps, baselines, the oracle and placement reports all read those arrays.
+Each vector keeps the operation order of the per-function formula, and every
+total adds left to right, per SSR and then over SSRs, so results do not depend
+on how many placements are evaluated at once.
+
+Per function i of an SSR whose user has latency share ``l`` and priority
+``p``, with ``r_k = demand_k / cap_k * weight_k`` on the chosen platform and
+``lf`` the normalized link latency:
+
+* fog step cost:    ``r_cpu + r_ram + r_storage + r_net_io * l + p``
+* cloud step cost:  ``r_cpu + r_ram + r_storage + r_net_io * (l + lf) + p + lf``
+* objective, communication: ``p`` on the fog, ``p + lf`` in the cloud;
+* objective, computation: ``(r_cpu + r_ram + r_storage + r_net_io * x) * w``
+  with ``x = l`` on the fog and ``x = lf`` in the cloud, and ``w`` the
+  function's priority over the highest priority in its SSR.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    RESOURCE_KINDS,
-    EnvironmentLimits,
-    Placement,
-    ResourceKind,
-    ResourceVector,
-    SSR,
-    SSRBucket,
-    ServerlessFunction,
-    StateError,
-)
+import numpy as np
 
-_COMPUTE_KINDS = (ResourceKind.CPU, ResourceKind.RAM, ResourceKind.STORAGE)
+from .model import Placement, SSRBucket, StateError
 
 
 @dataclass(frozen=True)
@@ -35,209 +43,158 @@ class CostBreakdown:
         return self.comm + self.comp
 
 
-def per_function_cap(
-    f_flag: int, c_flag: int, fog: EnvironmentLimits, cloud: EnvironmentLimits
-) -> ResourceVector:
-    """Resource cap of the platform the function is assigned to."""
-    if f_flag + c_flag != 1:
-        raise StateError("function is unassigned")
-    return fog.per_function_cap if f_flag else cloud.per_function_cap
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added strictly left to right."""
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
-def total_demand(fn: ServerlessFunction) -> ResourceVector:
-    return fn.base_demand + fn.supplementary_demand
-
-
-def ssr_base_demand(ssr: SSR) -> ResourceVector:
-    if not ssr.functions:
-        raise ValueError("SSR has no functions")
-    out = ResourceVector()
-    for fn in ssr.functions:
-        out = out + fn.base_demand
-    return out
-
-
-def ssr_supplementary_demand(ssr: SSR) -> ResourceVector:
-    if not ssr.functions:
-        raise ValueError("SSR has no functions")
-    out = ResourceVector()
-    for fn in ssr.functions:
-        out = out + fn.supplementary_demand
-    return out
-
-
-def comm_latency_fn(f_flag: int, c_flag: int, user_priority: float, lf: float) -> float:
-    """User priority plus the link penalty when the function sits in the cloud."""
-    if f_flag + c_flag != 1:
-        raise StateError("function is unassigned")
-    return user_priority + c_flag * lf
-
-
-def comp_latency_fn(
-    fn: ServerlessFunction,
-    f_flag: int,
-    c_flag: int,
-    fog: EnvironmentLimits,
-    cloud: EnvironmentLimits,
-    weights: ResourceVector,
-    l_i: float,
-    lf: float,
-) -> float:
-    """Weighted demand-to-cap ratios; the net I/O term scales with latency."""
-    cap = per_function_cap(f_flag, c_flag, fog, cloud)
-    demand = total_demand(fn)
-    out = sum(demand.get(x) / cap.get(x) * weights.get(x) for x in _COMPUTE_KINDS)
-    io_ratio = demand.net_io / cap.net_io
-    out += io_ratio * weights.net_io * (f_flag * l_i + c_flag * lf)
-    return out
-
-
-def step_cost_fog(
-    fn: ServerlessFunction,
-    fog: EnvironmentLimits,
-    weights: ResourceVector,
-    l_i: float,
-    user_priority: float,
-) -> float:
-    """Cost of placing one function on the fog node."""
-    demand = total_demand(fn)
-    cap = fog.per_function_cap
-    out = sum(demand.get(x) / cap.get(x) * weights.get(x) for x in _COMPUTE_KINDS)
-    out += demand.net_io / cap.net_io * weights.net_io * l_i
-    return out + user_priority
-
-
-def step_cost_cloud(
-    fn: ServerlessFunction,
-    cloud: EnvironmentLimits,
-    weights: ResourceVector,
-    l_i: float,
-    lf: float,
-    user_priority: float,
-) -> float:
-    """Cost of placing one function on the cloud node."""
-    demand = total_demand(fn)
-    cap = cloud.per_function_cap
-    out = sum(demand.get(x) / cap.get(x) * weights.get(x) for x in _COMPUTE_KINDS)
-    out += demand.net_io / cap.net_io * weights.net_io * (l_i + lf)
-    return out + user_priority + lf
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostContext:
-    """Bucket-wide normalized quantities shared by all cost evaluations."""
+    """Per-function arrays of one bucket, in its flattened insertion order."""
 
     bucket: SSRBucket
-    norm_latency: dict[int, float]  # user id -> latency priority
-    user_priority: dict[int, float]
+    demand: np.ndarray  # n x 4 total (base + supplementary) demand, RESOURCE_KINDS order
+    fog_ok: np.ndarray  # bool: the function fits the fog limits
+    cloud_ok: np.ndarray  # bool: the function fits the cloud limits
+    latency: np.ndarray  # l_i: the owning user's latency / max user latency
+    priority: np.ndarray  # p_i: the owning user's priority
+    weight: np.ndarray  # function priority / highest function priority of its SSR
+    ssr_slots: np.ndarray  # n_ssrs x longest SSR: function indices, n where an SSR is shorter
     norm_link: float  # fog-cloud link latency / max user latency
+    fog_step: np.ndarray  # step cost of placing each function on the fog
+    cloud_step: np.ndarray  # step cost of placing each function in the cloud
+    fog_comp: np.ndarray  # weighted computation latency on the fog (objective term)
+    cloud_comp: np.ndarray  # weighted computation latency in the cloud (objective term)
+    code_size: np.ndarray
+    input_size: np.ndarray
+    critical: np.ndarray  # int critical values
+    fn_priority: np.ndarray
 
     @classmethod
     def from_bucket(cls, bucket: SSRBucket) -> "CostContext":
-        max_latency = max(u.latency for u in bucket.users)
-        norm_latency = {u.id: u.latency / max_latency for u in bucket.users}
-        priorities = {}
         for u in bucket.users:
             if u.priority is None:
                 raise ValueError(f"user {u.id} has no cached priority; score the bucket first")
-            priorities[u.id] = u.priority
+        max_latency = max(u.latency for u in bucket.users)
+        by_user = {u.id: (u.latency / max_latency, u.priority) for u in bucket.users}
+        fns, latency, priority, weight, slots = [], [], [], [], []
+        for ssr in bucket.ssrs:
+            l_i, p_i = by_user[ssr.user_id]
+            if any(fn.priority is None for fn in ssr.functions):
+                raise ValueError("function priorities are not cached; score the bucket first")
+            top = max((fn.priority for fn in ssr.functions), default=1.0)
+            slots.append(range(len(fns), len(fns) + len(ssr.functions)))
+            for fn in ssr.functions:
+                fns.append(fn)
+                latency.append(l_i)
+                priority.append(p_i)
+                weight.append(fn.priority / top)
+        n = len(fns)
+        longest = max((len(s) for s in slots), default=0)
+        ssr_slots = np.full((len(slots), longest), n, dtype=np.intp)
+        for k, s in enumerate(slots):
+            ssr_slots[k, :len(s)] = s
+
+        demand = (
+            np.array([fn.base_demand.as_tuple() for fn in fns], dtype=float).reshape(n, 4)
+            + np.array([fn.supplementary_demand.as_tuple() for fn in fns], dtype=float).reshape(n, 4)
+        )
+        code_size = np.array([fn.code_size for fn in fns], dtype=float)
+        input_size = np.array([fn.input_size for fn in fns], dtype=float)
+        latency_v = np.array(latency, dtype=float)
+        priority_v = np.array(priority, dtype=float)
+        weight_v = np.array(weight, dtype=float)
+        factors = np.array(bucket.importance_factors.as_tuple())
+        lf = bucket.cloud.link_latency / max_latency
+
+        def platform(limits):
+            cap = np.array(limits.per_function_cap.as_tuple())
+            fits = (
+                (code_size <= limits.code_size_limit)
+                & (input_size <= limits.input_size_limit)
+                & (demand <= cap).all(axis=1)
+            )
+            ratio = demand / cap * factors
+            return fits, ratio[:, 0] + ratio[:, 1] + ratio[:, 2], ratio[:, 3]
+
+        fog_ok, fog_base, fog_io = platform(bucket.fog)
+        cloud_ok, cloud_base, cloud_io = platform(bucket.cloud)
+        fog_comp = fog_base + fog_io * latency_v
         return cls(
             bucket=bucket,
-            norm_latency=norm_latency,
-            user_priority=priorities,
-            norm_link=bucket.cloud.link_latency / max_latency,
+            demand=demand,
+            fog_ok=fog_ok,
+            cloud_ok=cloud_ok,
+            latency=latency_v,
+            priority=priority_v,
+            weight=weight_v,
+            ssr_slots=ssr_slots,
+            norm_link=lf,
+            fog_step=fog_comp + priority_v,
+            cloud_step=cloud_base + cloud_io * (latency_v + lf) + priority_v + lf,
+            fog_comp=fog_comp * weight_v,
+            cloud_comp=(cloud_base + cloud_io * lf) * weight_v,
+            code_size=code_size,
+            input_size=input_size,
+            critical=np.array([fn.critical_value for fn in fns], dtype=int),
+            fn_priority=np.array([fn.priority for fn in fns], dtype=float),
         )
 
-    def fn_step_cost(self, ssr: SSR, fn: ServerlessFunction, on_fog: bool) -> float:
-        l_i = self.norm_latency[ssr.user_id]
-        p_i = self.user_priority[ssr.user_id]
-        if on_fog:
-            return step_cost_fog(fn, self.bucket.fog, self.bucket.importance_factors, l_i, p_i)
-        return step_cost_cloud(
-            fn, self.bucket.cloud, self.bucket.importance_factors, l_i, self.norm_link, p_i
-        )
+    def fog_flags(self, placement: Placement) -> np.ndarray:
+        """Fog flags of a complete placement, one per function."""
+        if len(placement.flags) != len(self.fog_step):
+            raise ValueError(
+                f"placement has {len(placement.flags)} flags for {len(self.fog_step)} functions"
+            )
+        if not placement.is_complete():
+            raise StateError("placement is incomplete")
+        return np.array([f for f, _ in placement.flags], dtype=bool)
+
+    def ssr_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-SSR sums of per-function values on the last axis."""
+        padded = np.concatenate([values, np.zeros(values.shape[:-1] + (1,))], axis=-1)
+        return _running_total(padded[..., self.ssr_slots])
+
+    def step_cost_sum(self, on_fog: np.ndarray) -> np.ndarray:
+        """Summed step cost of the placements whose fog flags are on the last axis."""
+        return _running_total(self.ssr_sums(np.where(on_fog, self.fog_step, self.cloud_step)))
+
+    def objective(self, on_fog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-SSR communication and computation latency of the given fog flags."""
+        comm = np.where(on_fog, self.priority, self.priority + self.norm_link)
+        comp = np.where(on_fog, self.fog_comp, self.cloud_comp)
+        return self.ssr_sums(comm), self.ssr_sums(comp)
+
+    def objective_total(self, on_fog: np.ndarray) -> np.ndarray:
+        comm, comp = self.objective(on_fog)
+        return _running_total(comm + comp)
 
 
-def _ssr_flags(ssr: SSR, placement: Placement, offset: int) -> list[tuple[int, int]]:
-    return [placement.flags[offset + j] for j in range(len(ssr.functions))]
-
-
-def ssr_comm_latency(ssr: SSR, flags: list[tuple[int, int]], ctx: CostContext) -> float:
-    p_i = ctx.user_priority[ssr.user_id]
-    return sum(
-        comm_latency_fn(f, c, p_i, ctx.norm_link) for (f, c) in flags
-    )
-
-
-def ssr_comp_latency(ssr: SSR, flags: list[tuple[int, int]], ctx: CostContext) -> float:
-    """Priority-weighted sum of per-function computation latencies."""
-    priorities = [fn.priority for fn in ssr.functions]
-    if any(p is None for p in priorities):
-        raise ValueError("function priorities are not cached; score the bucket first")
-    max_p = max(priorities)
-    l_i = ctx.norm_latency[ssr.user_id]
-    out = 0.0
-    for fn, (f, c), p in zip(ssr.functions, flags, priorities):
-        comp = comp_latency_fn(
-            fn, f, c, ctx.bucket.fog, ctx.bucket.cloud,
-            ctx.bucket.importance_factors, l_i, ctx.norm_link,
-        )
-        out += comp * (p / max_p)
-    return out
-
-
-def ssr_objective(ssr: SSR, flags: list[tuple[int, int]], ctx: CostContext) -> CostBreakdown:
-    if any(f + c != 1 for f, c in flags):
-        raise StateError("SSR placement is incomplete")
-    return CostBreakdown(
-        comm=ssr_comm_latency(ssr, flags, ctx),
-        comp=ssr_comp_latency(ssr, flags, ctx),
-    )
+def context_for(bucket: SSRBucket, ctx: CostContext | None = None) -> CostContext:
+    """The given context of the bucket, or a new one when none is given."""
+    return ctx if ctx is not None else CostContext.from_bucket(bucket)
 
 
 def bucket_objective(
     bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
 ) -> tuple[list[CostBreakdown], float]:
     """Per-SSR objective vector and its unweighted sum (the evaluation scalar)."""
-    ctx = ctx or CostContext.from_bucket(bucket)
-    out = []
-    offset = 0
-    for ssr in bucket.ssrs:
-        out.append(ssr_objective(ssr, _ssr_flags(ssr, placement, offset), ctx))
-        offset += len(ssr.functions)
-    return out, sum(b.total for b in out)
-
-
-def ssr_step_cost(ssr: SSR, flags: list[tuple[int, int]], ctx: CostContext) -> float:
-    out = 0.0
-    for fn, (f, c) in zip(ssr.functions, flags):
-        if f + c != 1:
-            raise StateError("SSR placement is incomplete")
-        out += ctx.fn_step_cost(ssr, fn, on_fog=bool(f))
-    return out
-
-
-def bucket_step_cost(
-    bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
-) -> float:
-    """Mean per-SSR step cost over the bucket."""
-    ctx = ctx or CostContext.from_bucket(bucket)
-    total = 0.0
-    offset = 0
-    for ssr in bucket.ssrs:
-        total += ssr_step_cost(ssr, _ssr_flags(ssr, placement, offset), ctx)
-        offset += len(ssr.functions)
-    return total / len(bucket.ssrs)
+    ctx = context_for(bucket, ctx)
+    comm, comp = ctx.objective(ctx.fog_flags(placement))
+    parts = [CostBreakdown(c, p) for c, p in zip(comm.tolist(), comp.tolist())]
+    return parts, float(_running_total(comm + comp))
 
 
 def placement_step_cost_sum(
     bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
 ) -> float:
     """Total per-function step cost (the brute-force and episode criterion)."""
-    ctx = ctx or CostContext.from_bucket(bucket)
-    total = 0.0
-    offset = 0
-    for ssr in bucket.ssrs:
-        total += ssr_step_cost(ssr, _ssr_flags(ssr, placement, offset), ctx)
-        offset += len(ssr.functions)
-    return total
+    ctx = context_for(bucket, ctx)
+    return float(ctx.step_cost_sum(ctx.fog_flags(placement)))
+
+
+def bucket_step_cost(
+    bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
+) -> float:
+    """Mean per-SSR step cost over the bucket."""
+    return placement_step_cost_sum(bucket, placement, ctx) / len(bucket.ssrs)

@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs
-from .model import (
-    RESOURCE_KINDS,
-    Placement,
-    SSRBucket,
-    StateError,
-    cloud_feasible,
-    fog_feasible,
-    validate_bucket,
-)
+from .model import Placement, SSRBucket, StateError, validate_bucket
 
 # Entries per function slot in the encoded state vector.
 SLOT_WIDTH = 11
@@ -34,16 +26,18 @@ class Action(IntEnum):
     CLOUD = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvState:
-    placement: Placement  # indexed in the bucket's insertion order
+    """One point of an episode; only the environment's latest state can be stepped."""
+
+    encoded: np.ndarray  # float64 state row: slot features and flags, then the cursor share
     cursor: int  # position in the processing order
-    encoded: tuple[float, ...]
     mask: tuple[bool, bool]  # (fog allowed, cloud allowed) for the next function
+    placement: Placement | None = None  # in insertion order, set once the episode completes
 
     @property
     def done(self) -> bool:
-        return self.placement.is_complete()
+        return self.placement is not None
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,11 @@ def read_records(path: str | Path) -> list[EpisodeRecord]:
 
 
 class PlacementEnv:
-    """Stateless step semantics: reset/step take and return explicit states."""
+    """Episodes over one bucket: ``reset`` starts one, ``step`` advances its latest state.
+
+    Slot ``pos`` of the encoded state describes the function at position ``pos``
+    of the processing order; its first two entries are the fog and cloud flags.
+    """
 
     def __init__(
         self,
@@ -111,21 +109,24 @@ class PlacementEnv:
         order: str = "priority",
         max_functions: int | None = None,
         bucket_seed: int | None = None,
+        ctx: costs.CostContext | None = None,
     ):
         violations = validate_bucket(bucket)
         if violations:
             raise ValueError("invalid bucket: " + "; ".join(violations))
         self.bucket = bucket
-        self.ctx = costs.CostContext.from_bucket(bucket)
+        self.ctx = ctx = costs.context_for(bucket, ctx)
         self.bucket_seed = bucket_seed
 
         flat = bucket.functions()  # insertion order: (ssr index, fn)
         n = len(flat)
         if order == "priority":
+            user_priority = ctx.priority.tolist()
+            fn_priority = ctx.fn_priority.tolist()
+
             def sort_key(flat_idx: int):
                 ssr_idx, fn = flat[flat_idx]
-                user = bucket.user_by_id(bucket.ssrs[ssr_idx].user_id)
-                return (-user.priority, ssr_idx, -fn.priority, fn.index)
+                return (-user_priority[flat_idx], ssr_idx, -fn_priority[flat_idx], fn.index)
             self.order = sorted(range(n), key=sort_key)
         elif order == "insertion":
             self.order = list(range(n))
@@ -139,87 +140,59 @@ class PlacementEnv:
             raise ValueError(
                 f"bucket has {n} functions but the encoder allows {self.max_functions}"
             )
-        self._fog_ok = [fog_feasible(fn, bucket.fog) for _, fn in flat]
-        self._cloud_ok = [cloud_feasible(fn, bucket.cloud) for _, fn in flat]
-        self._static = self._static_encoding()
+        visit = np.array(self.order, dtype=np.intp)
+        self._costs = (ctx.fog_step[visit].tolist(), ctx.cloud_step[visit].tolist())
+        self._masks = list(zip(ctx.fog_ok[visit].tolist(), ctx.cloud_ok[visit].tolist()))
+        self._masks.append((False, False))
+        self._static = self._static_encoding(visit)
+        self._on_fog = [False] * n  # this episode's decisions, in insertion order
+        self._latest: EnvState | None = None
 
     def reset(self) -> EnvState:
-        placement = Placement.empty(self.n_functions)
-        return EnvState(
-            placement=placement,
-            cursor=0,
-            encoded=self._encode(placement, 0),
-            mask=self._mask(0),
-        )
-
-    def _mask(self, cursor: int) -> tuple[bool, bool]:
-        if cursor >= self.n_functions:
-            return (False, False)
-        idx = self.order[cursor]
-        return (self._fog_ok[idx], self._cloud_ok[idx])
+        """Start a new episode; states of earlier episodes can no longer be stepped."""
+        self._latest = EnvState(encoded=self._static.copy(), cursor=0, mask=self._masks[0])
+        return self._latest
 
     def feasible_actions(self, state: EnvState) -> tuple[bool, bool]:
         if state.done:
             raise StateError("episode is complete")
-        return self._mask(state.cursor)
+        return state.mask
 
     def step(self, state: EnvState, action: Action) -> StepOutcome:
+        if state is not self._latest:
+            raise StateError("stale state: only the latest state of the episode can be stepped")
         if state.done:
             raise StateError("episode is complete")
-        mask = self._mask(state.cursor)
-        if not mask[action]:
+        if not state.mask[action]:
             raise StateError(f"action {Action(action).name} violates the platform limits")
 
-        idx = self.order[state.cursor]
-        ssr_idx, fn = self.flat[idx]
-        ssr = self.bucket.ssrs[ssr_idx]
-        cost = self.ctx.fn_step_cost(ssr, fn, on_fog=(action == Action.FOG))
-
-        placement = state.placement.assign(idx, on_fog=(action == Action.FOG))
-        cursor = state.cursor + 1
-        next_state = EnvState(
-            placement=placement,
-            cursor=cursor,
-            encoded=self._encode(placement, cursor),
-            mask=self._mask(cursor),
-        )
+        pos = state.cursor
+        cost = self._costs[action][pos]
+        encoded = state.encoded.copy()
+        encoded[pos * SLOT_WIDTH + action] = 1.0
+        cursor = pos + 1
+        encoded[-1] = cursor / self.n_functions
+        self._on_fog[self.order[pos]] = action == Action.FOG
+        placement = Placement.from_fog(self._on_fog) if cursor == self.n_functions else None
+        self._latest = EnvState(encoded, cursor, self._masks[cursor], placement)
         return StepOutcome(
-            next_state=next_state,
+            next_state=self._latest,
             cost=cost,
-            done=next_state.done,
-            mask=next_state.mask,
+            done=placement is not None,
+            mask=self._latest.mask,
         )
 
-    def _static_encoding(self) -> np.ndarray:
-        vec = np.zeros(self.max_functions * SLOT_WIDTH + 1)
-        cloud = self.bucket.cloud
-        cap = cloud.per_function_cap
-        for pos, idx in enumerate(self.order):
-            ssr_idx, fn = self.flat[idx]
-            user = self.bucket.user_by_id(self.bucket.ssrs[ssr_idx].user_id)
-            demand = costs.total_demand(fn)
-            base = pos * SLOT_WIDTH
-            vec[base + 2] = fn.code_size / cloud.code_size_limit
-            vec[base + 3] = fn.input_size / cloud.input_size_limit
-            vec[base + 4] = fn.critical_value / 5
-            for k, kind in enumerate(RESOURCE_KINDS):
-                vec[base + 5 + k] = demand.get(kind) / cap.get(kind)
-            vec[base + 9] = user.priority
-            vec[base + 10] = 1.0 if self._fog_ok[idx] else 0.0
-        return vec
-
-    def _encode(self, placement: Placement, cursor: int) -> tuple[float, ...]:
-        vec = self._static.copy()
-        for pos, idx in enumerate(self.order):
-            f_flag, c_flag = placement.flags[idx]
-            base = pos * SLOT_WIDTH
-            vec[base] = f_flag
-            vec[base + 1] = c_flag
-        vec[-1] = cursor / self.n_functions
-        return tuple(vec.tolist())
-
-    def encode(self, state: EnvState) -> tuple[float, ...]:
-        return self._encode(state.placement, state.cursor)
+    def _static_encoding(self, visit: np.ndarray) -> np.ndarray:
+        ctx, cloud = self.ctx, self.bucket.cloud
+        slots = np.zeros((self.max_functions, SLOT_WIDTH))
+        used = slots[: self.n_functions]
+        used[:, 2] = ctx.code_size[visit] / cloud.code_size_limit
+        used[:, 3] = ctx.input_size[visit] / cloud.input_size_limit
+        used[:, 4] = ctx.critical[visit] / 5
+        used[:, 5:9] = ctx.demand[visit] / np.array(cloud.per_function_cap.as_tuple())
+        used[:, 9] = ctx.priority[visit]
+        used[:, 10] = ctx.fog_ok[visit]
+        return np.append(slots.ravel(), 0.0)
 
     def record(self, actions: list[int], step_costs: list[float],
                placement: Placement) -> EpisodeRecord:

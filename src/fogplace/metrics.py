@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import costs
 from .model import RESOURCE_KINDS, Placement, ResourceKind, SSRBucket, StateError
 
@@ -32,53 +34,60 @@ class PlacementReport:
     objective_sum: float
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+def _running_totals(values: np.ndarray) -> list[float]:
+    """Column sums of an n x k matrix, each added top to bottom."""
+    return np.cumsum(values, axis=0)[-1].tolist()
 
 
-def report(bucket: SSRBucket, placement: Placement) -> PlacementReport:
+def report(
+    bucket: SSRBucket, placement: Placement, ctx: costs.CostContext | None = None
+) -> PlacementReport:
     if not placement.is_complete():
         raise StateError("placement is incomplete")
-    flat = bucket.functions()
-    n = len(flat)
-    fog_fns = [fn for (_, fn), (f, _) in zip(flat, placement.flags) if f]
-    cloud_fns = [fn for (_, fn), (_, c) in zip(flat, placement.flags) if c]
+    ctx = costs.context_for(bucket, ctx)
+    on_fog = ctx.fog_flags(placement)
+    n = len(on_fog)
+    n_fog = int(on_fog.sum())
+    n_cloud = n - n_fog
+
+    # the four demand kinds, then code size, input size, critical value, priority
+    table = np.column_stack(
+        [ctx.demand, ctx.code_size, ctx.input_size, ctx.critical, ctx.fn_priority]
+    )
+    totals = _running_totals(table[:, :4])
+    fog_sums = _running_totals(np.where(on_fog[:, None], table, 0.0))
+    cloud_sums = _running_totals(np.where(on_fog[:, None], 0.0, table))
 
     demand_fog_pct = {}
     demand_cloud_pct = {}
-    for kind in RESOURCE_KINDS:
-        total = sum(costs.total_demand(fn).get(kind) for _, fn in flat)
-        fog_part = sum(costs.total_demand(fn).get(kind) for fn in fog_fns)
-        demand_fog_pct[kind] = 100.0 * fog_part / total if total else 0.0
+    for k, kind in enumerate(RESOURCE_KINDS):
+        total = totals[k]
+        demand_fog_pct[kind] = 100.0 * fog_sums[k] / total if total else 0.0
         demand_cloud_pct[kind] = 100.0 - demand_fog_pct[kind] if total else 0.0
+    fog_means = [v / n_fog if n_fog else None for v in fog_sums[4:]]
+    cloud_means = [v / n_cloud if n_cloud else None for v in cloud_sums[4:]]
 
-    counts = {
-        v: (
-            sum(1 for fn in fog_fns if fn.critical_value == v),
-            sum(1 for fn in cloud_fns if fn.critical_value == v),
-        )
-        for v in range(1, 6)
-    }
+    fog_counts = np.bincount(ctx.critical[on_fog], minlength=6).tolist()
+    cloud_counts = np.bincount(ctx.critical[~on_fog], minlength=6).tolist()
+    counts = {v: (fog_counts[v], cloud_counts[v]) for v in range(1, 6)}
 
-    ctx = costs.CostContext.from_bucket(bucket)
-    _, objective_sum = costs.bucket_objective(bucket, placement, ctx)
     return PlacementReport(
         n_functions=n,
-        fog_fraction=100.0 * len(fog_fns) / n,
-        cloud_fraction=100.0 * len(cloud_fns) / n,
+        fog_fraction=100.0 * n_fog / n,
+        cloud_fraction=100.0 * n_cloud / n,
         demand_fog_pct=demand_fog_pct,
         demand_cloud_pct=demand_cloud_pct,
-        avg_code_fog=_mean([fn.code_size for fn in fog_fns]),
-        avg_code_cloud=_mean([fn.code_size for fn in cloud_fns]),
-        avg_input_fog=_mean([fn.input_size for fn in fog_fns]),
-        avg_input_cloud=_mean([fn.input_size for fn in cloud_fns]),
-        avg_critical_fog=_mean([float(fn.critical_value) for fn in fog_fns]),
-        avg_critical_cloud=_mean([float(fn.critical_value) for fn in cloud_fns]),
-        avg_priority_fog=_mean([fn.priority for fn in fog_fns]),
-        avg_priority_cloud=_mean([fn.priority for fn in cloud_fns]),
+        avg_code_fog=fog_means[0],
+        avg_code_cloud=cloud_means[0],
+        avg_input_fog=fog_means[1],
+        avg_input_cloud=cloud_means[1],
+        avg_critical_fog=fog_means[2],
+        avg_critical_cloud=cloud_means[2],
+        avg_priority_fog=fog_means[3],
+        avg_priority_cloud=cloud_means[3],
         critical_counts=counts,
-        total_step_cost=costs.placement_step_cost_sum(bucket, placement, ctx),
-        objective_sum=objective_sum,
+        total_step_cost=float(ctx.step_cost_sum(on_fog)),
+        objective_sum=float(ctx.objective_total(on_fog)),
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -278,15 +278,9 @@ class Placement:
                 raise ValueError(f"invalid flag pair ({f}, {c})")
 
     @classmethod
-    def empty(cls, n: int) -> "Placement":
-        return cls(flags=((0, 0),) * n)
-
-    def assign(self, index: int, on_fog: bool) -> "Placement":
-        if self.flags[index] != (0, 0):
-            raise StateError(f"function {index} is already assigned")
-        pair = (1, 0) if on_fog else (0, 1)
-        flags = self.flags[:index] + (pair,) + self.flags[index + 1 :]
-        return Placement(flags=flags)
+    def from_fog(cls, on_fog) -> "Placement":
+        """Complete placement from one fog flag (truthy) per function."""
+        return cls(flags=tuple((1, 0) if f else (0, 1) for f in on_fog))
 
     def is_complete(self) -> bool:
         return all(f + c == 1 for f, c in self.flags)
@@ -298,23 +292,18 @@ class Placement:
         return f == 1
 
 
-def fog_feasible(fn: ServerlessFunction, fog: EnvironmentLimits) -> bool:
-    """Per-function fog constraints: code size, input size, total demand."""
+def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
+    """Per-function platform constraints: code size, input size, total demand."""
     total = fn.base_demand + fn.supplementary_demand
     return (
-        fn.code_size <= fog.code_size_limit
-        and fn.input_size <= fog.input_size_limit
-        and total.fits_within(fog.per_function_cap)
+        fn.code_size <= limits.code_size_limit
+        and fn.input_size <= limits.input_size_limit
+        and total.fits_within(limits.per_function_cap)
     )
 
 
-def cloud_feasible(fn: ServerlessFunction, cloud: EnvironmentLimits) -> bool:
-    total = fn.base_demand + fn.supplementary_demand
-    return (
-        fn.code_size <= cloud.code_size_limit
-        and fn.input_size <= cloud.input_size_limit
-        and total.fits_within(cloud.per_function_cap)
-    )
+# the fog and the cloud impose the same kinds of per-function limits
+fog_feasible = cloud_feasible = fits_platform
 
 
 def validate_bucket(bucket: SSRBucket) -> list[str]:
@@ -346,17 +335,19 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
 
     if not 0 <= bucket.priority_blend <= 1:
         violations.append(f"priority blend {bucket.priority_blend} outside [0, 1]")
-    if bucket.distance_cap <= 0:
-        violations.append(f"distance cap {bucket.distance_cap} must be > 0")
+    if not (math.isfinite(bucket.distance_cap) and bucket.distance_cap > 0):
+        violations.append(f"distance cap {bucket.distance_cap} must be finite and > 0")
 
     if not bucket.fog.per_function_cap.fits_within(bucket.cloud.per_function_cap):
         violations.append("fog per-function cap exceeds cloud cap in some component")
 
     for u in bucket.users:
-        if u.latency <= 0:
-            violations.append(f"user {u.id} latency {u.latency} must be > 0")
+        if not (math.isfinite(u.latency) and u.latency > 0):
+            violations.append(f"user {u.id} latency {u.latency} must be finite and > 0")
         d = math.hypot(u.position[0], u.position[1])
-        if d > bucket.distance_cap + 1e-12:
+        if not math.isfinite(d):
+            violations.append(f"user {u.id} position {u.position} is not finite")
+        elif d > bucket.distance_cap + 1e-12:
             violations.append(
                 f"user {u.id} distance {d:.6g} outside coverage radius {bucket.distance_cap}"
             )
@@ -372,10 +363,3 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
 
     return violations
 
-
-def with_user_priority(user: User, priority: float) -> User:
-    return replace(user, priority=priority)
-
-
-def with_function_priority(fn: ServerlessFunction, priority: float) -> ServerlessFunction:
-    return replace(fn, priority=priority)

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from fogplace.costs import CostContext
 from fogplace.model import (
     EnvironmentLimits,
     ResourceVector,
@@ -52,6 +53,24 @@ def make_bucket(ssrs, users, fog=None, cloud=None, weights=None,
 
 def make_user(uid=0, position=(3.0, 4.0), latency=50.0, priority=0.5):
     return User(id=uid, position=position, latency=latency, priority=priority)
+
+
+def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
+                    weights=ResourceVector(0.25, 0.25, 0.25, 0.25)):
+    """Cost context of one SSR holding fns, whose user has latency share latency / 100.
+
+    A second user without functions has latency 100, so l_i = latency / 100
+    and lf = link / 100. Functions without a priority get priority 5.
+    """
+    fns = tuple(fn if fn.priority is not None else dataclasses.replace(fn, priority=5.0)
+                for fn in fns)
+    bucket = make_bucket(
+        ssrs=[SSR(user_id=0, functions=fns)],
+        users=[make_user(0, latency=latency, priority=priority),
+               make_user(1, latency=100.0, priority=0.5)],
+        fog=fog, cloud=dataclasses.replace(cloud, link_latency=link), weights=weights,
+    )
+    return CostContext.from_bucket(bucket)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from fogplace.experiment import (
 from fogplace.model import ResourceVector, SSR, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import make_bucket, make_fn, make_limits, make_user, one_ssr_context
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -63,7 +63,6 @@ def mean_of(means, algorithm, total, column):
 
 def test_criterion_1_formula_suite():
     tol = 1e-9
-    uniform = ResourceVector(0.25, 0.25, 0.25, 0.25)
     half_cap = make_limits(cpu=2, ram=2, storage=2, net_io=2, code=500, input_size=2500)
     ones = make_fn(base=ResourceVector(1, 1, 1, 1))
     ssr = SSR(user_id=0, functions=(
@@ -78,6 +77,13 @@ def test_criterion_1_formula_suite():
     )
     from fogplace.model import Placement
     all_fog = Placement(flags=((1, 0),) * 8)
+    on_fog, on_cloud = np.array([True]), np.array([False])
+    # one function of demand 1 everywhere; l_i = 0.4, lf = 0.1, user priority 0.6
+    kernel = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=10.0, priority=0.6)
+    # zero-demand function: the objective's communication term alone
+    comm = one_ssr_context([make_fn()], half_cap, half_cap, link=10.0, priority=0.6)
+    fog_comp = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=0.0)
+    cloud_comp = one_ssr_context([ones], half_cap, half_cap, latency=10.0, link=40.0)
 
     checks = [
         abs(scoring.user_distance((0, 0), (3, 4)) - 5.0) < tol,
@@ -86,14 +92,12 @@ def test_criterion_1_formula_suite():
         abs(scoring.user_priority(0.4, 0.8, 0.5) - 0.6) < tol,
         abs(scoring.function_priority(ssr.functions[0], ssr, 0.2) - 1 / 0.712) < tol,
         abs(scoring.function_priority(ssr.functions[1], ssr, 0.2) - 5.0) < tol,
-        abs(costs.comm_latency_fn(1, 0, 0.6, 0.1) - 0.6) < tol,
-        abs(costs.comm_latency_fn(0, 1, 0.6, 0.1) - 0.7) < tol,
-        abs(costs.comp_latency_fn(ones, 1, 0, half_cap, half_cap, uniform, 0.4, 0.0)
-            - 0.425) < tol,
-        abs(costs.comp_latency_fn(ones, 0, 1, half_cap, half_cap, uniform, 0.0, 0.4)
-            - 0.425) < tol,
-        abs(costs.step_cost_fog(ones, half_cap, uniform, 0.4, 0.6) - 1.025) < tol,
-        abs(costs.step_cost_cloud(ones, half_cap, uniform, 0.4, 0.1, 0.6) - 1.1375) < tol,
+        abs(comm.objective_total(on_fog) - 0.6) < tol,
+        abs(comm.objective_total(on_cloud) - 0.7) < tol,
+        abs(fog_comp.fog_comp[0] - 0.425) < tol,
+        abs(cloud_comp.cloud_comp[0] - 0.425) < tol,
+        abs(kernel.fog_step[0] - 1.025) < tol,
+        abs(kernel.cloud_step[0] - 1.1375) < tol,
         abs(costs.bucket_step_cost(two_ssrs, all_fog) - 2.0) < tol,
         abs(costs.placement_step_cost_sum(two_ssrs, all_fog) - 4.0) < tol,
     ]

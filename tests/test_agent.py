@@ -1,10 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from fogplace.agent import (
     AgentConfig,
     ReplayBuffer,
-    StateErrorForSelection,
     ValueNetwork,
     greedy_rollout,
     select_action,
@@ -12,6 +13,7 @@ from fogplace.agent import (
     write_training_log,
 )
 from fogplace.env import Action, PlacementEnv
+from fogplace.model import StateError
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 
@@ -153,7 +155,7 @@ def test_select_action_forced_by_mask():
     rng = np.random.default_rng(0)
     assert select_action(net, (0.0, 0.0), (True, False), 1.0, rng) == Action.FOG
     assert select_action(net, (0.0, 0.0), (False, True), 0.0, rng) == Action.CLOUD
-    with pytest.raises(StateErrorForSelection):
+    with pytest.raises(StateError):
         select_action(net, (0.0, 0.0), (False, False), 0.0, rng)
 
 
@@ -167,14 +169,39 @@ def test_select_action_exploration_is_seeded():
 
 
 def test_replay_buffer_fifo_eviction():
-    buf = ReplayBuffer(capacity=3)
+    buf = ReplayBuffer(capacity=3, width=1)
     for i in range(5):
-        buf.push(i, 0, 0.0, i, False, (True, True))
+        buf.push([float(i)], 0, 0.0, [float(i)], False, (True, True))
     assert len(buf) == 3
-    assert [e[0] for e in buf.entries] == [2, 3, 4]
-    sample = buf.sample(8, np.random.default_rng(0))
-    assert len(sample) == 8
-    assert all(e[0] in (2, 3, 4) for e in sample)
+    states, *_ = buf.sample(8, np.random.default_rng(0))
+    assert states.shape == (8, 1)
+    assert set(states[:, 0]) <= {2.0, 3.0, 4.0}
+
+
+@pytest.mark.parametrize("capacity, pushes", [
+    (3, 2), (3, 3), (3, 5), (3, 7),
+    (3000, 2999), (3000, 5000),  # the ring grows its rows before wrapping around
+])
+def test_replay_ring_samples_like_a_deque(capacity, pushes):
+    """Sample index i is the i-th oldest entry, before and after wrap-around."""
+    width = 4
+    buf = ReplayBuffer(capacity, width)
+    reference = deque(maxlen=capacity)
+    for i in range(pushes):
+        entry = (np.full(width, i + 0.5), i % 2, -float(i), np.full(width, i + 0.25),
+                 i % 3 == 0, (True, i % 2 == 0))
+        buf.push(*entry)
+        reference.append(entry)
+    assert len(buf) == len(reference)
+    rng_ring, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    states, actions, rewards, next_states, dones, masks = buf.sample(16, rng_ring)
+    picked = [reference[i] for i in rng_ref.integers(0, len(reference), size=16)]
+    assert np.array_equal(states, np.array([e[0] for e in picked]))
+    assert actions.tolist() == [e[1] for e in picked]
+    assert rewards.tolist() == [e[2] for e in picked]
+    assert np.array_equal(next_states, np.array([e[3] for e in picked]))
+    assert dones.tolist() == [e[4] for e in picked]
+    assert masks.tolist() == [list(e[5]) for e in picked]
 
 
 def test_train_zero_episodes_is_noop():
@@ -225,7 +252,7 @@ def test_train_single_function_bandit_converges():
     state = env.reset()
     assert state.mask == (True, True)
     fog_cost = env.step(state, Action.FOG).cost
-    cloud_cost = env.step(state, Action.CLOUD).cost
+    cloud_cost = env.step(env.reset(), Action.CLOUD).cost
     _, record = greedy_rollout(result.net, factory(0))
     chosen = Action(record.actions[0])
     expected = Action.FOG if fog_cost < cloud_cost else Action.CLOUD
@@ -261,6 +288,21 @@ def test_agent_config_validation():
         AgentConfig(gamma=1.5)
     with pytest.raises(ValueError):
         AgentConfig(epsilon_start=0.1, epsilon_end=0.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"target_sync_interval": 0},
+    {"batch_size": 0},
+    {"replay_capacity": 0},
+    {"epsilon_decay": 0.0},
+    {"epsilon_decay": 1.5},
+    {"episodes": -1},
+    {"hidden_sizes": (0,)},
+    {"hidden_sizes": (8, -2)},
+])
+def test_agent_config_rejects(bad):
+    with pytest.raises(ValueError):
+        AgentConfig(**bad)
 
 
 def test_agent_config_round_trip():

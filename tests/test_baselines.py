@@ -145,7 +145,6 @@ def test_brute_force_single_function():
     )
     result = brute_force_optimum(bucket)
     ctx = costs.CostContext.from_bucket(bucket)
-    fog_step = ctx.fn_step_cost(bucket.ssrs[0], fn, on_fog=True)
-    cloud_step = ctx.fn_step_cost(bucket.ssrs[0], fn, on_fog=False)
+    fog_step, cloud_step = ctx.fog_step[0], ctx.cloud_step[0]
     assert result.best_step_cost == pytest.approx(min(fog_step, cloud_step), abs=1e-12)
     assert result.best_step_placement.flags == (((1, 0) if fog_step <= cloud_step else (0, 1)),)

@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from fogplace import costs
-from fogplace.model import Placement, ResourceVector, SSR, StateError
+from fogplace.env import Action, PlacementEnv
+from fogplace.model import (
+    Placement, ResourceVector, SSR, StateError, cloud_feasible, fog_feasible,
+)
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import make_bucket, make_fn, make_limits, make_user, one_ssr_context
 
 UNIFORM = ResourceVector(0.25, 0.25, 0.25, 0.25)
 # caps of 2 everywhere so a demand of 1 gives a ratio of 0.5
@@ -13,111 +19,116 @@ HALF_CAP = make_limits(cpu=2, ram=2, storage=2, net_io=2, code=500, input_size=2
 ONES = ResourceVector(1, 1, 1, 1)
 
 
+def kernel_for(fns, fog=HALF_CAP, cloud=HALF_CAP, **kwargs):
+    return one_ssr_context(fns, fog, cloud, **kwargs)
+
+
 def test_per_function_cap_selects_platform():
-    fog = make_limits(cpu=2, ram=1024, storage=1024, net_io=2048)
-    cloud = make_limits()
-    assert costs.per_function_cap(1, 0, fog, cloud) == fog.per_function_cap
-    assert costs.per_function_cap(0, 1, fog, cloud) == cloud.per_function_cap
+    # the fog vectors divide by the fog caps, the cloud vectors by the cloud caps
+    fog = make_limits(cpu=2, ram=2, storage=2, net_io=2)
+    cloud = make_limits(cpu=4, ram=4, storage=4, net_io=4)
+    ctx = kernel_for([make_fn(base=ONES)], fog=fog, cloud=cloud, link=40.0)
+    # fog: 3 * 0.5 * 0.25 + 0.5 * 0.25 * 0.4; cloud: 3 * 0.25 * 0.25 + 0.25 * 0.25 * 0.4
+    assert ctx.fog_comp[0] == pytest.approx(0.425, abs=1e-9)
+    assert ctx.cloud_comp[0] == pytest.approx(0.2125, abs=1e-9)
     with pytest.raises(StateError):
-        costs.per_function_cap(0, 0, fog, cloud)
+        ctx.fog_flags(Placement(flags=((0, 0),)))
 
 
 def test_total_demand():
-    fn = make_fn(base=ResourceVector(1, 100, 10, 10))
-    assert costs.total_demand(fn).as_tuple() == (1, 100, 10, 10)
-    fn = make_fn(base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30))
-    assert costs.total_demand(fn).as_tuple() == (2, 150, 30, 40)
-    assert costs.total_demand(make_fn()).as_tuple() == (0, 0, 0, 0)
+    ctx = kernel_for([
+        make_fn(base=ResourceVector(1, 100, 10, 10)),
+        make_fn(index=1, base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
+        make_fn(index=2),
+    ])
+    assert ctx.demand.tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
 
 
 def test_ssr_demand_sums():
-    single = SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10)),))
-    assert costs.ssr_base_demand(single).as_tuple() == (1, 100, 10, 10)
-    two = SSR(user_id=0, functions=(
-        make_fn(base=ResourceVector(1, 100, 10, 10)),
-        make_fn(index=1, base=ResourceVector(2, 200, 20, 20)),
-    ))
-    assert costs.ssr_base_demand(two).as_tuple() == (3, 300, 30, 30)
-    assert costs.ssr_supplementary_demand(two).as_tuple() == (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        costs.ssr_base_demand(SSR(user_id=0, functions=()))
+    users = [make_user(0), make_user(1), make_user(2)]
+    bucket = make_bucket(ssrs=[
+        SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
+        SSR(user_id=1, functions=(
+            make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
+            make_fn(index=1, base=ResourceVector(2, 200, 20, 20), priority=1.0),
+        )),
+        SSR(user_id=2, functions=()),
+    ], users=users)
+    ctx = costs.CostContext.from_bucket(bucket)
+    per_ssr = ctx.ssr_sums(ctx.demand.T)  # one row per resource kind
+    assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30], [0, 0, 0, 0]]
 
 
 def test_comm_latency_fn():
-    assert costs.comm_latency_fn(1, 0, 0.6, 0.1) == pytest.approx(0.6, abs=1e-9)
-    assert costs.comm_latency_fn(0, 1, 0.6, 0.1) == pytest.approx(0.7, abs=1e-9)
-    assert costs.comm_latency_fn(0, 1, 0.0, 0.0) == 0.0
+    ctx = kernel_for([make_fn()], priority=0.6, link=10.0)
+    assert ctx.objective(np.array([True]))[0][0] == pytest.approx(0.6, abs=1e-9)
+    assert ctx.objective(np.array([False]))[0][0] == pytest.approx(0.7, abs=1e-9)
+    ctx = kernel_for([make_fn()], priority=0.0, link=0.0)
+    assert ctx.objective(np.array([False]))[0][0] == 0.0
     with pytest.raises(StateError):
-        costs.comm_latency_fn(0, 0, 0.6, 0.1)
+        costs.bucket_objective(ctx.bucket, Placement(flags=((0, 0),)), ctx)
 
 
 def test_comp_latency_fn_zero_demand():
-    fn = make_fn()
-    assert costs.comp_latency_fn(fn, 1, 0, HALF_CAP, HALF_CAP, UNIFORM, 0.4, 0.1) == 0.0
+    ctx = kernel_for([make_fn()], latency=40.0, link=10.0)
+    assert ctx.fog_comp[0] == 0.0
+    assert ctx.cloud_comp[0] == 0.0
 
 
 def test_comp_latency_fn_hand_value_fog():
     # 3 * 0.5 * 0.25 + 0.5 * 0.25 * 0.4 = 0.425
-    fn = make_fn(base=ONES)
-    value = costs.comp_latency_fn(fn, 1, 0, HALF_CAP, HALF_CAP, UNIFORM, 0.4, 0.0)
-    assert value == pytest.approx(0.425, abs=1e-9)
+    ctx = kernel_for([make_fn(base=ONES)], latency=40.0, link=0.0)
+    assert ctx.fog_comp[0] == pytest.approx(0.425, abs=1e-9)
 
 
 def test_comp_latency_fn_hand_value_cloud():
-    fn = make_fn(base=ONES)
-    value = costs.comp_latency_fn(fn, 0, 1, HALF_CAP, HALF_CAP, UNIFORM, 0.0, 0.4)
-    assert value == pytest.approx(0.425, abs=1e-9)
+    ctx = kernel_for([make_fn(base=ONES)], latency=10.0, link=40.0)
+    assert ctx.cloud_comp[0] == pytest.approx(0.425, abs=1e-9)
 
 
 def test_step_cost_fog():
-    zero = make_fn()
-    assert costs.step_cost_fog(zero, HALF_CAP, UNIFORM, 0.4, 0.6) == pytest.approx(0.6)
+    ctx = kernel_for([make_fn(), make_fn(index=1, base=ONES)], latency=40.0, priority=0.6)
+    assert ctx.fog_step[0] == pytest.approx(0.6)
     # 0.375 + 0.05 + 0.6 = 1.025
-    fn = make_fn(base=ONES)
-    assert costs.step_cost_fog(fn, HALF_CAP, UNIFORM, 0.4, 0.6) == pytest.approx(1.025, abs=1e-9)
-    assert costs.step_cost_fog(zero, HALF_CAP, UNIFORM, 0.4, 0.0) == 0.0
+    assert ctx.fog_step[1] == pytest.approx(1.025, abs=1e-9)
+    assert kernel_for([make_fn()], latency=40.0, priority=0.0).fog_step[0] == 0.0
 
 
 def test_step_cost_cloud():
-    zero = make_fn()
-    assert costs.step_cost_cloud(zero, HALF_CAP, UNIFORM, 0.4, 0.1, 0.6) == pytest.approx(0.7)
+    ctx = kernel_for([make_fn(), make_fn(index=1, base=ONES)],
+                     latency=40.0, link=10.0, priority=0.6)
+    assert ctx.cloud_step[0] == pytest.approx(0.7)
     # 0.375 + 0.125 * 0.5 + 0.6 + 0.1 = 1.1375
-    fn = make_fn(base=ONES)
-    value = costs.step_cost_cloud(fn, HALF_CAP, UNIFORM, 0.4, 0.1, 0.6)
-    assert value == pytest.approx(1.1375, abs=1e-9)
-    assert costs.step_cost_cloud(zero, HALF_CAP, UNIFORM, 0.4, 0.0, 0.0) == 0.0
+    assert ctx.cloud_step[1] == pytest.approx(1.1375, abs=1e-9)
+    ctx = kernel_for([make_fn()], latency=40.0, link=0.0, priority=0.0)
+    assert ctx.cloud_step[0] == 0.0
 
 
 def test_ssr_comm_latency(simple_bucket):
-    ctx = costs.CostContext.from_bucket(simple_bucket)
-    ssr = simple_bucket.ssrs[0]  # user priority 0.6, normalized link 0.1
-    assert costs.ssr_comm_latency(ssr, [(1, 0), (0, 1)], ctx) == pytest.approx(1.3, abs=1e-9)
-    single = simple_bucket.ssrs[1]  # priority 0.5 + cloud link 0.1 + 0.1
-    assert costs.ssr_comm_latency(single, [(0, 1)], ctx) == pytest.approx(0.6, abs=1e-9)
-    assert costs.ssr_comm_latency(single, [(1, 0)], ctx) == pytest.approx(0.5, abs=1e-9)
+    # SSR 0: user priority 0.6, normalized link 0.1; SSR 1: priority 0.5
+    parts, _ = costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 1), (0, 1))))
+    assert parts[0].comm == pytest.approx(1.3, abs=1e-9)
+    assert parts[1].comm == pytest.approx(0.6, abs=1e-9)
+    parts, _ = costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 1), (1, 0))))
+    assert parts[1].comm == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ssr_comp_latency_priority_weighting(simple_bucket):
     # functions with priorities 5.0 and 2.5: weights 1.0 and 0.5
-    ctx = costs.CostContext.from_bucket(simple_bucket)
     ssr = simple_bucket.ssrs[0]
     fns = (
         make_fn(0, 0, base=ONES, priority=5.0),
         make_fn(0, 1, base=ONES, priority=2.5),
     )
-    import dataclasses
     weighted = dataclasses.replace(ssr, functions=fns)
     bucket = dataclasses.replace(
         simple_bucket,
         ssrs=(weighted, simple_bucket.ssrs[1]),
-        fog=HALF_CAP, cloud=HALF_CAP,
-    )
-    ctx = costs.CostContext.from_bucket(
-        dataclasses.replace(bucket, cloud=dataclasses.replace(HALF_CAP, link_latency=10.0))
+        fog=HALF_CAP, cloud=dataclasses.replace(HALF_CAP, link_latency=10.0),
     )
     # fog placement, user 0: l_i = 0.4 -> per-function comp 0.425
-    value = costs.ssr_comp_latency(weighted, [(1, 0), (1, 0)], ctx)
-    assert value == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
+    parts, _ = costs.bucket_objective(bucket, Placement(flags=((1, 0),) * 3))
+    assert parts[0].comp == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
 
 
 def test_ssr_comp_latency_two_term_hand_value(simple_bucket):
@@ -128,13 +139,15 @@ def test_ssr_comp_latency_two_term_hand_value(simple_bucket):
 
 
 def test_ssr_objective_total(simple_bucket):
-    ctx = costs.CostContext.from_bucket(simple_bucket)
-    breakdown = costs.ssr_objective(simple_bucket.ssrs[0], [(1, 0), (0, 1)], ctx)
+    parts, total = costs.bucket_objective(
+        simple_bucket, Placement(flags=((1, 0), (0, 1), (1, 0))))
+    breakdown = parts[0]
     assert breakdown.total == pytest.approx(breakdown.comm + breakdown.comp, abs=1e-12)
     # zero-demand functions: comp is 0, total is the comm latency 1.3
     assert breakdown.total == pytest.approx(1.3, abs=1e-9)
+    assert total == pytest.approx(1.3 + 0.5, abs=1e-9)
     with pytest.raises(StateError):
-        costs.ssr_objective(simple_bucket.ssrs[0], [(1, 0), (0, 0)], ctx)
+        costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 0), (1, 0))))
 
 
 def test_bucket_step_cost_is_mean_of_ssrs():
@@ -152,7 +165,6 @@ def test_bucket_step_cost_is_mean_of_ssrs():
 
 
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
-    import dataclasses
     bucket = dataclasses.replace(
         simple_bucket,
         ssrs=(simple_bucket.ssrs[1],),
@@ -160,7 +172,7 @@ def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
     )
     ctx = costs.CostContext.from_bucket(bucket)
     placement = Placement(flags=((0, 1),))
-    ssr_cost = costs.ssr_step_cost(bucket.ssrs[0], [(0, 1)], ctx)
+    ssr_cost = ctx.ssr_sums(ctx.cloud_step)[0]
     assert costs.bucket_step_cost(bucket, placement, ctx) == pytest.approx(ssr_cost)
 
 
@@ -171,16 +183,13 @@ def _random_fn(rng, ssr_index=0, index=0):
 
 def test_cloud_dominance_under_equal_ratios_fuzz():
     rng = np.random.default_rng(21)
-    for _ in range(500):
-        fn = _random_fn(rng)
-        caps = make_limits(cpu=3, ram=3, storage=3, net_io=3)
-        weights = UNIFORM
-        l_i = float(rng.uniform(0, 1))
-        lf = float(rng.uniform(0, 1))
-        p_i = float(rng.uniform(0, 1))
-        fog_cost = costs.step_cost_fog(fn, caps, weights, l_i, p_i)
-        cloud_cost = costs.step_cost_cloud(fn, caps, weights, l_i, lf, p_i)
-        assert cloud_cost - fog_cost >= -1e-12
+    caps = make_limits(cpu=3, ram=3, storage=3, net_io=3)
+    for _ in range(100):
+        fns = [_random_fn(rng, index=j) for j in range(5)]
+        ctx = kernel_for(fns, fog=caps, cloud=caps,
+                         latency=float(rng.uniform(1, 100)), link=float(rng.uniform(0, 100)),
+                         priority=float(rng.uniform(0, 1)))
+        assert (ctx.cloud_step - ctx.fog_step >= -1e-12).all()
 
 
 def test_step_cost_monotone_in_demand_fuzz():
@@ -191,30 +200,28 @@ def test_step_cost_monotone_in_demand_fuzz():
         kind = int(rng.integers(0, 4))
         bump = [0.0] * 4
         bump[kind] = float(rng.uniform(0.01, 1.0))
-        import dataclasses
-        bigger = dataclasses.replace(fn, base_demand=fn.base_demand + ResourceVector(*bump))
-        l_i = float(rng.uniform(0.01, 1))
-        lf = float(rng.uniform(0.01, 1))
-        assert (costs.step_cost_fog(bigger, caps, UNIFORM, l_i, 0.5)
-                > costs.step_cost_fog(fn, caps, UNIFORM, l_i, 0.5))
-        assert (costs.step_cost_cloud(bigger, caps, UNIFORM, l_i, lf, 0.5)
-                > costs.step_cost_cloud(fn, caps, UNIFORM, l_i, lf, 0.5))
+        bigger = dataclasses.replace(
+            fn, index=1, base_demand=fn.base_demand + ResourceVector(*bump))
+        ctx = kernel_for([fn, bigger], fog=caps, cloud=caps,
+                         latency=float(rng.uniform(1, 100)), link=float(rng.uniform(1, 100)),
+                         priority=0.5)
+        assert ctx.fog_step[1] > ctx.fog_step[0]
+        assert ctx.cloud_step[1] > ctx.cloud_step[0]
 
 
 def test_cap_selector_partition_fuzz():
+    # the fog terms use the fog caps and the cloud terms the cloud caps, exactly
     rng = np.random.default_rng(23)
     fog = make_limits(cpu=2, ram=1024, storage=1024, net_io=2048)
     cloud = make_limits()
     for _ in range(200):
-        on_fog = bool(rng.integers(0, 2))
-        f, c = (1, 0) if on_fog else (0, 1)
-        cap = costs.per_function_cap(f, c, fog, cloud)
-        # f * fog + c * cloud reproduces the selected cap componentwise
-        expected = tuple(
-            f * a + c * b
-            for a, b in zip(fog.per_function_cap.as_tuple(), cloud.per_function_cap.as_tuple())
-        )
-        assert cap.as_tuple() == expected
+        fn = _random_fn(rng)
+        latency, link = float(rng.uniform(1, 100)), float(rng.uniform(0, 100))
+        ctx = kernel_for([fn], fog=fog, cloud=cloud, latency=latency, link=link)
+        l_i, lf = latency / 100.0, link / 100.0
+        args = (fog, ctx.bucket.cloud, UNIFORM, l_i, lf)
+        assert ctx.fog_comp[0] == ref.comp_latency_fn(fn, 1, 0, *args)
+        assert ctx.cloud_comp[0] == ref.comp_latency_fn(fn, 0, 1, *args)
 
 
 def test_episode_additivity_recomputation():
@@ -222,7 +229,6 @@ def test_episode_additivity_recomputation():
     ctx = costs.CostContext.from_bucket(bucket)
     rng = np.random.default_rng(5)
     flags = []
-    from fogplace.model import fog_feasible
     for _, fn in bucket.functions():
         if fog_feasible(fn, bucket.fog) and rng.uniform() < 0.5:
             flags.append((1, 0))
@@ -230,13 +236,89 @@ def test_episode_additivity_recomputation():
             flags.append((0, 1))
     placement = Placement(flags=tuple(flags))
     total = costs.placement_step_cost_sum(bucket, placement, ctx)
-    # recompute per function, independent of the SSR-level path
+    # recompute per function, independent of the per-SSR sums
     expected = 0.0
-    idx = 0
-    for i, ssr in enumerate(bucket.ssrs):
-        for fn in ssr.functions:
-            expected += ctx.fn_step_cost(ssr, fn, on_fog=placement.flags[idx] == (1, 0))
-            idx += 1
+    for idx, (f, _) in enumerate(placement.flags):
+        expected += float(ctx.fog_step[idx] if f else ctx.cloud_step[idx])
     assert total == pytest.approx(expected, abs=1e-9)
     assert costs.bucket_step_cost(bucket, placement, ctx) == pytest.approx(
         total / len(bucket.ssrs), abs=1e-12)
+
+
+# -- the vector kernel against the scalar reference, bit for bit ------------------
+
+# paper-default buckets (most decisions forced by the fog limits) and buckets
+# whose every function fits the fog (every decision free)
+FUZZ_GENERATORS = [
+    GeneratorConfig(seed=700),
+    GeneratorConfig(seed=800, n_ssrs=(2, 4), functions_per_ssr=(1, 5),
+                    cpu_demand=(1.0, 2.0), ram_demand=(100.0, 1024.0),
+                    storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                    code_size=(10.0, 300.0), input_size=(100.0, 1500.0)),
+]
+
+
+def _fuzz_buckets():
+    for cfg in FUZZ_GENERATORS:
+        for seed in range(12):
+            yield generate_bucket(cfg, seed=seed)
+
+
+def test_kernel_vectors_equal_scalar_reference_fuzz():
+    free = forced = 0
+    rng = np.random.default_rng(31)
+    for bucket in _fuzz_buckets():
+        ctx = costs.CostContext.from_bucket(bucket)
+        terms, lf = ref.user_terms(bucket)
+        k = 0
+        for ssr in bucket.ssrs:
+            l_i, p_i = terms[ssr.user_id]
+            max_p = max(fn.priority for fn in ssr.functions)
+            for fn in ssr.functions:
+                w = fn.priority / max_p
+                args = (bucket.fog, bucket.cloud, bucket.importance_factors, l_i, lf)
+                assert ctx.fog_step[k] == ref.step_cost_fog(
+                    fn, bucket.fog, bucket.importance_factors, l_i, p_i)
+                assert ctx.cloud_step[k] == ref.step_cost_cloud(
+                    fn, bucket.cloud, bucket.importance_factors, l_i, lf, p_i)
+                assert ctx.fog_comp[k] == ref.comp_latency_fn(fn, 1, 0, *args) * w
+                assert ctx.cloud_comp[k] == ref.comp_latency_fn(fn, 0, 1, *args) * w
+                assert ctx.fog_ok[k] == fog_feasible(fn, bucket.fog)
+                assert ctx.cloud_ok[k] == cloud_feasible(fn, bucket.cloud)
+                if ctx.fog_ok[k] and ctx.cloud_ok[k]:
+                    free += 1
+                else:
+                    forced += 1
+                k += 1
+        for _ in range(3):
+            on_fog = ctx.fog_ok & (rng.uniform(size=len(ctx.fog_ok)) < 0.5)
+            placement = Placement.from_fog(on_fog.tolist())
+            assert costs.placement_step_cost_sum(bucket, placement, ctx) == ref.step_cost_sum(
+                bucket, placement.flags)
+            parts, total = costs.bucket_objective(bucket, placement, ctx)
+            ref_parts, ref_total = ref.ssr_objectives(bucket, placement.flags)
+            assert [(p.comm, p.comp) for p in parts] == ref_parts
+            assert total == ref_total
+    assert free > 50 and forced > 50
+
+
+def test_env_steps_and_encodings_equal_scalar_reference_fuzz():
+    rng = np.random.default_rng(32)
+    for bucket in _fuzz_buckets():
+        env = PlacementEnv(bucket, max_functions=100)
+        fn_costs = ref.function_step_costs(bucket)
+        flags = [(0, 0)] * bucket.n_functions
+        state = env.reset()
+        while True:
+            assert state.encoded.tolist() == ref.encode(
+                bucket, env.order, flags, state.cursor, 100)
+            if state.done:
+                break
+            fog_ok, cloud_ok = state.mask
+            action = Action.FOG if fog_ok and (not cloud_ok or rng.uniform() < 0.5) else Action.CLOUD
+            idx = env.order[state.cursor]
+            outcome = env.step(state, action)
+            assert outcome.cost == fn_costs[idx][action]
+            flags[idx] = (1, 0) if action == Action.FOG else (0, 1)
+            state = outcome.next_state
+        assert state.placement.flags == tuple(flags)

@@ -40,9 +40,12 @@ def test_reset_state():
     env = PlacementEnv(small_bucket())
     state = env.reset()
     assert state.cursor == 0
-    assert all(pair == (0, 0) for pair in state.placement.flags)
+    assert not state.done and state.placement is None
     assert len(state.encoded) == env.n_functions * SLOT_WIDTH + 1
-    assert env.reset() == state
+    # no slot carries a fog or cloud flag yet
+    slots = state.encoded[:-1].reshape(env.n_functions, SLOT_WIDTH)
+    assert not slots[:, :2].any()
+    assert np.array_equal(env.reset().encoded, state.encoded)
 
 
 def test_reset_respects_max_functions():
@@ -203,6 +206,20 @@ def test_record_round_trip(tmp_path):
     write_records([record], path)
     loaded = read_records(path)
     assert loaded == [record]
+
+
+def test_step_rejects_stale_state():
+    env = PlacementEnv(small_bucket())
+    first = env.reset()
+    action = Action.CLOUD
+    second = env.step(first, action).next_state
+    with pytest.raises(StateError, match="stale"):
+        env.step(first, action)  # already stepped
+    env.step(second, action)
+    fresh = env.reset()
+    with pytest.raises(StateError, match="stale"):
+        env.step(second, action)  # from an earlier episode
+    env.step(fresh, action)
 
 
 def test_invalid_bucket_rejected():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fogplace.agent import AgentConfig
+from fogplace.agent import AgentConfig, train
 from fogplace.cli import main
 from fogplace.experiment import (
     ExperimentConfig,
@@ -11,8 +11,9 @@ from fogplace.experiment import (
     run_compare,
     save_config,
 )
+from fogplace.env import PlacementEnv
 from fogplace.model import load_bucket
-from fogplace.workload import GeneratorConfig
+from fogplace.workload import GeneratorConfig, generate_bucket
 
 
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
@@ -211,3 +212,46 @@ def test_cli_oracle_size_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", str(out)]) == 2
     assert "14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_cli_malformed_bucket_is_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bucket.json"
+    bad.write_text("{}")
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed bucket" in err and "ssrs" in err
+
+
+def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["distance_cap"] = -1.0
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 1
+    expected = capsys.readouterr().out
+    assert main(["oracle", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed == expected
+    assert "VIOLATION: distance cap -1.0 must be finite and > 0" in printed
+
+
+def test_cli_compare_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    save_config(small_experiment(
+        generator=GeneratorConfig(seed=1, n_ssrs=(2, 2), functions_per_ssr=(3, 3)),
+        algorithms=("defdrel",), sweep=(10,), runs_per_point=1,
+    ), cfg_path)
+    # train at the bucket's own width (12 inputs) rather than the compare width
+    result = train(lambda episode: PlacementEnv(generate_bucket(GeneratorConfig(
+        seed=1, n_ssrs=(1, 1), functions_per_ssr=(1, 1)))), SMALL_AGENT)
+    assert result.net.input_size == 12
+    checkpoint = tmp_path / "narrow.json"
+    result.net.save(checkpoint)
+    out = tmp_path / "res"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 2
+    assert "takes 12 inputs" in capsys.readouterr().err
+    assert not (out / "results_detail.csv").exists()

@@ -96,7 +96,7 @@ def test_histogram_counts_sum_to_totals():
 def test_incomplete_placement_rejected():
     bucket = generate_bucket(GeneratorConfig(seed=1))
     with pytest.raises(StateError):
-        report(bucket, Placement.empty(bucket.n_functions))
+        report(bucket, Placement(flags=((0, 0),) * bucket.n_functions))
 
 
 def test_report_row_covers_all_columns():

@@ -90,12 +90,10 @@ def test_critical_value_range_enforced():
 
 
 def test_placement_partial_states_allowed():
-    p = Placement.empty(3)
+    assert not Placement(flags=((0, 0),) * 3).is_complete()
+    p = Placement(flags=((1, 0), (0, 0), (0, 1)))
     assert not p.is_complete()
-    p = p.assign(0, on_fog=True).assign(2, on_fog=False)
-    assert p.flags == ((1, 0), (0, 0), (0, 1))
-    with pytest.raises(StateError):
-        p.assign(0, on_fog=False)  # already assigned
+    assert Placement.from_fog([True, False]).flags == ((1, 0), (0, 1))
     with pytest.raises(ValueError):
         Placement(flags=((1, 1),))
 
@@ -104,9 +102,7 @@ def test_complete_placement_has_exactly_one_flag_fuzz():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         n = int(rng.integers(1, 12))
-        p = Placement.empty(n)
-        for i in rng.permutation(n):
-            p = p.assign(int(i), on_fog=bool(rng.integers(0, 2)))
+        p = Placement.from_fog(rng.integers(0, 2, size=n).tolist())
         assert p.is_complete()
         assert all(f + c == 1 for f, c in p.flags)
 
@@ -121,7 +117,32 @@ def test_bucket_serialization_round_trip(tmp_path):
 
 
 def test_unassigned_lookup_raises():
-    p = Placement.empty(2).assign(0, on_fog=True)
+    p = Placement(flags=((1, 0), (0, 0)))
     assert p.on_fog(0)
     with pytest.raises(StateError):
         p.on_fog(1)
+
+
+def test_validate_reports_non_finite_latency_and_distance_cap():
+    # a NaN latency next to a NaN coverage radius passes every comparison
+    bucket = make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
+        users=[make_user(0, latency=math.nan)],
+        distance_cap=math.nan,
+    )
+    violations = validate_bucket(bucket)
+    assert any("user 0 latency nan" in v for v in violations)
+    assert any("distance cap nan" in v for v in violations)
+    infinite = make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
+        users=[make_user(0, latency=math.inf)],
+    )
+    assert any("user 0 latency inf" in v for v in validate_bucket(infinite))
+
+
+def test_validate_reports_non_finite_user_position():
+    bucket = make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
+        users=[make_user(0, position=(math.nan, 1.0))],
+    )
+    assert any("user 0 position" in v and "not finite" in v for v in validate_bucket(bucket))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogplace.model import GenerationError, fog_feasible, validate_bucket
-from fogplace import costs
+from scalar_reference import total_demand
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 
@@ -14,7 +14,7 @@ def test_default_ranges_respected():
     for seed in range(250):
         bucket = generate_bucket(cfg, seed=seed)
         for _, fn in bucket.functions():
-            demand = costs.total_demand(fn)
+            demand = total_demand(fn)
             assert 1 <= demand.cpu <= 4
             assert 100 <= demand.ram <= 2048
             assert 10 <= demand.storage <= 2048
