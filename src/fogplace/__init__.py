@@ -1,7 +1,8 @@
 """Seedable fog/cloud serverless function placement simulator.
 
 Submodules:
-  model      domain entities, validation, bucket JSON serialization
+  codec      the strict JSON codec behind every config, bucket and checkpoint file
+  model      domain entities, validation, bucket JSON files
   scoring    user and function priority formulas
   costs      latency cost model and per-step placement costs
   workload   seeded synthetic bucket generation

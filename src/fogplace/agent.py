@@ -11,10 +11,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from .codec import DecodeError, decode
 from .env import Action, EpisodeRecord, PlacementEnv
 from .model import Placement, StateError
 
@@ -55,28 +56,6 @@ class AgentConfig:
             raise ValueError("episodes must be >= 0")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "gamma": self.gamma,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_end": self.epsilon_end,
-            "epsilon_decay": self.epsilon_decay,
-            "batch_size": self.batch_size,
-            "replay_capacity": self.replay_capacity,
-            "target_sync_interval": self.target_sync_interval,
-            "episodes": self.episodes,
-            "hidden_sizes": list(self.hidden_sizes),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentConfig":
-        kwargs = dict(d)
-        if "hidden_sizes" in kwargs:
-            kwargs["hidden_sizes"] = tuple(int(h) for h in kwargs["hidden_sizes"])
-        return cls(**kwargs)
 
 
 class ValueNetwork:
@@ -178,14 +157,44 @@ class ValueNetwork:
 
     @classmethod
     def load(cls, path: str | Path) -> "ValueNetwork":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        """A checkpoint file; raises ``DecodeError`` on a document that is not one."""
+        doc = decode(_Checkpoint, json.loads(Path(path).read_text()))
+        if doc.version != CHECKPOINT_VERSION:
+            raise DecodeError("version", f"unsupported checkpoint version {doc.version}")
         net = cls.__new__(cls)
-        net.sizes = [int(s) for s in doc["sizes"]]
-        net.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        net.sizes = sizes = list(doc.sizes)
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, got {sizes}")
+        net.weights = _layers(doc.weights, "weights", list(zip(sizes[:-1], sizes[1:])))
+        net.biases = _layers(doc.biases, "biases", [(n,) for n in sizes[1:]])
         return net
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    version: int
+    sizes: tuple[int, ...]
+    weights: Any  # per-layer nested lists, checked as whole arrays by _layers
+    biases: Any
+
+
+def _layers(doc: Any, path: str, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """One finite float array per layer, of the shape ``sizes`` gives it."""
+    if not isinstance(doc, list) or len(doc) != len(shapes):
+        raise DecodeError(path, f"expected an array of {len(shapes)} layers")
+    arrays = []
+    for i, (values, shape) in enumerate(zip(doc, shapes)):
+        try:
+            array = np.asarray(values)
+        except ValueError:  # ragged nesting
+            array = np.empty(0)
+        where = f"{path}[{i}]"
+        if array.shape != shape or array.dtype.kind not in "iuf":
+            raise DecodeError(where, f"expected a {shape} array of numbers, to chain with sizes")
+        if not np.isfinite(array).all():
+            raise DecodeError(where, "not finite")
+        arrays.append(array.astype(float, copy=False))
+    return arrays
 
 
 class ReplayBuffer:
@@ -304,8 +313,8 @@ def _batch_targets(
 def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> TrainResult:
     """Run cfg.episodes episodes of DQN training; fully seeded and deterministic."""
     rng = np.random.default_rng(cfg.seed)
-    probe = env_factory(0)
-    input_size = len(probe.reset().encoded)
+    env = env_factory(0)  # episode 0's env, built first to size the network
+    input_size = len(env.reset().encoded)
     net = ValueNetwork(input_size, cfg.hidden_sizes, rng)
     target = net.copy()
     replay = ReplayBuffer(cfg.replay_capacity, input_size)
@@ -314,7 +323,8 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
     log: list[dict] = []
     step_count = 0
     for episode in range(cfg.episodes):
-        env = env_factory(episode)
+        if episode:
+            env = env_factory(episode)
         state = env.reset()
         total_cost = 0.0
         losses: list[float] = []
@@ -373,7 +383,3 @@ def greedy_rollout(net: ValueNetwork, env: PlacementEnv) -> tuple[Placement, Epi
         step_costs.append(outcome.cost)
         state = outcome.next_state
     return state.placement, env.record(actions, step_costs, state.placement)
-
-
-def evaluate(net: ValueNetwork, envs: list[PlacementEnv]) -> list[tuple[Placement, EpisodeRecord]]:
-    return [greedy_rollout(net, env) for env in envs]

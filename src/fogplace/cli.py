@@ -2,7 +2,8 @@
 
 Config precedence: built-in defaults < config file (--config or the
 FOGPLACE_CONFIG environment variable) < command line flags.
-Exit codes: 0 success, 1 runtime fault, 2 usage or config error.
+Exit codes: 0 success, 1 runtime fault or invalid bucket, 2 usage error or a
+malformed config, bucket or checkpoint file.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from . import baselines
 from .agent import TrainingFault, ValueNetwork, train, write_training_log
+from .codec import DecodeError
 from .experiment import (
     MAX_FUNCTIONS,
     ExperimentConfig,
@@ -36,14 +38,22 @@ class UsageError(Exception):
     pass
 
 
+def _read(kind: str, load, path: str):
+    """Load a config, bucket or checkpoint file; a document of the wrong shape is a usage error."""
+    try:
+        return load(path)
+    except DecodeError as exc:
+        raise UsageError(f"malformed {kind} {path}: {exc}") from exc
+
+
 def _resolve_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         cfg = ExperimentConfig()
     else:
         try:
-            cfg = load_config(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            cfg = _read("config", load_config, path)
+        except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load config {path}: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(
@@ -96,7 +106,7 @@ def cmd_compare(args) -> int:
             raise UsageError("--checkpoint is required when the defdrel agent is compared")
         if not Path(args.checkpoint).exists():
             raise UsageError(f"checkpoint {args.checkpoint} does not exist")
-        net = ValueNetwork.load(args.checkpoint)
+        net = _read("checkpoint", ValueNetwork.load, args.checkpoint)
         width = MAX_FUNCTIONS * SLOT_WIDTH + 1
         if net.input_size != width:
             raise UsageError(
@@ -112,16 +122,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _load_bucket(path: str) -> SSRBucket:
-    """A bucket file; a document that is JSON but not a bucket is a usage error."""
-    try:
-        return load_bucket(path)
-    except json.JSONDecodeError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError(f"malformed bucket {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _print_violations(bucket: SSRBucket) -> bool:
     """Print one VIOLATION line per broken invariant; True when there were any."""
     violations = validate_bucket(bucket)
@@ -131,7 +131,7 @@ def _print_violations(bucket: SSRBucket) -> bool:
 
 
 def cmd_oracle(args) -> int:
-    bucket = _load_bucket(args.bucket)
+    bucket = _read("bucket", load_bucket, args.bucket)
     if _print_violations(bucket):
         return 1
     try:
@@ -149,7 +149,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if _print_violations(_load_bucket(args.bucket)):
+    if _print_violations(_read("bucket", load_bucket, args.bucket)):
         return 1
     print("bucket is valid")
     return 0

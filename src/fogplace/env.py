@@ -7,10 +7,8 @@ work gets first claim; insertion order is available for ablation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -57,43 +55,6 @@ class EpisodeRecord:
     objective_total: float
     fog_count: int
     cloud_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bucket_seed": self.bucket_seed,
-            "actions": list(self.actions),
-            "step_costs": list(self.step_costs),
-            "bucket_step_cost": self.bucket_step_cost,
-            "objective_total": self.objective_total,
-            "fog_count": self.fog_count,
-            "cloud_count": self.cloud_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeRecord":
-        return cls(
-            bucket_seed=d.get("bucket_seed"),
-            actions=tuple(int(a) for a in d["actions"]),
-            step_costs=tuple(float(c) for c in d["step_costs"]),
-            bucket_step_cost=float(d["bucket_step_cost"]),
-            objective_total=float(d["objective_total"]),
-            fog_count=int(d["fog_count"]),
-            cloud_count=int(d["cloud_count"]),
-        )
-
-
-def write_records(records: list[EpisodeRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-
-
-def read_records(path: str | Path) -> list[EpisodeRecord]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(EpisodeRecord.from_dict(json.loads(line)))
-    return out
 
 
 class PlacementEnv:

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, metrics
 from .agent import AgentConfig, ValueNetwork, greedy_rollout
+from .codec import decode, encode
 from .costs import CostContext
 from .env import PlacementEnv
 from .model import Placement, SSRBucket
@@ -24,9 +25,9 @@ MAX_FUNCTIONS = 100
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
+class SweepSettings:
+    """What ``compare`` runs; the ``experiment`` section of a config file."""
+
     sweep: tuple[int, ...] = DEFAULT_SWEEP
     algorithms: tuple[str, ...] = ("defdrel", "fog_first", "cloud_only")
     runs_per_point: int = 5
@@ -41,40 +42,39 @@ class ExperimentConfig:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "agent": self.agent.to_dict(),
-            "experiment": {
-                "sweep": list(self.sweep),
-                "algorithms": list(self.algorithms),
-                "runs_per_point": self.runs_per_point,
-            },
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        exp = d.get("experiment", {})
-        kwargs: dict = {}
-        if "sweep" in exp:
-            kwargs["sweep"] = tuple(int(n) for n in exp["sweep"])
-        if "algorithms" in exp:
-            kwargs["algorithms"] = tuple(exp["algorithms"])
-        if "runs_per_point" in exp:
-            kwargs["runs_per_point"] = int(exp["runs_per_point"])
-        return cls(
-            generator=GeneratorConfig.from_dict(d.get("generator", {})),
-            agent=AgentConfig.from_dict(d.get("agent", {})),
-            **kwargs,
-        )
+@dataclass(frozen=True)
+class ExperimentConfig(SweepSettings):
+    generator: GeneratorConfig = GeneratorConfig()
+    agent: AgentConfig = AgentConfig()
+
+
+@dataclass(frozen=True)
+class _ConfigFile:  # the file layout
+    generator: GeneratorConfig
+    agent: AgentConfig
+    experiment: SweepSettings
+
+
+def _file_doc(cfg: ExperimentConfig) -> dict:
+    sweep = SweepSettings(cfg.sweep, cfg.algorithms, cfg.runs_per_point)
+    return encode(_ConfigFile(cfg.generator, cfg.agent, sweep))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+    """A config file whose sections may omit keys; ``DecodeError`` if it is not one."""
+    doc = json.loads(Path(path).read_text())
+    if isinstance(doc, dict):
+        for name, default in _file_doc(ExperimentConfig()).items():
+            section = doc.setdefault(name, default)
+            if isinstance(section, dict):
+                doc[name] = {**default, **section}
+    file = decode(_ConfigFile, doc)
+    return ExperimentConfig(**vars(file.experiment), generator=file.generator, agent=file.agent)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
+    Path(path).write_text(json.dumps(_file_doc(cfg), sort_keys=True, indent=2))
 
 
 def training_env_factory(cfg: ExperimentConfig):

@@ -91,23 +91,6 @@ def report(
     )
 
 
-def critical_histogram(
-    bucket: SSRBucket, placement: Placement
-) -> dict[int, dict[str, float]]:
-    """Per critical value 1..5: fog/cloud counts and percentage split."""
-    rep = report(bucket, placement)
-    out = {}
-    for value, (fog_n, cloud_n) in rep.critical_counts.items():
-        total = fog_n + cloud_n
-        out[value] = {
-            "fog_count": fog_n,
-            "cloud_count": cloud_n,
-            "fog_pct": 100.0 * fog_n / total if total else 0.0,
-            "cloud_pct": 100.0 * cloud_n / total if total else 0.0,
-        }
-    return out
-
-
 REPORT_COLUMNS = (
     ["run", "algorithm", "total_functions", "seed", "n_functions",
      "fog_fraction", "cloud_fraction"]

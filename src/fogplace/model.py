@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .codec import decode, encode
+
 
 class ResourceKind(Enum):
     CPU = "cpu"
@@ -69,13 +71,6 @@ class ResourceVector:
     def fits_within(self, cap: "ResourceVector") -> bool:
         return all(a <= b for a, b in zip(self.as_tuple(), cap.as_tuple()))
 
-    def to_dict(self) -> dict:
-        return {k.value: self.get(k) for k in RESOURCE_KINDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResourceVector":
-        return cls(**{k.value: float(d[k.value]) for k in RESOURCE_KINDS})
-
 
 @dataclass(frozen=True)
 class EnvironmentLimits:
@@ -98,23 +93,6 @@ class EnvironmentLimits:
         if self.link_latency < 0 or not math.isfinite(self.link_latency):
             raise ValueError("link latency must be finite and >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "per_function_cap": self.per_function_cap.to_dict(),
-            "code_size_limit": self.code_size_limit,
-            "input_size_limit": self.input_size_limit,
-            "link_latency": self.link_latency,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvironmentLimits":
-        return cls(
-            per_function_cap=ResourceVector.from_dict(d["per_function_cap"]),
-            code_size_limit=float(d["code_size_limit"]),
-            input_size_limit=float(d["input_size_limit"]),
-            link_latency=float(d.get("link_latency", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class User:
@@ -122,24 +100,6 @@ class User:
     position: tuple[float, float]  # km, relative to an arbitrary origin
     latency: float  # ms, round trip to the fog node
     priority: float | None = None  # blended unit-interval priority, cached
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "position": list(self.position),
-            "latency": self.latency,
-            "priority": self.priority,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "User":
-        prio = d.get("priority")
-        return cls(
-            id=int(d["id"]),
-            position=(float(d["position"][0]), float(d["position"][1])),
-            latency=float(d["latency"]),
-            priority=None if prio is None else float(prio),
-        )
 
 
 @dataclass(frozen=True)
@@ -161,32 +121,6 @@ class ServerlessFunction:
         if self.input_size < 0:
             raise ValueError("input size must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "ssr_index": self.ssr_index,
-            "index": self.index,
-            "code_size": self.code_size,
-            "input_size": self.input_size,
-            "critical_value": self.critical_value,
-            "base_demand": self.base_demand.to_dict(),
-            "supplementary_demand": self.supplementary_demand.to_dict(),
-            "priority": self.priority,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServerlessFunction":
-        prio = d.get("priority")
-        return cls(
-            ssr_index=int(d["ssr_index"]),
-            index=int(d["index"]),
-            code_size=float(d["code_size"]),
-            input_size=float(d["input_size"]),
-            critical_value=int(d["critical_value"]),
-            base_demand=ResourceVector.from_dict(d["base_demand"]),
-            supplementary_demand=ResourceVector.from_dict(d["supplementary_demand"]),
-            priority=None if prio is None else float(prio),
-        )
-
 
 @dataclass(frozen=True)
 class SSR:
@@ -194,16 +128,6 @@ class SSR:
 
     user_id: int
     functions: tuple[ServerlessFunction, ...]
-
-    def to_dict(self) -> dict:
-        return {"user_id": self.user_id, "functions": [f.to_dict() for f in self.functions]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SSR":
-        return cls(
-            user_id=int(d["user_id"]),
-            functions=tuple(ServerlessFunction.from_dict(f) for f in d["functions"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -216,12 +140,6 @@ class SSRBucket:
     distance_cap: float  # km
     priority_blend: float  # weight of distance vs latency priority
 
-    def user_by_id(self, user_id: int) -> User:
-        for u in self.users:
-            if u.id == user_id:
-                return u
-        raise KeyError(f"no user with id {user_id}")
-
     def functions(self) -> list[tuple[int, ServerlessFunction]]:
         """Flattened (ssr index, function) pairs in insertion order."""
         return [(i, fn) for i, ssr in enumerate(self.ssrs) for fn in ssr.functions]
@@ -230,36 +148,14 @@ class SSRBucket:
     def n_functions(self) -> int:
         return sum(len(s.functions) for s in self.ssrs)
 
-    def to_dict(self) -> dict:
-        return {
-            "users": [u.to_dict() for u in self.users],
-            "ssrs": [s.to_dict() for s in self.ssrs],
-            "fog": self.fog.to_dict(),
-            "cloud": self.cloud.to_dict(),
-            "importance_factors": self.importance_factors.to_dict(),
-            "distance_cap": self.distance_cap,
-            "priority_blend": self.priority_blend,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SSRBucket":
-        return cls(
-            ssrs=tuple(SSR.from_dict(s) for s in d["ssrs"]),
-            users=tuple(User.from_dict(u) for u in d["users"]),
-            fog=EnvironmentLimits.from_dict(d["fog"]),
-            cloud=EnvironmentLimits.from_dict(d["cloud"]),
-            importance_factors=ResourceVector.from_dict(d["importance_factors"]),
-            distance_cap=float(d["distance_cap"]),
-            priority_blend=float(d["priority_blend"]),
-        )
-
 
 def save_bucket(bucket: SSRBucket, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(bucket.to_dict(), sort_keys=True, indent=2))
+    Path(path).write_text(json.dumps(encode(bucket), sort_keys=True, indent=2))
 
 
 def load_bucket(path: str | Path) -> SSRBucket:
-    return SSRBucket.from_dict(json.loads(Path(path).read_text()))
+    """A bucket file; raises ``DecodeError`` on a document that is not a bucket."""
+    return decode(SSRBucket, json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)

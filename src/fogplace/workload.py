@@ -7,7 +7,7 @@ cloud limits, so a cloud assignment is feasible by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +26,6 @@ from .scoring import DEFAULT_DELTA, with_priorities
 Range = tuple[float, float]
 
 
-def default_fog_limits() -> EnvironmentLimits:
-    return EnvironmentLimits(
-        per_function_cap=ResourceVector(cpu=2, ram=1024, storage=1024, net_io=2048),
-        code_size_limit=300.0,
-        input_size_limit=1500.0,
-        link_latency=0.0,
-    )
-
-
-def default_cloud_limits() -> EnvironmentLimits:
-    return EnvironmentLimits(
-        per_function_cap=ResourceVector(cpu=6, ram=5120, storage=10240, net_io=10240),
-        code_size_limit=500.0,
-        input_size_limit=2500.0,
-        link_latency=40.0,
-    )
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = 0
@@ -56,24 +38,22 @@ class GeneratorConfig:
     storage_demand: Range = (10.0, 2048.0)
     net_io_demand: Range = (10.0, 4096.0)
     critical_value: tuple[int, int] = (1, 5)
-    fog: EnvironmentLimits = field(default_factory=default_fog_limits)
-    cloud: EnvironmentLimits = field(default_factory=default_cloud_limits)
+    fog: EnvironmentLimits = EnvironmentLimits(
+        ResourceVector(cpu=2, ram=1024, storage=1024, net_io=2048),
+        code_size_limit=300.0, input_size_limit=1500.0, link_latency=0.0)
+    cloud: EnvironmentLimits = EnvironmentLimits(
+        ResourceVector(cpu=6, ram=5120, storage=10240, net_io=10240),
+        code_size_limit=500.0, input_size_limit=2500.0, link_latency=40.0)
     distance_cap: float = 100.0  # km
     latency: Range = (5.0, 100.0)  # ms
     priority_blend: float = 0.5
-    importance_factors: ResourceVector = field(
-        default_factory=lambda: ResourceVector(0.25, 0.25, 0.25, 0.25)
-    )
+    importance_factors: ResourceVector = ResourceVector(0.25, 0.25, 0.25, 0.25)
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_ssrs", "functions_per_ssr", "code_size", "input_size", "cpu_demand",
-            "ram_demand", "storage_demand", "net_io_demand", "critical_value", "latency",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} range has min {lo} > max {hi}")
+        for name, value in vars(self).items():
+            if isinstance(value, tuple) and value[0] > value[1]:  # every tuple is a range
+                raise ValueError(f"{name} range has min {value[0]} > max {value[1]}")
 
     def demand_ranges(self) -> dict:
         return {
@@ -82,50 +62,6 @@ class GeneratorConfig:
             RESOURCE_KINDS[2]: self.storage_demand,
             RESOURCE_KINDS[3]: self.net_io_demand,
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_ssrs": list(self.n_ssrs),
-            "functions_per_ssr": list(self.functions_per_ssr),
-            "code_size": list(self.code_size),
-            "input_size": list(self.input_size),
-            "cpu_demand": list(self.cpu_demand),
-            "ram_demand": list(self.ram_demand),
-            "storage_demand": list(self.storage_demand),
-            "net_io_demand": list(self.net_io_demand),
-            "critical_value": list(self.critical_value),
-            "fog": self.fog.to_dict(),
-            "cloud": self.cloud.to_dict(),
-            "distance_cap": self.distance_cap,
-            "latency": list(self.latency),
-            "priority_blend": self.priority_blend,
-            "importance_factors": self.importance_factors.to_dict(),
-            "delta": self.delta,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        kwargs: dict = {}
-        for key in ("seed", "distance_cap", "priority_blend", "delta"):
-            if key in d:
-                kwargs[key] = d[key]
-        for key in ("n_ssrs", "functions_per_ssr", "critical_value"):
-            if key in d:
-                kwargs[key] = (int(d[key][0]), int(d[key][1]))
-        for key in (
-            "code_size", "input_size", "cpu_demand", "ram_demand",
-            "storage_demand", "net_io_demand", "latency",
-        ):
-            if key in d:
-                kwargs[key] = (float(d[key][0]), float(d[key][1]))
-        if "fog" in d:
-            kwargs["fog"] = EnvironmentLimits.from_dict(d["fog"])
-        if "cloud" in d:
-            kwargs["cloud"] = EnvironmentLimits.from_dict(d["cloud"])
-        if "importance_factors" in d:
-            kwargs["importance_factors"] = ResourceVector.from_dict(d["importance_factors"])
-        return cls(**kwargs)
 
 
 def _check_cloud_feasibility(cfg: GeneratorConfig) -> None:

@@ -122,7 +122,7 @@ def encode(bucket, order, flags, cursor, max_functions):
     row = [0.0] * (max_functions * SLOT_WIDTH + 1)
     for pos, idx in enumerate(order):
         ssr_idx, fn = flat[idx]
-        user = bucket.user_by_id(bucket.ssrs[ssr_idx].user_id)
+        user = next(u for u in bucket.users if u.id == bucket.ssrs[ssr_idx].user_id)
         demand = total_demand(fn)
         base = pos * SLOT_WIDTH
         row[base] = float(flags[idx][0])

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -12,6 +13,7 @@ from fogplace.agent import (
     train,
     write_training_log,
 )
+from fogplace.codec import DecodeError, decode, encode
 from fogplace.env import Action, PlacementEnv
 from fogplace.model import StateError
 from fogplace.workload import GeneratorConfig, generate_bucket
@@ -209,6 +211,20 @@ def test_train_zero_episodes_is_noop():
     assert result.log == []
 
 
+@pytest.mark.parametrize("episodes", [0, 1, 4])
+def test_train_requests_each_episode_env_once(episodes):
+    """The env that sizes the network is episode 0's env, not an extra bucket."""
+    requested = []
+    make = tiny_env_factory()
+
+    def counting(episode):
+        requested.append(episode)
+        return make(episode)
+
+    train(counting, AgentConfig(episodes=episodes, hidden_sizes=(4,), batch_size=4))
+    assert requested == list(range(max(episodes, 1)))
+
+
 def test_train_deterministic_logs():
     cfg = AgentConfig(episodes=15, seed=3)
     r1 = train(tiny_env_factory(), cfg)
@@ -281,6 +297,50 @@ def test_checkpoint_version_guard(tmp_path):
         ValueNetwork.load(path)
 
 
+def valid_checkpoint_doc():
+    return {"version": 1, "sizes": [2, 3, 2],
+            "weights": [[[0.5, 0.0, -1.0], [1.0, 2.0, 0.25]], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]],
+            "biases": [[0.0, 0.1, 0.2], [0.0, -0.5]]}
+
+
+def test_checkpoint_load_accepts_integral_values(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    doc = valid_checkpoint_doc()
+    doc["biases"][0] = [0, 1, 2]  # JSON ints load as floats
+    path.write_text(json.dumps(doc))
+    net = ValueNetwork.load(path)
+    assert net.sizes == [2, 3, 2]
+    assert [w.shape for w in net.weights] == [(2, 3), (3, 2)]
+    assert net.biases[0].dtype == float and net.biases[0].tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(version=True), "version"),
+    (lambda d: d.pop("biases"), "biases"),
+    (lambda d: d.update(extra=1), "extra"),
+    (lambda d: d.update(sizes=[2]), "sizes"),
+    (lambda d: d.update(sizes=[2, 0, 2]), "sizes"),
+    (lambda d: d.update(sizes=[2, 3.5, 2]), "sizes[1]"),
+    (lambda d: d.update(sizes="2,3,2"), "sizes"),
+    (lambda d: d.update(weights=d["weights"][:1]), "weights"),
+    (lambda d: d["weights"].__setitem__(0, list(zip(*d["weights"][0]))), "weights[0]"),  # transposed
+    (lambda d: d["weights"][1].__setitem__(0, [1.0]), "weights[1]"),  # ragged
+    (lambda d: d["weights"][1].__setitem__(0, [1.0, "2"]), "weights[1]"),
+    (lambda d: d["biases"].__setitem__(1, [0.0, 0.0, 0.0]), "biases[1]"),
+    (lambda d: d["biases"][0].__setitem__(2, float("nan")), "biases[0]"),
+    (lambda d: d["weights"][0][1].__setitem__(0, float("inf")), "weights[0]"),
+])
+def test_checkpoint_load_rejects(tmp_path, mutate, path):
+    doc = valid_checkpoint_doc()
+    mutate(doc)
+    file = tmp_path / "checkpoint.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DecodeError) as info:
+        ValueNetwork.load(file)
+    assert info.value.path == path
+
+
 def test_agent_config_validation():
     with pytest.raises(ValueError):
         AgentConfig(learning_rate=0.0)
@@ -307,4 +367,4 @@ def test_agent_config_rejects(bad):
 
 def test_agent_config_round_trip():
     cfg = AgentConfig(episodes=12, hidden_sizes=(8, 8), seed=4)
-    assert AgentConfig.from_dict(cfg.to_dict()) == cfg
+    assert decode(AgentConfig, json.loads(json.dumps(encode(cfg)))) == cfg

@@ -1,0 +1,331 @@
+"""The strict JSON codec: decoding rules, round trips, and totality on mutated documents."""
+import dataclasses
+import json
+from typing import Any
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fogplace.agent import AgentConfig
+from fogplace.codec import DecodeError, decode, encode
+from fogplace.env import Action, PlacementEnv
+from fogplace.experiment import ALGORITHMS, ExperimentConfig, load_config, save_config
+from fogplace.model import (
+    EnvironmentLimits,
+    ResourceVector,
+    SSRBucket,
+    load_bucket,
+    save_bucket,
+)
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
+
+# Few, fixed examples: the properties add seconds, not minutes, to the suite.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    count: int
+    share: float
+    label: str
+    note: float | None = None
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+
+
+@dataclasses.dataclass(frozen=True)
+class Tree:
+    leaves: tuple[Leaf, ...]
+    corner: tuple[float, int]
+    extra: Any
+    tag: str | None  # no default: absent still decodes to None
+
+
+LEAF = {"count": 1, "share": 0.5, "label": "a", "note": None}
+
+
+def tree_doc(**leaf):
+    return {"leaves": [LEAF, {**LEAF, **leaf}], "corner": [1.5, 2], "extra": [1, "x"]}
+
+
+@pytest.mark.parametrize("leaf, expected", [
+    ({}, Leaf(1, 0.5, "a")),
+    ({"count": 3.0}, Leaf(3, 0.5, "a")),  # an integral float is an int
+    ({"share": 2}, Leaf(1, 2, "a")),  # an int is a float, kept as written
+    ({"note": 4.25}, Leaf(1, 0.5, "a", 4.25)),
+])
+def test_decode_accepts(leaf, expected):
+    tree = decode(Tree, tree_doc(**leaf))
+    assert tree.leaves[1] == expected
+    assert tree.corner == (1.5, 2) and tree.extra == [1, "x"] and tree.tag is None
+
+
+def test_decode_keeps_exact_ints_and_rounds_the_rest():
+    assert type(decode(Tree, tree_doc(share=2)).leaves[1].share) is int
+    share = decode(Tree, tree_doc(share=2**53 + 1)).leaves[1].share
+    assert type(share) is float and share == float(2**53 + 1)
+
+
+def test_decode_optional_field_may_be_absent():
+    doc = tree_doc()
+    del doc["leaves"][1]["note"]
+    assert decode(Tree, doc).leaves[1].note is None
+
+
+@pytest.mark.parametrize("leaf, message", [
+    ({"count": True}, "leaves[1].count: expected an integer, got true"),
+    ({"count": 3.7}, "leaves[1].count: expected an integer, got 3.7"),
+    ({"count": "3"}, 'leaves[1].count: expected an integer, got "3"'),
+    ({"count": float("inf")}, "leaves[1].count: not finite"),
+    ({"share": False}, "leaves[1].share: expected a number, got false"),
+    ({"share": "0.5"}, 'leaves[1].share: expected a number, got "0.5"'),
+    ({"share": float("nan")}, "leaves[1].share: not finite"),
+    ({"share": 10**400}, "leaves[1].share: not finite"),
+    ({"share": None}, "leaves[1].share: expected a number, got null"),
+    ({"share": [0.5]}, "leaves[1].share: expected a number, got an array"),
+    ({"note": float("-inf")}, "leaves[1].note: not finite"),
+    ({"label": 7}, "leaves[1].label: expected a string, got 7"),
+    ({"colour": "red"}, "leaves[1].colour: unknown key"),
+    ({"count": -1}, "leaves[1]: count must be >= 0"),
+])
+def test_decode_rejects(leaf, message):
+    with pytest.raises(DecodeError) as info:
+        decode(Tree, tree_doc(**leaf))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([LEAF], "(root): expected an object, got an array"),
+    ({"leaves": [], "corner": [1.5]}, "corner: expected 2 entries, got 1"),
+    ({"leaves": [], "corner": [1.5, 2, 3], "extra": 0}, "corner: expected 2 entries, got 3"),
+    ({"leaves": {}, "corner": [1.5, 2], "extra": 0}, "leaves: expected an array, got an object"),
+    ({"leaves": [], "corner": [1.5, 2]}, "extra: missing"),
+    ({"leaves": [{"count": 1}], "corner": [1.5, 2], "extra": 0}, "leaves[0].share: missing"),
+])
+def test_decode_rejects_shapes(doc, message):
+    with pytest.raises(DecodeError) as info:
+        decode(Tree, doc)
+    assert str(info.value) == message
+
+
+def episode_record():
+    bucket = generate_bucket(GeneratorConfig(seed=5, n_ssrs=(2, 3), functions_per_ssr=(2, 4)))
+    env = PlacementEnv(bucket, bucket_seed=5)
+    rng = np.random.default_rng(1)
+    state, actions, step_costs = env.reset(), [], []
+    while not state.done:
+        feasible = [a for a in (Action.FOG, Action.CLOUD) if state.mask[a]]
+        action = feasible[int(rng.integers(len(feasible)))]
+        outcome = env.step(state, action)
+        actions.append(int(action))
+        step_costs.append(outcome.cost)
+        state = outcome.next_state
+    return env.record(actions, step_costs, state.placement)
+
+
+ROUND_TRIP_INPUTS = {
+    "bucket": lambda: generate_bucket(GeneratorConfig(seed=4)),
+    "sweep-bucket": lambda: generate_sweep(GeneratorConfig(seed=4), 40),
+    "generator-config": lambda: GeneratorConfig(seed=9, n_ssrs=(2, 3), latency=(1.0, 10.0)),
+    "agent-config": lambda: AgentConfig(episodes=12, hidden_sizes=(8, 8), seed=4),
+    "experiment-config": lambda: ExperimentConfig(sweep=(10, 30), runs_per_point=2),
+    "episode-record": episode_record,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_INPUTS))
+def test_round_trip(name):
+    obj = ROUND_TRIP_INPUTS[name]()
+    assert decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
+
+
+# ---- property tests ------------------------------------------------------
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def ordered(elements):
+    return st.tuples(elements, elements).map(lambda pair: tuple(sorted(pair)))
+
+
+positive_vectors = st.builds(ResourceVector, *[finite(1e-3, 1e5)] * 4)
+limits = st.builds(EnvironmentLimits, positive_vectors, finite(1e-3, 1e4),
+                   finite(1e-3, 1e4), finite(0.0, 1e3))
+generator_configs = st.builds(
+    GeneratorConfig,
+    seed=st.integers(0, 2**63),
+    n_ssrs=ordered(st.integers(1, 20)),
+    functions_per_ssr=ordered(st.integers(1, 20)),
+    code_size=ordered(finite(1e-3, 1e3)),
+    input_size=ordered(finite(0.0, 1e4)),
+    cpu_demand=ordered(finite(0.0, 10.0)),
+    ram_demand=ordered(finite(0.0, 1e4)),
+    storage_demand=ordered(finite(0.0, 1e5)),
+    net_io_demand=ordered(finite(0.0, 1e5)),
+    critical_value=ordered(st.integers(1, 5)),
+    fog=limits,
+    cloud=limits,
+    distance_cap=finite(1e-3, 1e3),
+    latency=ordered(finite(1e-3, 1e3)),
+    priority_blend=finite(0.0, 1.0),
+    importance_factors=st.builds(ResourceVector, *[finite(0.0, 1.0)] * 4),
+    delta=finite(0.0, 1.0),
+)
+
+
+@st.composite
+def agent_configs(draw):
+    epsilon_end, epsilon_start = draw(ordered(finite(0.0, 1.0)))
+    return AgentConfig(
+        learning_rate=draw(finite(1e-9, 1.0)),
+        gamma=draw(finite(0.0, 1.0)),
+        epsilon_start=epsilon_start,
+        epsilon_end=epsilon_end,
+        epsilon_decay=draw(finite(1e-6, 1.0)),
+        batch_size=draw(st.integers(1, 4096)),
+        replay_capacity=draw(st.integers(1, 10**7)),
+        target_sync_interval=draw(st.integers(1, 10**6)),
+        episodes=draw(st.integers(0, 10**6)),
+        hidden_sizes=tuple(draw(st.lists(st.integers(1, 1024), max_size=4))),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+experiment_configs = st.builds(
+    ExperimentConfig,
+    generator=generator_configs,
+    agent=agent_configs(),
+    sweep=st.lists(st.integers(10, 100), max_size=6).map(tuple),
+    algorithms=st.lists(st.sampled_from(ALGORITHMS), max_size=6).map(tuple),
+    runs_per_point=st.integers(1, 1000),
+)
+
+seeds = st.integers(0, 2**32 - 1)
+generated_buckets = st.one_of(
+    seeds.map(lambda seed: generate_bucket(GeneratorConfig(), seed=seed)),
+    st.tuples(st.integers(10, 100), seeds).map(
+        lambda args: generate_sweep(GeneratorConfig(), args[0], seed=args[1])),
+)
+
+
+@PROPERTY
+@given(st.one_of(generated_buckets, generator_configs, agent_configs(), experiment_configs))
+def test_round_trip_property(obj):
+    assert decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
+
+
+@PROPERTY
+@given(generated_buckets)
+def test_bucket_save_load_save_is_byte_identical(tmp_path, bucket):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_bucket(bucket, first)
+    save_bucket(load_bucket(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@PROPERTY
+@given(st.one_of(st.just(ExperimentConfig()), experiment_configs))
+def test_config_save_load_save_is_byte_identical(tmp_path, cfg):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_config(cfg, first)
+    assert load_config(first) == cfg
+    save_config(load_config(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+# ---- totality ------------------------------------------------------------
+
+def locations(doc, keys=()):
+    """Every (keys, value) position of a JSON document, the root included."""
+    yield keys, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from locations(value, keys + (key,))
+
+
+def path_of(keys):
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else key)
+    return out
+
+
+def within(path, target):
+    """True when ``path`` names ``target`` or one of its ancestors."""
+    return path == "" or target == path or target.startswith((path + ".", path + "["))
+
+
+# -1 also reaches the range checks that the dataclasses run on construction
+REPLACEMENTS = ["text", True, float("nan"), float("inf"), [1.0], None, -1.0]
+
+
+@st.composite
+def mutations(draw, doc):
+    """A copy of ``doc`` changed at one drawn position, and the path of that position."""
+    doc = json.loads(json.dumps(doc))
+    keys, value = draw(st.sampled_from(list(locations(doc))))
+    kinds = ["replace"] + (["add"] if isinstance(value, dict) else []) + (
+        ["truncate"] if isinstance(value, list) and value else []) + (
+        ["drop"] if keys and isinstance(keys[-1], str) else [])
+    kind = draw(st.sampled_from(kinds))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if kind == "add":
+        value["surplus"] = 1
+        return doc, path_of(keys + ("surplus",))
+    if kind == "truncate":
+        del value[draw(st.integers(0, len(value) - 1)):]
+        return doc, path_of(keys)
+    if kind == "drop":
+        del parent[keys[-1]]
+        return doc, path_of(keys)
+    replacement = draw(st.sampled_from(REPLACEMENTS))
+    if not keys:
+        return replacement, ""
+    parent[keys[-1]] = replacement
+    return doc, path_of(keys)
+
+
+def assert_total(load, target):
+    try:
+        load()
+    except DecodeError as exc:
+        assert within(exc.path, target), (str(exc), target)
+
+
+BUCKET_DOC = encode(generate_bucket(GeneratorConfig(seed=3, n_ssrs=(2, 3), functions_per_ssr=(1, 3))))
+CONFIG_DOC = encode(ExperimentConfig())
+CONFIG_FILE_DOC = json.loads(json.dumps({
+    "generator": CONFIG_DOC["generator"],
+    "agent": CONFIG_DOC["agent"],
+    "experiment": {key: CONFIG_DOC[key] for key in ("sweep", "algorithms", "runs_per_point")},
+}))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.data())
+def test_decode_bucket_is_total(data):
+    doc, target = data.draw(mutations(BUCKET_DOC))
+    assert_total(lambda: decode(SSRBucket, doc), target)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.data())
+def test_load_config_is_total(tmp_path, data):
+    doc, target = data.draw(mutations(CONFIG_FILE_DOC))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert_total(lambda: load_config(path), target)
+
+
+def test_mutated_paths_are_named_as_decode_names_them():
+    assert path_of(("ssrs", 2, "functions", 0, "code_size")) == "ssrs[2].functions[0].code_size"
+    assert within("ssrs[2]", "ssrs[2].functions[0].code_size")
+    assert not within("ssrs[2]", "ssrs[22].user_id")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogplace import costs
-from fogplace.env import Action, PlacementEnv, SLOT_WIDTH, read_records, write_records
+from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
 from fogplace.model import (
     Placement,
     ResourceVector,
@@ -195,17 +195,6 @@ def test_processing_order_priority_vs_insertion():
         if not blocks or blocks[-1] != p:
             blocks.append(p)
     assert blocks == sorted(blocks, reverse=True)
-
-
-def test_record_round_trip(tmp_path):
-    bucket = small_bucket(5)
-    env = PlacementEnv(bucket, bucket_seed=5)
-    state, actions, step_costs = run_random_episode(env, np.random.default_rng(1))
-    record = env.record(actions, step_costs, state.placement)
-    path = tmp_path / "episodes.jsonl"
-    write_records([record], path)
-    loaded = read_records(path)
-    assert loaded == [record]
 
 
 def test_step_rejects_stale_state():

@@ -255,3 +255,101 @@ def test_cli_compare_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
                  "--checkpoint", str(checkpoint)]) == 2
     assert "takes 12 inputs" in capsys.readouterr().err
     assert not (out / "results_detail.csv").exists()
+
+
+def set_at(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, keys, value, path", [
+    ("validate", ("fog", "code_size_limit"), NAN, "fog.code_size_limit"),
+    ("validate", ("ssrs", 0, "functions", 0, "critical_value"), 3.7,
+     "ssrs[0].functions[0].critical_value"),
+    ("validate", ("ssrs", 0, "functions", 0, "code_size"), "12.5",
+     "ssrs[0].functions[0].code_size"),
+    ("validate", ("extra",), 1, "extra"),
+    ("validate", ("users", 0, "position"), [1.0, 2.0, 3.0], "users[0].position"),
+    ("oracle", ("ssrs", 0, "functions", 0, "priority"), NAN, "ssrs[0].functions[0].priority"),
+])
+def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
+    cfg_path = tmp_path / "config.json"
+    save_config(small_experiment(generator=GeneratorConfig(
+        seed=3, n_ssrs=(2, 2), functions_per_ssr=(2, 2))), cfg_path)
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    set_at(doc, keys, value)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed bucket {out}: {path}: ")
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"generator": {"seed": "3"}}, "generator.seed"),
+    ({"generator": {"seed": 3.5}}, "generator.seed"),
+    ({"generator": {"sede": 3}}, "generator.sede"),
+    ({"genrator": {"seed": 3}}, "genrator"),
+    ({"agent": {"hidden_sizes": "64"}}, "agent.hidden_sizes"),
+    ({"agent": {"learning_rate": NAN}}, "agent.learning_rate"),
+    ({"agent": {"episodes": True}}, "agent.episodes"),
+    ({"generator": {"fog": {"code_size_limit": 300.0}}}, "generator.fog.per_function_cap"),
+    ({"experiment": {"sweep": [5]}}, "experiment"),
+    ({"experiment": []}, "experiment"),
+    ([1, 2], "(root)"),
+])
+def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed config {cfg_path}: {path}: ")
+    assert not out.exists()
+
+
+def test_config_sections_may_be_partial(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"agent": {"episodes": 7}, "experiment": {"sweep": [30]}}))
+    assert load_config(path) == ExperimentConfig(
+        agent=AgentConfig(episodes=7), sweep=(30,))
+    path.write_text("{}")
+    assert load_config(path) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"version": 2, "sizes": [1101, 2], "weights": [], "biases": []}, "version"),
+    ({"version": 1}, "sizes"),
+    ([1], "(root)"),
+    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1100 + [[0.0]]],
+      "biases": [[0.0, 0.0]]}, "weights[0]"),  # ragged weight matrix
+    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1100],
+      "biases": [[0.0, 0.0]]}, "weights[0]"),  # one row short
+    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, NAN]] * 1101],
+      "biases": [[0.0, 0.0]]}, "weights[0]"),
+])
+def test_cli_compare_rejects_malformed_checkpoint(tmp_path, capsys, doc, path):
+    cfg_path = tmp_path / "config.json"
+    save_config(small_experiment(algorithms=("defdrel",), sweep=(10,), runs_per_point=1),
+                cfg_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "res"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed checkpoint {checkpoint}: {path}: ")
+    assert not (out / "results_detail.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_cli_bucket_that_is_not_json_is_runtime_error(tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main([command, str(bad)]) == 1

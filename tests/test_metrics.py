@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fogplace.baselines import cloud_only, random_feasible
-from fogplace.metrics import REPORT_COLUMNS, critical_histogram, report, report_row
+from fogplace.metrics import REPORT_COLUMNS, report, report_row
 from fogplace.model import (
     Placement,
     ResourceKind,
@@ -65,19 +65,17 @@ def test_demand_percentage_hand_value():
 def test_critical_histogram_hand_values():
     # 15 functions with critical value 5, three of them on the fog: 20% / 80%
     fns = [make_fn(index=i, critical=5, priority=1.0) for i in range(15)]
-    hist = critical_histogram(bucket_with(fns), flags_for(fns, {0, 1, 2}))
-    assert hist[5]["fog_count"] == 3
-    assert hist[5]["cloud_count"] == 12
-    assert hist[5]["fog_pct"] == pytest.approx(20.0, abs=1e-12)
-    assert hist[5]["cloud_pct"] == pytest.approx(80.0, abs=1e-12)
-    assert hist[1] == {"fog_count": 0, "cloud_count": 0, "fog_pct": 0.0, "cloud_pct": 0.0}
+    rep = report(bucket_with(fns), flags_for(fns, {0, 1, 2}))
+    assert rep.critical_counts[5] == (3, 12)
+    row = report_row(rep, 0, "test", 15, 0)
+    assert (row["crit5_fog"], row["crit5_cloud"]) == (3, 12)
+    assert rep.critical_counts[1] == (0, 0)
 
 
 def test_critical_histogram_split_counts():
     fns = [make_fn(index=i, critical=1, priority=1.0) for i in range(28)]
-    hist = critical_histogram(bucket_with(fns), flags_for(fns, set(range(12))))
-    assert hist[1]["fog_count"] == 12
-    assert hist[1]["cloud_count"] == 16
+    rep = report(bucket_with(fns), flags_for(fns, set(range(12))))
+    assert rep.critical_counts[1] == (12, 16)
 
 
 def test_histogram_counts_sum_to_totals():

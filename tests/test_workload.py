@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from fogplace.codec import decode, encode
 from fogplace.model import GenerationError, fog_feasible, validate_bucket
 from scalar_reference import total_demand
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
@@ -104,7 +106,7 @@ def test_priorities_are_cached():
 
 def test_config_round_trip():
     cfg = GeneratorConfig(seed=9, n_ssrs=(2, 3), latency=(1.0, 10.0))
-    assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
+    assert decode(GeneratorConfig, json.loads(json.dumps(encode(cfg)))) == cfg
 
 
 def test_bad_range_rejected():
