@@ -1,12 +1,12 @@
 """Train the placement agent on one small bucket and compare it to the oracle.
 
-The bucket is small enough for exhaustive enumeration, so we can report how
-close the learned greedy policy gets to the true step-cost optimum.
+The exact oracle gives the true step-cost optimum, so we can report how
+close the learned greedy policy gets to it.
 
 Run: python3 demos/train_small_agent.py  (about 5 seconds)
 """
 from fogplace.agent import AgentConfig, greedy_rollout, train
-from fogplace.baselines import brute_force_optimum, cloud_only, fog_first
+from fogplace.baselines import cloud_only, exact_optimum, fog_first
 from fogplace import costs
 from fogplace.env import PlacementEnv
 from fogplace.workload import GeneratorConfig, generate_bucket
@@ -27,7 +27,7 @@ for row in result.log[::400] + [result.log[-1]]:
 
 placement, record = greedy_rollout(result.net, PlacementEnv(bucket))
 agent_cost = sum(record.step_costs)
-oracle = brute_force_optimum(bucket)
+oracle = exact_optimum(bucket)
 ctx = costs.CostContext.from_bucket(bucket)
 
 print("\n== final comparison (summed step cost) ==")

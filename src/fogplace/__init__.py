@@ -8,7 +8,7 @@ Submodules:
   workload   seeded synthetic bucket generation
   env        episodic placement environment with action masking
   agent      from-scratch DQN (value network, replay, training loop)
-  baselines  reference policies and the brute-force oracle
+  baselines  reference policies and the exact O(n) oracle
   metrics    placement reports and CSV schema
   experiment sweep runner and experiment config
   cli        command line interface

@@ -1,15 +1,16 @@
-"""Reference placement policies and the exhaustive brute-force oracle."""
+"""Reference placement policies and the exact oracle.
+
+Both criteria are separable per function, so each exact optimum is a masked
+per-function argmin: O(n), with no enumeration of the 2^n placements.
+"""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import costs
 from .model import Placement, SSRBucket
-
-BRUTE_FORCE_LIMIT = 14
 
 
 def fog_first(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
@@ -36,48 +37,41 @@ def random_feasible(
     return Placement.from_fog(on_fog)
 
 
+def _cheaper_side(ctx: costs.CostContext, fog_cost, cloud_cost, fog_wins) -> np.ndarray:
+    """Fog flags of each function's feasible side; ``fog_wins`` decides when both are."""
+    if not (ctx.fog_ok | ctx.cloud_ok).all():
+        raise ValueError("function with no feasible platform")
+    return ctx.fog_ok & (fog_wins(fog_cost, cloud_cost) | ~ctx.cloud_ok)
+
+
 def greedy_cost(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
     """Per function, the feasible action with the smaller step cost; ties to cloud."""
     ctx = costs.context_for(bucket, ctx)
-    cheaper_on_fog = ctx.fog_step < ctx.cloud_step
-    return Placement.from_fog((ctx.fog_ok & (cheaper_on_fog | ~ctx.cloud_ok)).tolist())
+    return Placement.from_fog(_cheaper_side(ctx, ctx.fog_step, ctx.cloud_step, np.less).tolist())
 
 
 @dataclass(frozen=True)
-class BruteForceResult:
+class Optimum:
     best_step_placement: Placement
     best_step_cost: float  # summed per-function step cost
     best_objective_placement: Placement
     best_objective: float  # summed per-SSR objective
 
 
-def brute_force_optimum(bucket: SSRBucket) -> BruteForceResult:
-    """Enumerate all feasible placements of a small bucket.
+def exact_optimum(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Optimum:
+    """The cheapest feasible placement under each criterion, totals summed by the kernel.
 
-    Ties break toward the placement whose action tuple (0 = fog, 1 = cloud)
-    is lexicographically smallest, which the enumeration order guarantees.
+    Ties go to fog: of all optimal placements, the one whose action tuple
+    (0 = fog, 1 = cloud) is lexicographically smallest.
     """
-    n = bucket.n_functions
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"bucket has {n} functions; oracle limit is {BRUTE_FORCE_LIMIT}")
-    ctx = costs.CostContext.from_bucket(bucket)
-
-    options = []
-    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
-        opts = [on_fog for on_fog, ok in ((True, fog_ok), (False, cloud_ok)) if ok]
-        if not opts:
-            raise ValueError("function with no feasible platform")
-        options.append(opts)
-
-    # one row of fog flags per placement, in enumeration order
-    combos = np.array(list(itertools.product(*options)), dtype=bool).reshape(-1, n)
-    steps = ctx.step_cost_sum(combos)
-    objectives = ctx.objective_total(combos)
-    best_step = int(np.argmin(steps))  # first minimum: the enumeration's tie rule
-    best_obj = int(np.argmin(objectives))
-    return BruteForceResult(
-        best_step_placement=Placement.from_fog(combos[best_step].tolist()),
-        best_step_cost=float(steps[best_step]),
-        best_objective_placement=Placement.from_fog(combos[best_obj].tolist()),
-        best_objective=float(objectives[best_obj]),
+    ctx = costs.context_for(bucket, ctx)
+    step = _cheaper_side(ctx, ctx.fog_step, ctx.cloud_step, np.less_equal)
+    fog_objective = ctx.priority + ctx.fog_comp
+    cloud_objective = (ctx.priority + ctx.norm_link) + ctx.cloud_comp
+    objective = _cheaper_side(ctx, fog_objective, cloud_objective, np.less_equal)
+    return Optimum(
+        best_step_placement=Placement.from_fog(step.tolist()),
+        best_step_cost=float(ctx.step_cost_sum(step)),
+        best_objective_placement=Placement.from_fog(objective.tolist()),
+        best_objective=float(ctx.objective_total(objective)),
     )

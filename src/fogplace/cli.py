@@ -55,14 +55,17 @@ def _resolve_config(args) -> ExperimentConfig:
             cfg = _read("config", load_config, path)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load config {path}: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, generator=dataclasses.replace(cfg.generator, seed=args.seed)
-        )
-    if getattr(args, "episodes", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, agent=dataclasses.replace(cfg.agent, episodes=args.episodes)
-        )
+    try:
+        if getattr(args, "seed", None) is not None:
+            cfg = dataclasses.replace(
+                cfg, generator=dataclasses.replace(cfg.generator, seed=args.seed)
+            )
+        if getattr(args, "episodes", None) is not None:
+            cfg = dataclasses.replace(
+                cfg, agent=dataclasses.replace(cfg.agent, episodes=args.episodes)
+            )
+    except ValueError as exc:
+        raise UsageError(f"invalid command line value: {exc}") from exc
     return cfg
 
 
@@ -135,7 +138,7 @@ def cmd_oracle(args) -> int:
     if _print_violations(bucket):
         return 1
     try:
-        result = baselines.brute_force_optimum(bucket)
+        result = baselines.exact_optimum(bucket)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = {
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force optimum of a small bucket")
+    p_oracle = sub.add_parser("oracle", help="exact optimum of a bucket")
     p_oracle.add_argument("bucket", help="bucket JSON path")
     p_oracle.set_defaults(func=cmd_oracle)
 

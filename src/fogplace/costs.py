@@ -23,6 +23,11 @@ Per function i of an SSR whose user has latency share ``l`` and priority
 * objective, computation: ``(r_cpu + r_ram + r_storage + r_net_io * x) * w``
   with ``x = l`` on the fog and ``x = lf`` in the cloud, and ``w`` the
   function's priority over the highest priority in its SSR.
+
+The cloud step cost weights the net I/O ratio by ``l + lf`` and the cloud
+objective by ``lf`` alone, so ``cloud_step - (p + lf) - cloud_comp / w ==
+r_net_io * l``. The difference is deliberate and kept: PAPER.md (the abstract
+only) cannot settle which weighting the source intends, and a test pins it.
 """
 from __future__ import annotations
 
@@ -188,7 +193,7 @@ def bucket_objective(
 def placement_step_cost_sum(
     bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
 ) -> float:
-    """Total per-function step cost (the brute-force and episode criterion)."""
+    """Total per-function step cost (the oracle's and the episodes' criterion)."""
     ctx = context_for(bucket, ctx)
     return float(ctx.step_cost_sum(ctx.fog_flags(placement)))
 

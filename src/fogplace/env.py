@@ -1,9 +1,9 @@
 """Episodic placement environment with constraint-masked actions.
 
 One episode assigns every function of a bucket, one decision per step.
-The default processing order visits SSRs by descending user priority and
-functions within an SSR by descending function priority, so high-priority
-work gets first claim; insertion order is available for ablation.
+The processing order visits SSRs by descending user priority and functions
+within an SSR by descending function priority, so high-priority work gets
+first claim.
 """
 from __future__ import annotations
 
@@ -67,7 +67,6 @@ class PlacementEnv:
     def __init__(
         self,
         bucket: SSRBucket,
-        order: str = "priority",
         max_functions: int | None = None,
         bucket_seed: int | None = None,
         ctx: costs.CostContext | None = None,
@@ -81,18 +80,13 @@ class PlacementEnv:
 
         flat = bucket.functions()  # insertion order: (ssr index, fn)
         n = len(flat)
-        if order == "priority":
-            user_priority = ctx.priority.tolist()
-            fn_priority = ctx.fn_priority.tolist()
+        user_priority = ctx.priority.tolist()
+        fn_priority = ctx.fn_priority.tolist()
 
-            def sort_key(flat_idx: int):
-                ssr_idx, fn = flat[flat_idx]
-                return (-user_priority[flat_idx], ssr_idx, -fn_priority[flat_idx], fn.index)
-            self.order = sorted(range(n), key=sort_key)
-        elif order == "insertion":
-            self.order = list(range(n))
-        else:
-            raise ValueError(f"unknown processing order {order!r}")
+        def sort_key(flat_idx: int):
+            ssr_idx, fn = flat[flat_idx]
+            return (-user_priority[flat_idx], ssr_idx, -fn_priority[flat_idx], fn.index)
+        self.order = sorted(range(n), key=sort_key)
 
         self.flat = flat
         self.n_functions = n

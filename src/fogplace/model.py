@@ -181,12 +181,6 @@ class Placement:
     def is_complete(self) -> bool:
         return all(f + c == 1 for f, c in self.flags)
 
-    def on_fog(self, index: int) -> bool:
-        f, c = self.flags[index]
-        if f + c != 1:
-            raise StateError(f"function {index} is unassigned")
-        return f == 1
-
 
 def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
     """Per-function platform constraints: code size, input size, total demand."""
@@ -209,6 +203,8 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
     """
     violations: list[str] = []
 
+    if bucket.n_functions == 0:
+        violations.append("bucket has no functions")
     for i, ssr in enumerate(bucket.ssrs):
         if len(ssr.functions) == 0:
             violations.append(f"empty SSR at index {i}")

@@ -54,6 +54,13 @@ class GeneratorConfig:
         for name, value in vars(self).items():
             if isinstance(value, tuple) and value[0] > value[1]:  # every tuple is a range
                 raise ValueError(f"{name} range has min {value[0]} > max {value[1]}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_ssrs", "functions_per_ssr"):
+            if getattr(self, name)[0] < 1:
+                raise ValueError(f"{name} range has min {getattr(self, name)[0]} < 1")
+        if not 1 <= self.critical_value[0] <= self.critical_value[1] <= 5:
+            raise ValueError(f"critical_value range {self.critical_value} outside 1..5")
 
     def demand_ranges(self) -> dict:
         return {

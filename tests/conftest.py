@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from fogplace.costs import CostContext
 from fogplace.model import (
@@ -10,6 +12,19 @@ from fogplace.model import (
     SSRBucket,
     ServerlessFunction,
     User,
+)
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
+
+# Few, fixed examples: the properties add seconds, not minutes, to the suite.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+seeds = st.integers(0, 2**32 - 1)
+# paper-default buckets, and sweep buckets of N = 10..100 functions
+generated_buckets = st.one_of(
+    seeds.map(lambda seed: generate_bucket(GeneratorConfig(), seed=seed)),
+    st.tuples(st.integers(10, 100), seeds).map(
+        lambda args: generate_sweep(GeneratorConfig(), args[0], seed=args[1])),
 )
 
 

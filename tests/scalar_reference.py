@@ -3,9 +3,17 @@
 The package evaluates these formulas as vectors over a whole bucket. Every
 formula here adds its terms left to right, in the order the vectors keep, so
 the package must reproduce these values exactly (``==``), not approximately.
+``brute_force_optimum`` enumerates every feasible placement of a small bucket:
+the ground truth for the package's O(n) ``exact_optimum``.
 """
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from fogplace import costs
 from fogplace.env import SLOT_WIDTH
-from fogplace.model import RESOURCE_KINDS, ResourceKind, StateError, fog_feasible
+from fogplace.model import RESOURCE_KINDS, Placement, ResourceKind, StateError, fog_feasible
 
 _COMPUTE_KINDS = (ResourceKind.CPU, ResourceKind.RAM, ResourceKind.STORAGE)
 
@@ -136,3 +144,46 @@ def encode(bucket, order, flags, cursor, max_functions):
         row[base + 10] = 1.0 if fog_feasible(fn, bucket.fog) else 0.0
     row[-1] = cursor / len(flat)
     return row
+
+
+BRUTE_FORCE_LIMIT = 14
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    best_step_placement: Placement
+    best_step_cost: float  # summed per-function step cost
+    best_objective_placement: Placement
+    best_objective: float  # summed per-SSR objective
+
+
+def brute_force_optimum(bucket):
+    """Enumerate all feasible placements of a small bucket.
+
+    Ties break toward the placement whose action tuple (0 = fog, 1 = cloud)
+    is lexicographically smallest, which the enumeration order guarantees.
+    """
+    n = bucket.n_functions
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"bucket has {n} functions; oracle limit is {BRUTE_FORCE_LIMIT}")
+    ctx = costs.CostContext.from_bucket(bucket)
+
+    options = []
+    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
+        opts = [on_fog for on_fog, ok in ((True, fog_ok), (False, cloud_ok)) if ok]
+        if not opts:
+            raise ValueError("function with no feasible platform")
+        options.append(opts)
+
+    # one row of fog flags per placement, in enumeration order
+    combos = np.array(list(itertools.product(*options)), dtype=bool).reshape(-1, n)
+    steps = ctx.step_cost_sum(combos)
+    objectives = ctx.objective_total(combos)
+    best_step = int(np.argmin(steps))  # first minimum: the enumeration's tie rule
+    best_obj = int(np.argmin(objectives))
+    return BruteForceResult(
+        best_step_placement=Placement.from_fog(combos[best_step].tolist()),
+        best_step_cost=float(steps[best_step]),
+        best_objective_placement=Placement.from_fog(combos[best_obj].tolist()),
+        best_objective=float(objectives[best_obj]),
+    )

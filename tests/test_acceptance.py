@@ -9,7 +9,7 @@ import pytest
 
 from fogplace import costs, scoring
 from fogplace.agent import AgentConfig, ValueNetwork, greedy_rollout, train
-from fogplace.baselines import brute_force_optimum, cloud_only, fog_first, greedy_cost
+from fogplace.baselines import cloud_only, exact_optimum, fog_first, greedy_cost
 from fogplace.env import Action, PlacementEnv
 from fogplace.experiment import (
     ExperimentConfig,
@@ -190,10 +190,10 @@ def test_criterion_4_oracle_proximity():
         result = train(factory, AgentConfig(episodes=2000, seed=0))
         _, record = greedy_rollout(result.net, factory(0))
         agent_cost = sum(record.step_costs)
-        optimum = brute_force_optimum(bucket).best_step_cost
+        optimum = exact_optimum(bucket).best_step_cost
         if agent_cost <= 1.10 * optimum + 1e-12:
             hits += 1
-    verdict(4, f"trained agent within 10% of brute-force optimum on {hits}/20 buckets",
+    verdict(4, f"trained agent within 10% of the exact optimum on {hits}/20 buckets",
             hits >= 16)
 
 

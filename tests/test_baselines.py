@@ -1,19 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogplace import costs
 from fogplace.baselines import (
-    BRUTE_FORCE_LIMIT,
-    brute_force_optimum,
     cloud_only,
+    exact_optimum,
     fog_first,
     greedy_cost,
     random_feasible,
 )
 from fogplace.model import SSR, ResourceVector, cloud_feasible, fog_feasible
-from fogplace.workload import GeneratorConfig, generate_bucket
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
-from conftest import make_bucket, make_fn, make_user
+from conftest import (
+    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, seeds,
+)
+from scalar_reference import brute_force_optimum
 
 
 SMALL_CFG = GeneratorConfig(
@@ -91,10 +97,8 @@ def test_brute_force_lower_bounds_every_baseline():
     rng = np.random.default_rng(3)
     for seed in range(20):
         bucket = small_bucket(seed)
-        if bucket.n_functions > BRUTE_FORCE_LIMIT:
-            continue
         ctx = costs.CostContext.from_bucket(bucket)
-        best = brute_force_optimum(bucket)
+        best = exact_optimum(bucket, ctx)
         for placement in (
             fog_first(bucket),
             cloud_only(bucket),
@@ -112,11 +116,10 @@ def test_greedy_matches_brute_force_step_optimum():
     # so the greedy policy is exactly optimal for the step-cost objective
     for seed in range(20):
         bucket = small_bucket(seed)
-        if bucket.n_functions > BRUTE_FORCE_LIMIT:
-            continue
         ctx = costs.CostContext.from_bucket(bucket)
         greedy = costs.placement_step_cost_sum(bucket, greedy_cost(bucket, ctx), ctx)
         assert greedy == pytest.approx(brute_force_optimum(bucket).best_step_cost, abs=1e-12)
+        assert greedy == exact_optimum(bucket, ctx).best_step_cost
 
 
 def test_fog_fraction_ordering():
@@ -130,11 +133,19 @@ def test_fog_fraction_ordering():
 
 
 def test_brute_force_size_limit():
-    cfg = GeneratorConfig(seed=0, n_ssrs=(5, 5), functions_per_ssr=(3, 3))
-    bucket = generate_bucket(cfg)
-    assert bucket.n_functions == 15
-    with pytest.raises(ValueError, match="14"):
-        brute_force_optimum(bucket)
+    # the exact optimum has no size limit: a bucket past the enumeration's
+    # 14 functions, and the largest sweep bucket, are solved
+    for bucket in (
+        generate_bucket(GeneratorConfig(seed=0, n_ssrs=(5, 5), functions_per_ssr=(3, 3))),
+        generate_sweep(GeneratorConfig(seed=0), 100),
+    ):
+        ctx = costs.CostContext.from_bucket(bucket)
+        best = exact_optimum(bucket, ctx)
+        greedy = greedy_cost(bucket, ctx)
+        assert best.best_step_cost == costs.placement_step_cost_sum(bucket, greedy, ctx)
+        assert_feasible(bucket, best.best_step_placement)
+        assert_feasible(bucket, best.best_objective_placement)
+    assert bucket.n_functions == 100
 
 
 def test_brute_force_single_function():
@@ -143,8 +154,59 @@ def test_brute_force_single_function():
         ssrs=[SSR(user_id=0, functions=(fn,))],
         users=[make_user(0)],
     )
-    result = brute_force_optimum(bucket)
+    result = exact_optimum(bucket)
     ctx = costs.CostContext.from_bucket(bucket)
     fog_step, cloud_step = ctx.fog_step[0], ctx.cloud_step[0]
     assert result.best_step_cost == pytest.approx(min(fog_step, cloud_step), abs=1e-12)
     assert result.best_step_placement.flags == (((1, 0) if fog_step <= cloud_step else (0, 1)),)
+
+
+def test_exact_optimum_rejects_function_with_no_feasible_platform():
+    tiny = make_limits(code=1.0)  # below the function's code size
+    bucket = make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(priority=5.0),))],
+        users=[make_user(0)],
+        fog=tiny, cloud=tiny,
+    )
+    with pytest.raises(ValueError, match="no feasible platform"):
+        exact_optimum(bucket)
+
+
+# ---- properties ----------------------------------------------------------
+
+@PROPERTY
+@given(generated_buckets, seeds)
+def test_exact_optimum_at_or_below_every_baseline(bucket, seed):
+    ctx = costs.CostContext.from_bucket(bucket)
+    best = exact_optimum(bucket, ctx)
+    for placement in (
+        fog_first(bucket, ctx),
+        cloud_only(bucket),
+        greedy_cost(bucket, ctx),
+        random_feasible(bucket, np.random.default_rng(seed), ctx),
+    ):
+        step = costs.placement_step_cost_sum(bucket, placement, ctx)
+        _, objective = costs.bucket_objective(bucket, placement, ctx)
+        assert best.best_step_cost <= step + 1e-12
+        assert best.best_objective <= objective + 1e-12
+
+
+@st.composite
+def small_buckets(draw):
+    """Buckets of at most 10 functions; forced ties make both sides cost the same."""
+    cfg = dataclasses.replace(SMALL_CFG, n_ssrs=(1, 2), functions_per_ssr=(1, 5))
+    if draw(st.booleans()):
+        # equal limits and no link latency: every feasible function's step
+        # costs tie, and without net I/O demand so do its objective terms
+        same = dataclasses.replace(cfg.cloud, link_latency=0.0)
+        io = (0.0, 0.0) if draw(st.booleans()) else cfg.net_io_demand
+        cfg = dataclasses.replace(cfg, fog=same, cloud=same, net_io_demand=io)
+    return generate_bucket(cfg, seed=draw(seeds))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_buckets())
+def test_exact_optimum_equals_enumeration(bucket):
+    assert bucket.n_functions <= 10
+    exact = dataclasses.asdict(exact_optimum(bucket))
+    assert exact == dataclasses.asdict(brute_force_optimum(bucket))

@@ -5,7 +5,7 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogplace.agent import AgentConfig
@@ -21,9 +21,7 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
-# Few, fixed examples: the properties add seconds, not minutes, to the suite.
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=25,
-                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+from conftest import PROPERTY, generated_buckets
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,12 +204,6 @@ experiment_configs = st.builds(
     runs_per_point=st.integers(1, 1000),
 )
 
-seeds = st.integers(0, 2**32 - 1)
-generated_buckets = st.one_of(
-    seeds.map(lambda seed: generate_bucket(GeneratorConfig(), seed=seed)),
-    st.tuples(st.integers(10, 100), seeds).map(
-        lambda args: generate_sweep(GeneratorConfig(), args[0], seed=args[1])),
-)
 
 
 @PROPERTY

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import scalar_reference as ref
 from fogplace import costs
@@ -11,7 +12,9 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user, one_ssr_context
+from conftest import (
+    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, one_ssr_context,
+)
 
 UNIFORM = ResourceVector(0.25, 0.25, 0.25, 0.25)
 # caps of 2 everywhere so a demand of 1 gives a ratio of 0.5
@@ -322,3 +325,15 @@ def test_env_steps_and_encodings_equal_scalar_reference_fuzz():
             flags[idx] = (1, 0) if action == Action.FOG else (0, 1)
             state = outcome.next_state
         assert state.placement.flags == tuple(flags)
+
+
+@PROPERTY
+@given(generated_buckets)
+def test_cloud_net_io_weights_differ_by_user_latency(bucket):
+    # the cloud step cost weights the net I/O ratio by l + lf, the cloud
+    # objective by lf alone: their difference is that ratio times l
+    ctx = costs.CostContext.from_bucket(bucket)
+    r_io = (ctx.demand[:, 3] / bucket.cloud.per_function_cap.net_io
+            * bucket.importance_factors.net_io)
+    gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / ctx.weight
+    assert np.abs(gap - r_io * ctx.latency).max() <= 1e-12

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from fogplace import costs
 from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
@@ -12,10 +13,11 @@ from fogplace.model import (
     StateError,
     cloud_feasible,
     fog_feasible,
+    validate_bucket,
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, seeds
 
 
 def small_bucket(seed=1):
@@ -34,6 +36,15 @@ def run_random_episode(env, rng):
         step_costs.append(outcome.cost)
         state = outcome.next_state
     return state, actions, step_costs
+
+
+@PROPERTY
+@given(generated_buckets, seeds)
+def test_random_masked_episode_is_feasible(bucket, seed):
+    state, _, _ = run_random_episode(PlacementEnv(bucket), np.random.default_rng(seed))
+    for (_, fn), (f, c) in zip(bucket.functions(), state.placement.flags):
+        assert f + c == 1
+        assert fog_feasible(fn, bucket.fog) if f else cloud_feasible(fn, bucket.cloud)
 
 
 def test_reset_state():
@@ -175,18 +186,19 @@ def test_encoding_locality_on_critical_value():
     bucket2 = dataclasses.replace(
         bucket, ssrs=(SSR(user_id=0, functions=tuple(bumped_fns)),)
     )
-    a = PlacementEnv(bucket, order="insertion").reset().encoded
-    b = PlacementEnv(bucket2, order="insertion").reset().encoded
+    # equal function priorities: the processing order is the insertion order
+    env = PlacementEnv(bucket)
+    assert env.order == [0, 1, 2]
+    a = env.reset().encoded
+    b = PlacementEnv(bucket2).reset().encoded
     diffs = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
     assert diffs == [1 * SLOT_WIDTH + 4]
 
 
 def test_processing_order_priority_vs_insertion():
     bucket = small_bucket(2)
-    pri = PlacementEnv(bucket, order="priority")
-    ins = PlacementEnv(bucket, order="insertion")
-    assert ins.order == list(range(bucket.n_functions))
-    assert sorted(pri.order) == ins.order
+    pri = PlacementEnv(bucket)
+    assert sorted(pri.order) == list(range(bucket.n_functions))
     # SSR-major: user priorities along the visit order are non-increasing
     visited_users = [bucket.users[bucket.ssrs[pri.flat[i][0]].user_id].priority
                      for i in pri.order]
@@ -214,4 +226,12 @@ def test_step_rejects_stale_state():
 def test_invalid_bucket_rejected():
     bucket = make_bucket(ssrs=[SSR(user_id=0, functions=())], users=[make_user(0)])
     with pytest.raises(ValueError):
+        PlacementEnv(bucket)
+
+
+@pytest.mark.parametrize("ssrs, users", [([], []), ([], [make_user(0)])])
+def test_empty_bucket_rejected(ssrs, users):
+    bucket = make_bucket(ssrs=ssrs, users=users)
+    assert validate_bucket(bucket) == ["bucket has no functions"]
+    with pytest.raises(ValueError, match="invalid bucket: bucket has no functions"):
         PlacementEnv(bucket)

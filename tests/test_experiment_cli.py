@@ -3,7 +3,9 @@ import json
 import pytest
 
 from fogplace.agent import AgentConfig, train
+from fogplace.baselines import greedy_cost
 from fogplace.cli import main
+from fogplace.costs import placement_step_cost_sum
 from fogplace.experiment import (
     ExperimentConfig,
     aggregate_rows,
@@ -108,6 +110,15 @@ def test_cli_generate_bad_sweep_is_usage_error(tmp_path):
     assert main(["generate", "--out", str(out), "--sweep-n", "7"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["train", "--episodes", "-1"], "episodes must be >= 0"),
+])
+def test_cli_out_of_domain_flag_is_usage_error(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: invalid command line value: {message}\n"
+
+
 def test_cli_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -204,14 +215,33 @@ def test_cli_oracle_small_bucket(tmp_path, capsys):
 
 
 def test_cli_oracle_size_limit(tmp_path, capsys):
+    # no size limit: a 15-function bucket and the largest sweep bucket are solved
     cfg_path = tmp_path / "config.json"
     save_config(small_experiment(generator=GeneratorConfig(
         seed=3, n_ssrs=(5, 5), functions_per_ssr=(3, 3))), cfg_path)
+    small, sweep = tmp_path / "bucket.json", tmp_path / "sweep.json"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(small)]) == 0
+    assert main(["generate", "--seed", "3", "--sweep-n", "100", "--out", str(sweep)]) == 0
+    for path, n in ((small, 15), (sweep, 100)):
+        capsys.readouterr()
+        assert main(["oracle", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["best_step_placement"]) == len(doc["best_objective_placement"]) == n
+        bucket = load_bucket(path)
+        greedy = placement_step_cost_sum(bucket, greedy_cost(bucket))
+        assert doc["best_step_cost"] == greedy
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_cli_empty_bucket_is_invalid(tmp_path, capsys, command):
     out = tmp_path / "bucket.json"
-    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["ssrs"] = []
+    out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["oracle", str(out)]) == 2
-    assert "14" in capsys.readouterr().err
+    assert main([command, str(out)]) == 1
+    assert capsys.readouterr().out == "VIOLATION: bucket has no functions\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
@@ -304,6 +334,11 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
     ({"experiment": {"sweep": [5]}}, "experiment"),
     ({"experiment": []}, "experiment"),
     ([1, 2], "(root)"),
+    ({"generator": {"n_ssrs": [0, 0]}}, "generator"),
+    ({"generator": {"functions_per_ssr": [0, 4]}}, "generator"),
+    ({"generator": {"critical_value": [0, 7]}}, "generator"),
+    ({"generator": {"critical_value": [2, 6]}}, "generator"),
+    ({"generator": {"seed": -1}}, "generator"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fogplace.costs import CostContext
 from fogplace.model import (
     Placement,
     ResourceKind,
@@ -118,9 +119,15 @@ def test_bucket_serialization_round_trip(tmp_path):
 
 def test_unassigned_lookup_raises():
     p = Placement(flags=((1, 0), (0, 0)))
-    assert p.on_fog(0)
+    assert not p.is_complete()
+    bucket = make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(priority=5.0), make_fn(index=1, priority=5.0)))],
+        users=[make_user(0)],
+    )
+    ctx = CostContext.from_bucket(bucket)
+    assert ctx.fog_flags(Placement(flags=((1, 0), (0, 1)))).tolist() == [True, False]
     with pytest.raises(StateError):
-        p.on_fog(1)
+        ctx.fog_flags(p)
 
 
 def test_validate_reports_non_finite_latency_and_distance_cap():

@@ -112,3 +112,15 @@ def test_config_round_trip():
 def test_bad_range_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(cpu_demand=(4.0, 1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_ssrs", (0, 0)),
+    ("functions_per_ssr", (0, 4)),
+    ("critical_value", (0, 7)),
+    ("critical_value", (2, 6)),
+    ("seed", -1),
+])
+def test_out_of_domain_value_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        GeneratorConfig(**{field: value})
