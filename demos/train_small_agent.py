@@ -20,12 +20,13 @@ cfg = GeneratorConfig(
 bucket = generate_bucket(cfg)
 print(f"bucket: {len(bucket.ssrs)} SSRs, {bucket.n_functions} functions")
 
-result = train(lambda episode: PlacementEnv(bucket), AgentConfig(episodes=2000, seed=0))
+env = PlacementEnv(bucket)  # one env for every episode: reset() starts each afresh
+result = train(lambda episode: env, AgentConfig(episodes=2000, seed=0))
 for row in result.log[::400] + [result.log[-1]]:
     print(f"episode {row['episode']:4d}: cost {row['total_cost']:.4f},"
           f" epsilon {row['epsilon']:.3f}")
 
-placement, record = greedy_rollout(result.net, PlacementEnv(bucket))
+placement, record = greedy_rollout(result.net, env)
 agent_cost = sum(record.step_costs)
 oracle = exact_optimum(bucket)
 ctx = costs.CostContext.from_bucket(bucket)

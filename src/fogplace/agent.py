@@ -311,7 +311,12 @@ def _batch_targets(
 
 
 def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> TrainResult:
-    """Run cfg.episodes episodes of DQN training; fully seeded and deterministic."""
+    """Run cfg.episodes episodes of DQN training; fully seeded and deterministic.
+
+    ``env_factory(episode)`` gives the env of each episode. It may return the
+    same env every time: ``reset()`` starts each episode afresh, and reusing
+    the env skips rebuilding and re-validating its bucket's cost arrays.
+    """
     rng = np.random.default_rng(cfg.seed)
     env = env_factory(0)  # episode 0's env, built first to size the network
     input_size = len(env.reset().encoded)

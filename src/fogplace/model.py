@@ -1,8 +1,11 @@
 """Domain entities for fog/cloud serverless placement.
 
 Everything here is an immutable dataclass; derived priority fields are
-filled in once at construction time (by the generator or by
-``scoring.with_priorities``) and never mutated afterwards.
+filled in once at construction time and never mutated afterwards. The
+generator builds every user and function once, with the priority that
+``scoring.user_priorities`` and ``scoring.ssr_priorities`` give it; a
+hand-built bucket is scored by ``scoring.with_priorities``, which uses the
+same helpers.
 """
 from __future__ import annotations
 
@@ -49,10 +52,12 @@ class ResourceVector:
     net_io: float = 0.0
 
     def __post_init__(self) -> None:
-        for kind in RESOURCE_KINDS:
-            v = self.get(kind)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{kind.value} must be finite and >= 0, got {v}")
+        # the chained comparison is False for NaN and infinities
+        if not (0 <= self.cpu < math.inf and 0 <= self.ram < math.inf
+                and 0 <= self.storage < math.inf and 0 <= self.net_io < math.inf):
+            for name, v in zip(("cpu", "ram", "storage", "net_io"), self.as_tuple()):
+                if not 0 <= v < math.inf:
+                    raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
     def get(self, kind: ResourceKind) -> float:
         return getattr(self, kind.value)
@@ -183,12 +188,18 @@ class Placement:
 
 
 def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
-    """Per-function platform constraints: code size, input size, total demand."""
-    total = fn.base_demand + fn.supplementary_demand
+    """Per-function platform constraints: code size, input size, total demand.
+
+    A total demand that overflows to infinity fits no platform.
+    """
+    base, extra, cap = fn.base_demand, fn.supplementary_demand, limits.per_function_cap
     return (
         fn.code_size <= limits.code_size_limit
         and fn.input_size <= limits.input_size_limit
-        and total.fits_within(limits.per_function_cap)
+        and base.cpu + extra.cpu <= cap.cpu
+        and base.ram + extra.ram <= cap.ram
+        and base.storage + extra.storage <= cap.storage
+        and base.net_io + extra.net_io <= cap.net_io
     )
 
 

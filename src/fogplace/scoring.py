@@ -47,24 +47,58 @@ def user_priority(pd: float, pl: float, p_omega: float) -> float:
     return p_omega * pd + pl * (1 - p_omega)
 
 
+def _largest_sizes(code_sizes, input_sizes, delta: float) -> tuple[float, float]:
+    """The largest code and input size of one non-empty SSR, checked for the formula."""
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not code_sizes:
+        raise ValueError("SSR has no functions")
+    max_code, max_input = max(code_sizes), max(input_sizes)
+    if max_code == 0 or max_input == 0:
+        raise ValueError("degenerate SSR: zero maximum code or input size")
+    return max_code, max_input
+
+
+def _priority(critical: int, code_size: float, input_size: float,
+              max_code: float, max_input: float, delta: float) -> float:
+    critical_term = (5 - critical) / 5
+    code_term = (max_code - code_size) / max_code
+    input_term = (max_input - input_size) / max_input
+    return 1.0 / (delta + critical_term * code_term * input_term)
+
+
 def function_priority(fn: ServerlessFunction, ssr: SSR, delta: float = DEFAULT_DELTA) -> float:
     """Preference of a function for fog placement, in [1/(delta+1), 1/delta].
 
     Higher critical value and larger code/input size (relative to the
     largest in the same SSR) all push the priority up.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not ssr.functions:
-        raise ValueError("SSR has no functions")
-    max_code = max(f.code_size for f in ssr.functions)
-    max_input = max(f.input_size for f in ssr.functions)
-    if max_code == 0 or max_input == 0:
-        raise ValueError("degenerate SSR: zero maximum code or input size")
-    critical_term = (5 - fn.critical_value) / 5
-    code_term = (max_code - fn.code_size) / max_code
-    input_term = (max_input - fn.input_size) / max_input
-    return 1.0 / (delta + critical_term * code_term * input_term)
+    largest = _largest_sizes([f.code_size for f in ssr.functions],
+                             [f.input_size for f in ssr.functions], delta)
+    return _priority(fn.critical_value, fn.code_size, fn.input_size, *largest, delta)
+
+
+def ssr_priorities(critical: list[int], code_sizes: list[float], input_sizes: list[float],
+                   delta: float = DEFAULT_DELTA) -> list[float]:
+    """``function_priority`` of every function of one SSR, given column by column.
+
+    The SSR's largest code and input sizes are taken once, not per function.
+    """
+    if not code_sizes:
+        return []
+    largest = _largest_sizes(code_sizes, input_sizes, delta)
+    return [_priority(c, code, size, *largest, delta)
+            for c, code, size in zip(critical, code_sizes, input_sizes)]
+
+
+def user_priorities(positions: list[tuple[float, float]], latencies: list[float],
+                    distance_cap: float, blend: float) -> list[float]:
+    """``user_priority`` of every user of a bucket; latency priority needs them all."""
+    return [
+        user_priority(distance_priority(user_distance((0.0, 0.0), pos), distance_cap),
+                      latency_priority(latency, latencies), blend)
+        for pos, latency in zip(positions, latencies)
+    ]
 
 
 def with_priorities(bucket: SSRBucket, delta: float = DEFAULT_DELTA) -> SSRBucket:
@@ -72,19 +106,18 @@ def with_priorities(bucket: SSRBucket, delta: float = DEFAULT_DELTA) -> SSRBucke
 
     User priorities need the whole latency population, and function
     priorities need the enclosing SSR, so both are bucket-level steps.
+    The generator fills the same fields through the same helpers.
     """
-    latencies = [u.latency for u in bucket.users]
-    users = []
-    for u in bucket.users:
-        pd = distance_priority(user_distance((0.0, 0.0), u.position), bucket.distance_cap)
-        pl = latency_priority(u.latency, latencies)
-        users.append(replace(u, priority=user_priority(pd, pl, bucket.priority_blend)))
-
+    users = bucket.users
+    scores = user_priorities([u.position for u in users], [u.latency for u in users],
+                             bucket.distance_cap, bucket.priority_blend)
     ssrs = []
     for ssr in bucket.ssrs:
-        fns = tuple(
-            replace(fn, priority=function_priority(fn, ssr, delta)) for fn in ssr.functions
-        )
-        ssrs.append(replace(ssr, functions=fns))
+        fns = ssr.functions
+        fn_scores = ssr_priorities([f.critical_value for f in fns], [f.code_size for f in fns],
+                                   [f.input_size for f in fns], delta)
+        ssrs.append(replace(ssr, functions=tuple(
+            replace(fn, priority=p) for fn, p in zip(fns, fn_scores))))
 
-    return replace(bucket, users=tuple(users), ssrs=tuple(ssrs))
+    return replace(bucket, users=tuple(replace(u, priority=p) for u, p in zip(users, scores)),
+                   ssrs=tuple(ssrs))

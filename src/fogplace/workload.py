@@ -21,7 +21,7 @@ from .model import (
     ServerlessFunction,
     User,
 )
-from .scoring import DEFAULT_DELTA, with_priorities
+from .scoring import DEFAULT_DELTA, ssr_priorities, user_priorities
 
 Range = tuple[float, float]
 
@@ -88,61 +88,82 @@ def _check_cloud_feasibility(cfg: GeneratorConfig) -> None:
         raise GenerationError("input sizes must be > 0 to keep SSR priorities well defined")
 
 
-def _sample_function(
-    cfg: GeneratorConfig, rng: np.random.Generator, ssr_index: int, index: int
-) -> ServerlessFunction:
-    code = rng.uniform(*cfg.code_size)
-    input_size = rng.uniform(*cfg.input_size)
-    critical = int(rng.integers(cfg.critical_value[0], cfg.critical_value[1] + 1))
-    base = {}
-    supplementary = {}
-    for kind, (lo, hi) in cfg.demand_ranges().items():
-        total = rng.uniform(lo, hi)
-        split = rng.uniform(0.0, 1.0)
-        base[kind.value] = total * split
-        supplementary[kind.value] = total - total * split
-    return ServerlessFunction(
-        ssr_index=ssr_index,
-        index=index,
-        code_size=code,
-        input_size=input_size,
-        critical_value=critical,
-        base_demand=ResourceVector(**base),
-        supplementary_demand=ResourceVector(**supplementary),
-    )
-
-
 def _build_bucket(
     cfg: GeneratorConfig, rng: np.random.Generator, fn_counts: list[int]
 ) -> SSRBucket:
-    users = []
-    for i in range(len(fn_counts)):
+    """Draw the users, then every function in order, and build each entity once.
+
+    Per function the draws are code and input size, the critical value, then
+    (total demand, base share) for each resource kind in RESOURCE_KINDS order.
+    ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so raw
+    ``rng.random(k)`` draws scaled afterwards give the same values. A bounded
+    integer draw uses half of a buffered 64-bit word, so the critical value
+    stays one ``rng.integers`` call per function, between its uniforms.
+    """
+    positions, latencies = [], []
+    for _ in fn_counts:
         # uniform over the disc of radius D around the fog node
         radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        users.append(
-            User(
-                id=i,
-                position=(float(radius * np.cos(theta)), float(radius * np.sin(theta))),
-                latency=float(rng.uniform(*cfg.latency)),
-            )
-        )
+        positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
+        latencies.append(float(rng.uniform(*cfg.latency)))
+    users = tuple(
+        User(id=i, position=pos, latency=latency, priority=p)
+        for i, (pos, latency, p) in enumerate(zip(positions, latencies, user_priorities(
+            positions, latencies, cfg.distance_cap, cfg.priority_blend)))
+    )
 
-    ssrs = []
+    size_lo = np.array([cfg.code_size[0], cfg.input_size[0]], dtype=float)
+    size_span = np.array([cfg.code_size[1], cfg.input_size[1]], dtype=float) - size_lo
+    # (total, share) per kind: the share is uniform on [0, 1)
+    ranges = cfg.demand_ranges().values()
+    demand_lo = np.array([x for lo, _ in ranges for x in (lo, 0.0)], dtype=float)
+    demand_span = np.array([x for _, hi in ranges for x in (hi, 1.0)], dtype=float) - demand_lo
+    critical_lo, critical_end = cfg.critical_value[0], cfg.critical_value[1] + 1
+    n = sum(fn_counts)
+    size_draws = np.empty((n, 2))
+    demand_draws = np.empty((n, 8))
+    critical = []
+    for k in range(n):
+        size_draws[k] = rng.random(2)
+        critical.append(int(rng.integers(critical_lo, critical_end)))
+        demand_draws[k] = rng.random(8)
+
+    code, input_size = (size_lo + size_span * size_draws).T.tolist()
+    demand = demand_lo + demand_span * demand_draws
+    total, share = demand[:, 0::2], demand[:, 1::2]
+    base = total * share
+    base_rows, supplementary_rows = base.tolist(), (total - base).tolist()
+
+    ssrs, start = [], 0
     for i, count in enumerate(fn_counts):
-        fns = tuple(_sample_function(cfg, rng, i, j) for j in range(count))
-        ssrs.append(SSR(user_id=i, functions=fns))
+        stop = start + count
+        priorities = ssr_priorities(critical[start:stop], code[start:stop],
+                                    input_size[start:stop], cfg.delta)
+        ssrs.append(SSR(user_id=i, functions=tuple(
+            ServerlessFunction(
+                ssr_index=i,
+                index=j,
+                code_size=code[k],
+                input_size=input_size[k],
+                critical_value=critical[k],
+                base_demand=ResourceVector(*base_rows[k]),
+                supplementary_demand=ResourceVector(*supplementary_rows[k]),
+                priority=p,
+            )
+            for j, (k, p) in enumerate(zip(range(start, stop), priorities))
+        )))
+        start = stop
 
-    bucket = SSRBucket(
+    return SSRBucket(
         ssrs=tuple(ssrs),
-        users=tuple(users),
+        users=users,
         fog=cfg.fog,
         cloud=cfg.cloud,
         importance_factors=cfg.importance_factors,
         distance_cap=cfg.distance_cap,
         priority_blend=cfg.priority_blend,
     )
-    return with_priorities(bucket, cfg.delta)
 
 
 def generate_bucket(cfg: GeneratorConfig, seed: int | None = None) -> SSRBucket:
@@ -167,7 +188,10 @@ def generate_sweep(
     _check_cloud_feasibility(cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     counts = [1] * 10
+    open_slots = list(range(10))  # SSRs below 10 functions, ascending
     for _ in range(total_functions - 10):
-        open_slots = [i for i in range(10) if counts[i] < 10]
-        counts[int(rng.choice(open_slots))] += 1
+        slot = open_slots[int(rng.integers(0, len(open_slots)))]
+        counts[slot] += 1
+        if counts[slot] == 10:
+            open_slots.remove(slot)
     return _build_bucket(cfg, rng, counts)

@@ -4,16 +4,32 @@ The package evaluates these formulas as vectors over a whole bucket. Every
 formula here adds its terms left to right, in the order the vectors keep, so
 the package must reproduce these values exactly (``==``), not approximately.
 ``brute_force_optimum`` enumerates every feasible placement of a small bucket:
-the ground truth for the package's O(n) ``exact_optimum``.
+the ground truth for the package's O(n) ``exact_optimum``. ``generate_bucket``
+and ``generate_sweep`` draw every value with its own scalar generator call and
+score the bucket in a second pass: the ground truth for the seed contract of
+``fogplace.workload``, which must build the same buckets from the same draws.
 """
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from fogplace import costs
 from fogplace.env import SLOT_WIDTH
-from fogplace.model import RESOURCE_KINDS, Placement, ResourceKind, StateError, fog_feasible
+from fogplace.model import (
+    RESOURCE_KINDS,
+    Placement,
+    ResourceKind,
+    ResourceVector,
+    SSR,
+    SSRBucket,
+    ServerlessFunction,
+    StateError,
+    User,
+    fog_feasible,
+)
+from fogplace.scoring import distance_priority, latency_priority, user_distance, user_priority
+from fogplace.workload import _check_cloud_feasibility
 
 _COMPUTE_KINDS = (ResourceKind.CPU, ResourceKind.RAM, ResourceKind.STORAGE)
 
@@ -187,3 +203,115 @@ def brute_force_optimum(bucket):
         best_objective_placement=Placement.from_fog(combos[best_obj].tolist()),
         best_objective=float(objectives[best_obj]),
     )
+
+
+def function_priority(fn, ssr, delta):
+    """The priority formula, with the SSR's largest sizes taken again for every function."""
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not ssr.functions:
+        raise ValueError("SSR has no functions")
+    max_code = max(f.code_size for f in ssr.functions)
+    max_input = max(f.input_size for f in ssr.functions)
+    if max_code == 0 or max_input == 0:
+        raise ValueError("degenerate SSR: zero maximum code or input size")
+    critical_term = (5 - fn.critical_value) / 5
+    code_term = (max_code - fn.code_size) / max_code
+    input_term = (max_input - fn.input_size) / max_input
+    return 1.0 / (delta + critical_term * code_term * input_term)
+
+
+def with_priorities(bucket, delta):
+    """A copy of the bucket with every user and function priority filled."""
+    latencies = [u.latency for u in bucket.users]
+    users = []
+    for u in bucket.users:
+        pd = distance_priority(user_distance((0.0, 0.0), u.position), bucket.distance_cap)
+        pl = latency_priority(u.latency, latencies)
+        users.append(replace(u, priority=user_priority(pd, pl, bucket.priority_blend)))
+
+    ssrs = []
+    for ssr in bucket.ssrs:
+        fns = tuple(
+            replace(fn, priority=function_priority(fn, ssr, delta)) for fn in ssr.functions
+        )
+        ssrs.append(replace(ssr, functions=fns))
+
+    return replace(bucket, users=tuple(users), ssrs=tuple(ssrs))
+
+
+def _sample_function(cfg, rng, ssr_index, index):
+    """Eleven scalar draws: code, input, critical, then (total, split) per resource kind."""
+    code = rng.uniform(*cfg.code_size)
+    input_size = rng.uniform(*cfg.input_size)
+    critical = int(rng.integers(cfg.critical_value[0], cfg.critical_value[1] + 1))
+    base = {}
+    supplementary = {}
+    for kind, (lo, hi) in cfg.demand_ranges().items():
+        total = rng.uniform(lo, hi)
+        split = rng.uniform(0.0, 1.0)
+        base[kind.value] = total * split
+        supplementary[kind.value] = total - total * split
+    return ServerlessFunction(
+        ssr_index=ssr_index,
+        index=index,
+        code_size=code,
+        input_size=input_size,
+        critical_value=critical,
+        base_demand=ResourceVector(**base),
+        supplementary_demand=ResourceVector(**supplementary),
+    )
+
+
+def _build_bucket(cfg, rng, fn_counts):
+    users = []
+    for i in range(len(fn_counts)):
+        # uniform over the disc of radius D around the fog node
+        radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        users.append(
+            User(
+                id=i,
+                position=(float(radius * np.cos(theta)), float(radius * np.sin(theta))),
+                latency=float(rng.uniform(*cfg.latency)),
+            )
+        )
+
+    ssrs = []
+    for i, count in enumerate(fn_counts):
+        fns = tuple(_sample_function(cfg, rng, i, j) for j in range(count))
+        ssrs.append(SSR(user_id=i, functions=fns))
+
+    bucket = SSRBucket(
+        ssrs=tuple(ssrs),
+        users=tuple(users),
+        fog=cfg.fog,
+        cloud=cfg.cloud,
+        importance_factors=cfg.importance_factors,
+        distance_cap=cfg.distance_cap,
+        priority_blend=cfg.priority_blend,
+    )
+    return with_priorities(bucket, cfg.delta)
+
+
+def generate_bucket(cfg, seed=None):
+    """``fogplace.workload.generate_bucket``, one scalar draw at a time."""
+    _check_cloud_feasibility(cfg)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    n = int(rng.integers(cfg.n_ssrs[0], cfg.n_ssrs[1] + 1))
+    counts = [int(rng.integers(cfg.functions_per_ssr[0], cfg.functions_per_ssr[1] + 1))
+              for _ in range(n)]
+    return _build_bucket(cfg, rng, counts)
+
+
+def generate_sweep(cfg, total_functions, seed=None):
+    """``fogplace.workload.generate_sweep``: the split drawn with ``rng.choice``."""
+    if not 10 <= total_functions <= 100:
+        raise ValueError(f"total functions {total_functions} outside [10, 100]")
+    _check_cloud_feasibility(cfg)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    counts = [1] * 10
+    for _ in range(total_functions - 10):
+        open_slots = [i for i in range(10) if counts[i] < 10]
+        counts[int(rng.choice(open_slots))] += 1
+    return _build_bucket(cfg, rng, counts)

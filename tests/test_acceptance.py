@@ -183,12 +183,10 @@ def test_criterion_4_oracle_proximity():
     for bucket_seed in range(20):
         bucket = generate_bucket(ORACLE_GENERATOR, seed=bucket_seed)
         assert bucket.n_functions <= 8
+        env = PlacementEnv(bucket)  # reset() starts every episode afresh
 
-        def factory(episode, bucket=bucket):
-            return PlacementEnv(bucket)
-
-        result = train(factory, AgentConfig(episodes=2000, seed=0))
-        _, record = greedy_rollout(result.net, factory(0))
+        result = train(lambda episode: env, AgentConfig(episodes=2000, seed=0))
+        _, record = greedy_rollout(result.net, env)
         agent_cost = sum(record.step_costs)
         optimum = exact_optimum(bucket).best_step_cost
         if agent_cost <= 1.10 * optimum + 1e-12:

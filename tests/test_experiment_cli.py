@@ -245,6 +245,19 @@ def test_cli_empty_bucket_is_invalid(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_cli_overflowing_demand_does_not_fit(tmp_path, capsys, command):
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    fn = doc["ssrs"][1]["functions"][0]
+    fn["base_demand"]["cpu"] = fn["supplementary_demand"]["cpu"] = 1e308  # sum overflows
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 1
+    assert capsys.readouterr().out == "VIOLATION: function (1, 0) does not fit the cloud limits\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
 def test_cli_malformed_bucket_is_usage_error(tmp_path, capsys, command):
     bad = tmp_path / "bucket.json"
     bad.write_text("{}")

@@ -3,11 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as reference
 from fogplace.codec import decode, encode
 from fogplace.model import GenerationError, fog_feasible, validate_bucket
 from scalar_reference import total_demand
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
+
+from conftest import PROPERTY, seeds
 
 
 def test_default_ranges_respected():
@@ -124,3 +129,45 @@ def test_bad_range_rejected():
 def test_out_of_domain_value_rejected(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         GeneratorConfig(**{field: value})
+
+
+def ranges(low, high):
+    """(min, max) inside [low, high]: int-valued as JSON configs keep them, or float, or one point."""
+    value = st.one_of(st.integers(int(low), int(high)), st.floats(low, high))
+    return st.one_of(st.tuples(value, value).map(lambda r: (min(r), max(r))),
+                     value.map(lambda v: (v, v)))
+
+
+counts = st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda r: (min(r), max(r)))
+# any range of critical values, and explicitly the two-value ranges
+criticals = st.one_of(st.integers(1, 5).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 5))),
+                      st.integers(1, 4).map(lambda lo: (lo, lo + 1)))
+# every range inside the default cloud caps, so generation is feasible
+configs = st.builds(
+    GeneratorConfig,
+    n_ssrs=counts,
+    functions_per_ssr=counts,
+    code_size=ranges(1, 500),
+    input_size=ranges(1, 2500),
+    cpu_demand=ranges(0, 6),
+    ram_demand=ranges(0, 5120),
+    storage_demand=ranges(0, 10240),
+    net_io_demand=ranges(0, 10240),
+    critical_value=criticals,
+    latency=ranges(1, 100),
+    priority_blend=st.floats(0, 1),
+    delta=st.floats(0.05, 2),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(configs, seeds)
+def test_bucket_matches_scalar_reference(cfg, seed):
+    assert encode(generate_bucket(cfg, seed)) == encode(reference.generate_bucket(cfg, seed))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(configs, st.integers(10, 100), seeds)
+def test_sweep_matches_scalar_reference(cfg, total, seed):
+    assert (encode(generate_sweep(cfg, total, seed=seed))
+            == encode(reference.generate_sweep(cfg, total, seed=seed)))
