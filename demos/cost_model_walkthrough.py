@@ -10,7 +10,6 @@ Run: python3 demos/cost_model_walkthrough.py
 from fogplace import costs, scoring
 from fogplace.model import (
     EnvironmentLimits,
-    Placement,
     ResourceVector,
     SSR,
     SSRBucket,
@@ -77,7 +76,7 @@ for i, ssr in enumerate(bucket.ssrs):
               f" -> priority {f.priority:.3f}")
 
 print("\n== per-function step costs ==")
-ctx = costs.CostContext.from_bucket(bucket)
+ctx = bucket.costs  # the per-function cost arrays, built once per bucket
 for k, (i, f) in enumerate(bucket.functions()):
     fog_c, cloud_c = ctx.fog_step[k], ctx.cloud_step[k]
     if ctx.fog_ok[k]:
@@ -88,9 +87,10 @@ for k, (i, f) in enumerate(bucket.functions()):
         print(f"SSR {i} fn {f.index}: fog infeasible, cloud {cloud_c:.4f} -> cloud")
 
 print("\n== whole-bucket objective for two candidate placements ==")
-all_cloud = Placement(flags=((0, 1),) * bucket.n_functions)
-mixed = Placement(flags=((1, 0), (0, 1), (1, 0)))
+# a placement is one fog flag per function, in the bucket's flattened order
+all_cloud = (False,) * bucket.n_functions
+mixed = (True, False, True)
 for name, placement in (("all cloud", all_cloud), ("small fns on fog", mixed)):
-    _, objective = costs.bucket_objective(bucket, placement, ctx)
-    step = costs.bucket_step_cost(bucket, placement, ctx)
+    _, objective = costs.bucket_objective(bucket, placement)
+    step = costs.bucket_step_cost(bucket, placement)
     print(f"{name:18s}: objective sum {objective:.4f}, mean step cost {step:.4f}")

@@ -29,12 +29,11 @@ for row in result.log[::400] + [result.log[-1]]:
 placement, record = greedy_rollout(result.net, env)
 agent_cost = sum(record.step_costs)
 oracle = exact_optimum(bucket)
-ctx = costs.CostContext.from_bucket(bucket)
 
 print("\n== final comparison (summed step cost) ==")
 print(f"agent      : {agent_cost:.4f}")
 print(f"oracle     : {oracle.best_step_cost:.4f}"
       f"  (ratio {agent_cost / oracle.best_step_cost:.4f})")
-print(f"fog first  : {costs.placement_step_cost_sum(bucket, fog_first(bucket), ctx):.4f}")
-print(f"cloud only : {costs.placement_step_cost_sum(bucket, cloud_only(bucket), ctx):.4f}")
-print(f"\nagent placement (fog, cloud) flags: {placement.flags}")
+print(f"fog first  : {costs.placement_step_cost_sum(bucket, fog_first(bucket)):.4f}")
+print(f"cloud only : {costs.placement_step_cost_sum(bucket, cloud_only(bucket)):.4f}")
+print(f"\nagent placement, fog flag per function: {placement}")

@@ -337,12 +337,11 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
             while not state.done:
                 action = select_action(net, state.encoded, state.mask, epsilon, rng)
                 outcome = env.step(state, action)
-                replay.push(
-                    state.encoded, int(action), -outcome.cost,
-                    outcome.next_state.encoded, outcome.done, outcome.mask,
-                )
+                after = outcome.next_state
+                replay.push(state.encoded, int(action), -outcome.cost,
+                            after.encoded, after.done, after.mask)
                 total_cost += outcome.cost
-                state = outcome.next_state
+                state = after
                 step_count += 1
 
                 if len(replay) >= cfg.batch_size:

@@ -9,45 +9,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import costs
 from .model import Placement, SSRBucket
 
 
-def fog_first(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
+def fog_first(bucket: SSRBucket) -> Placement:
     """Fog whenever the per-function fog constraints permit; stand-in for
     fog-greedy offloading baselines, not a re-implementation of any of them."""
-    return Placement.from_fog(costs.context_for(bucket, ctx).fog_ok.tolist())
+    return tuple(bucket.costs.fog_ok.tolist())
 
 
 def cloud_only(bucket: SSRBucket) -> Placement:
-    return Placement(flags=((0, 1),) * bucket.n_functions)
+    return (False,) * bucket.n_functions
 
 
-def random_feasible(
-    bucket: SSRBucket, rng: np.random.Generator, ctx: costs.CostContext | None = None
-) -> Placement:
+def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
     """Uniform over each function's feasible platforms; one rng draw per function."""
-    ctx = costs.context_for(bucket, ctx)
+    ctx = bucket.costs
     on_fog = []
     for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
         if not (fog_ok or cloud_ok):
             raise ValueError("function with no feasible platform")
         pick = int(rng.integers(0, fog_ok + cloud_ok))
         on_fog.append(fog_ok and pick == 0)
-    return Placement.from_fog(on_fog)
+    return tuple(on_fog)
 
 
-def _cheaper_side(ctx: costs.CostContext, fog_cost, cloud_cost, fog_wins) -> np.ndarray:
+def _cheaper_side(bucket: SSRBucket, fog_cost, cloud_cost, fog_wins) -> np.ndarray:
     """Fog flags of each function's feasible side; ``fog_wins`` decides when both are."""
+    ctx = bucket.costs
     if not (ctx.fog_ok | ctx.cloud_ok).all():
         raise ValueError("function with no feasible platform")
     return ctx.fog_ok & (fog_wins(fog_cost, cloud_cost) | ~ctx.cloud_ok)
 
 
-def greedy_cost(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Placement:
+def greedy_cost(bucket: SSRBucket) -> Placement:
     """Per function, the feasible action with the smaller step cost; ties to cloud."""
-    ctx = costs.context_for(bucket, ctx)
-    return Placement.from_fog(_cheaper_side(ctx, ctx.fog_step, ctx.cloud_step, np.less).tolist())
+    ctx = bucket.costs
+    return tuple(_cheaper_side(bucket, ctx.fog_step, ctx.cloud_step, np.less).tolist())
 
 
 @dataclass(frozen=True)
@@ -58,20 +56,20 @@ class Optimum:
     best_objective: float  # summed per-SSR objective
 
 
-def exact_optimum(bucket: SSRBucket, ctx: costs.CostContext | None = None) -> Optimum:
+def exact_optimum(bucket: SSRBucket) -> Optimum:
     """The cheapest feasible placement under each criterion, totals summed by the kernel.
 
     Ties go to fog: of all optimal placements, the one whose action tuple
     (0 = fog, 1 = cloud) is lexicographically smallest.
     """
-    ctx = costs.context_for(bucket, ctx)
-    step = _cheaper_side(ctx, ctx.fog_step, ctx.cloud_step, np.less_equal)
+    ctx = bucket.costs
+    step = _cheaper_side(bucket, ctx.fog_step, ctx.cloud_step, np.less_equal)
     fog_objective = ctx.priority + ctx.fog_comp
     cloud_objective = (ctx.priority + ctx.norm_link) + ctx.cloud_comp
-    objective = _cheaper_side(ctx, fog_objective, cloud_objective, np.less_equal)
+    objective = _cheaper_side(bucket, fog_objective, cloud_objective, np.less_equal)
     return Optimum(
-        best_step_placement=Placement.from_fog(step.tolist()),
+        best_step_placement=tuple(step.tolist()),
         best_step_cost=float(ctx.step_cost_sum(step)),
-        best_objective_placement=Placement.from_fog(objective.tolist()),
+        best_objective_placement=tuple(objective.tolist()),
         best_objective=float(ctx.objective_total(objective)),
     )

@@ -141,11 +141,15 @@ def cmd_oracle(args) -> int:
         result = baselines.exact_optimum(bucket)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+    def pairs(placement):  # each function as its [fog, cloud] flags
+        return [[1, 0] if on_fog else [0, 1] for on_fog in placement]
+
     doc = {
         "best_step_cost": result.best_step_cost,
-        "best_step_placement": list(result.best_step_placement.flags),
+        "best_step_placement": pairs(result.best_step_placement),
         "best_objective": result.best_objective,
-        "best_objective_placement": list(result.best_objective_placement.flags),
+        "best_objective_placement": pairs(result.best_objective_placement),
     }
     print(json.dumps(doc, indent=2))
     return 0

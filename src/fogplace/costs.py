@@ -7,8 +7,10 @@ and commensurate with the unit-interval user priority; it preserves all
 argmin decisions relative to any fixed positive latency scaling.
 
 ``CostContext.from_bucket`` is the one place that turns a bucket into
-per-function arrays, in the bucket's flattened insertion order. Environment
-steps, baselines, the oracle and placement reports all read those arrays.
+per-function arrays, in the bucket's flattened insertion order. It runs once
+per bucket: ``SSRBucket.costs`` builds the context on first use and keeps it.
+Environment steps, baselines, the oracle and placement reports all read those
+arrays, and a placement is one fog flag per function in that same order.
 Each vector keeps the operation order of the per-function formula, and every
 total adds left to right, per SSR and then over SSRs, so results do not depend
 on how many placements are evaluated at once.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Placement, SSRBucket, StateError
+from .model import Placement, SSRBucket
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ def _running_total(values: np.ndarray) -> np.ndarray:
 class CostContext:
     """Per-function arrays of one bucket, in its flattened insertion order."""
 
-    bucket: SSRBucket
     demand: np.ndarray  # n x 4 total (base + supplementary) demand, RESOURCE_KINDS order
     fog_ok: np.ndarray  # bool: the function fits the fog limits
     cloud_ok: np.ndarray  # bool: the function fits the cloud limits
@@ -126,7 +127,6 @@ class CostContext:
         cloud_ok, cloud_base, cloud_io = platform(bucket.cloud)
         fog_comp = fog_base + fog_io * latency_v
         return cls(
-            bucket=bucket,
             demand=demand,
             fog_ok=fog_ok,
             cloud_ok=cloud_ok,
@@ -145,15 +145,13 @@ class CostContext:
             fn_priority=np.array([fn.priority for fn in fns], dtype=float),
         )
 
-    def fog_flags(self, placement: Placement) -> np.ndarray:
-        """Fog flags of a complete placement, one per function."""
-        if len(placement.flags) != len(self.fog_step):
+    def on_fog(self, placement: Placement) -> np.ndarray:
+        """The placement's fog flags as an array; it must have one per function."""
+        if len(placement) != len(self.fog_step):
             raise ValueError(
-                f"placement has {len(placement.flags)} flags for {len(self.fog_step)} functions"
+                f"placement has {len(placement)} flags for {len(self.fog_step)} functions"
             )
-        if not placement.is_complete():
-            raise StateError("placement is incomplete")
-        return np.array([f for f, _ in placement.flags], dtype=bool)
+        return np.array(placement, dtype=bool)
 
     def ssr_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-SSR sums of per-function values on the last axis."""
@@ -175,31 +173,20 @@ class CostContext:
         return _running_total(comm + comp)
 
 
-def context_for(bucket: SSRBucket, ctx: CostContext | None = None) -> CostContext:
-    """The given context of the bucket, or a new one when none is given."""
-    return ctx if ctx is not None else CostContext.from_bucket(bucket)
-
-
-def bucket_objective(
-    bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
-) -> tuple[list[CostBreakdown], float]:
+def bucket_objective(bucket: SSRBucket, placement: Placement) -> tuple[list[CostBreakdown], float]:
     """Per-SSR objective vector and its unweighted sum (the evaluation scalar)."""
-    ctx = context_for(bucket, ctx)
-    comm, comp = ctx.objective(ctx.fog_flags(placement))
+    ctx = bucket.costs
+    comm, comp = ctx.objective(ctx.on_fog(placement))
     parts = [CostBreakdown(c, p) for c, p in zip(comm.tolist(), comp.tolist())]
     return parts, float(_running_total(comm + comp))
 
 
-def placement_step_cost_sum(
-    bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
-) -> float:
+def placement_step_cost_sum(bucket: SSRBucket, placement: Placement) -> float:
     """Total per-function step cost (the oracle's and the episodes' criterion)."""
-    ctx = context_for(bucket, ctx)
-    return float(ctx.step_cost_sum(ctx.fog_flags(placement)))
+    ctx = bucket.costs
+    return float(ctx.step_cost_sum(ctx.on_fog(placement)))
 
 
-def bucket_step_cost(
-    bucket: SSRBucket, placement: Placement, ctx: CostContext | None = None
-) -> float:
+def bucket_step_cost(bucket: SSRBucket, placement: Placement) -> float:
     """Mean per-SSR step cost over the bucket."""
-    return placement_step_cost_sum(bucket, placement, ctx) / len(bucket.ssrs)
+    return placement_step_cost_sum(bucket, placement) / len(bucket.ssrs)

@@ -42,8 +42,6 @@ class EnvState:
 class StepOutcome:
     next_state: EnvState
     cost: float
-    done: bool
-    mask: tuple[bool, bool]
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,12 @@ class PlacementEnv:
         bucket: SSRBucket,
         max_functions: int | None = None,
         bucket_seed: int | None = None,
-        ctx: costs.CostContext | None = None,
     ):
         violations = validate_bucket(bucket)
         if violations:
             raise ValueError("invalid bucket: " + "; ".join(violations))
         self.bucket = bucket
-        self.ctx = ctx = costs.context_for(bucket, ctx)
+        ctx = bucket.costs
         self.bucket_seed = bucket_seed
 
         flat = bucket.functions()  # insertion order: (ssr index, fn)
@@ -128,17 +125,12 @@ class PlacementEnv:
         cursor = pos + 1
         encoded[-1] = cursor / self.n_functions
         self._on_fog[self.order[pos]] = action == Action.FOG
-        placement = Placement.from_fog(self._on_fog) if cursor == self.n_functions else None
+        placement = tuple(self._on_fog) if cursor == self.n_functions else None
         self._latest = EnvState(encoded, cursor, self._masks[cursor], placement)
-        return StepOutcome(
-            next_state=self._latest,
-            cost=cost,
-            done=placement is not None,
-            mask=self._latest.mask,
-        )
+        return StepOutcome(next_state=self._latest, cost=cost)
 
     def _static_encoding(self, visit: np.ndarray) -> np.ndarray:
-        ctx, cloud = self.ctx, self.bucket.cloud
+        ctx, cloud = self.bucket.costs, self.bucket.cloud
         slots = np.zeros((self.max_functions, SLOT_WIDTH))
         used = slots[: self.n_functions]
         used[:, 2] = ctx.code_size[visit] / cloud.code_size_limit
@@ -151,14 +143,14 @@ class PlacementEnv:
 
     def record(self, actions: list[int], step_costs: list[float],
                placement: Placement) -> EpisodeRecord:
-        objectives, total = costs.bucket_objective(self.bucket, placement, self.ctx)
-        fog_count = sum(f for f, _ in placement.flags)
+        _, total = costs.bucket_objective(self.bucket, placement)
+        fog_count = sum(placement)
         return EpisodeRecord(
             bucket_seed=self.bucket_seed,
             actions=tuple(actions),
             step_costs=tuple(step_costs),
-            bucket_step_cost=costs.bucket_step_cost(self.bucket, placement, self.ctx),
+            bucket_step_cost=costs.bucket_step_cost(self.bucket, placement),
             objective_total=total,
             fog_count=fog_count,
-            cloud_count=len(placement.flags) - fog_count,
+            cloud_count=len(placement) - fog_count,
         )

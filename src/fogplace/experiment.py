@@ -11,7 +11,6 @@ import numpy as np
 from . import baselines, metrics
 from .agent import AgentConfig, ValueNetwork, greedy_rollout
 from .codec import decode, encode
-from .costs import CostContext
 from .env import PlacementEnv
 from .model import Placement, SSRBucket
 from .workload import GeneratorConfig, generate_bucket, generate_sweep
@@ -95,22 +94,21 @@ def run_placement(
     bucket: SSRBucket,
     net: ValueNetwork | None,
     rng: np.random.Generator,
-    ctx: CostContext | None = None,
 ) -> Placement:
     if algorithm == "defdrel":
         if net is None:
             raise ValueError("defdrel requires a trained network")
-        env = PlacementEnv(bucket, max_functions=MAX_FUNCTIONS, ctx=ctx)
+        env = PlacementEnv(bucket, max_functions=MAX_FUNCTIONS)
         placement, _ = greedy_rollout(net, env)
         return placement
     if algorithm == "fog_first":
-        return baselines.fog_first(bucket, ctx)
+        return baselines.fog_first(bucket)
     if algorithm == "cloud_only":
         return baselines.cloud_only(bucket)
     if algorithm == "random":
-        return baselines.random_feasible(bucket, rng, ctx)
+        return baselines.random_feasible(bucket, rng)
     if algorithm == "greedy_cost":
-        return baselines.greedy_cost(bucket, ctx)
+        return baselines.greedy_cost(bucket)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -124,11 +122,10 @@ def run_compare(cfg: ExperimentConfig, net: ValueNetwork | None) -> list[dict]:
         for run in range(cfg.runs_per_point):
             seed = _sweep_seed(cfg.generator.seed, total, run)
             bucket = generate_sweep(cfg.generator, total, seed=seed)
-            ctx = CostContext.from_bucket(bucket)
             for algorithm in cfg.algorithms:
                 rng = np.random.default_rng(seed)
-                placement = run_placement(algorithm, bucket, net, rng, ctx)
-                rep = metrics.report(bucket, placement, ctx)
+                placement = run_placement(algorithm, bucket, net, rng)
+                rep = metrics.report(bucket, placement)
                 rows.append(metrics.report_row(rep, run, algorithm, total, seed))
     order = {name: i for i, name in enumerate(cfg.algorithms)}
     rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))

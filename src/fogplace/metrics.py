@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import costs
-from .model import RESOURCE_KINDS, Placement, ResourceKind, SSRBucket, StateError
+from .model import RESOURCE_KINDS, Placement, ResourceKind, SSRBucket
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,9 @@ def _running_totals(values: np.ndarray) -> list[float]:
     return np.cumsum(values, axis=0)[-1].tolist()
 
 
-def report(
-    bucket: SSRBucket, placement: Placement, ctx: costs.CostContext | None = None
-) -> PlacementReport:
-    if not placement.is_complete():
-        raise StateError("placement is incomplete")
-    ctx = costs.context_for(bucket, ctx)
-    on_fog = ctx.fog_flags(placement)
+def report(bucket: SSRBucket, placement: Placement) -> PlacementReport:
+    ctx = bucket.costs
+    on_fog = ctx.on_fog(placement)
     n = len(on_fog)
     n_fog = int(on_fog.sum())
     n_cloud = n - n_fog

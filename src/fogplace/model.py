@@ -13,9 +13,14 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .codec import decode, encode
+
+if TYPE_CHECKING:
+    from .costs import CostContext
 
 
 class ResourceKind(Enum):
@@ -153,6 +158,13 @@ class SSRBucket:
     def n_functions(self) -> int:
         return sum(len(s.functions) for s in self.ssrs)
 
+    @cached_property
+    def costs(self) -> CostContext:
+        """The bucket's cost arrays, built on first use and kept with the bucket."""
+        from .costs import CostContext  # costs imports this module
+
+        return CostContext.from_bucket(self)
+
 
 def save_bucket(bucket: SSRBucket, path: str | Path) -> None:
     Path(path).write_text(json.dumps(encode(bucket), sort_keys=True, indent=2))
@@ -163,28 +175,8 @@ def load_bucket(path: str | Path) -> SSRBucket:
     return decode(SSRBucket, json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Per-function (fog_flag, cloud_flag) pairs in the bucket's flattened order.
-
-    A partial placement may leave functions at (0, 0); a complete one has
-    exactly one flag set everywhere.
-    """
-
-    flags: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for f, c in self.flags:
-            if f + c > 1 or f not in (0, 1) or c not in (0, 1):
-                raise ValueError(f"invalid flag pair ({f}, {c})")
-
-    @classmethod
-    def from_fog(cls, on_fog) -> "Placement":
-        """Complete placement from one fog flag (truthy) per function."""
-        return cls(flags=tuple((1, 0) if f else (0, 1) for f in on_fog))
-
-    def is_complete(self) -> bool:
-        return all(f + c == 1 for f, c in self.flags)
+# One fog flag per function, in the bucket's flattened order; False is the cloud.
+Placement = tuple[bool, ...]
 
 
 def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from fogplace.costs import CostContext
 from fogplace.model import (
     EnvironmentLimits,
     ResourceVector,
@@ -85,7 +84,7 @@ def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
                make_user(1, latency=100.0, priority=0.5)],
         fog=fog, cloud=dataclasses.replace(cloud, link_latency=link), weights=weights,
     )
-    return CostContext.from_bucket(bucket)
+    return bucket.costs
 
 
 @pytest.fixture

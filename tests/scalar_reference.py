@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fogplace import costs
 from fogplace.env import SLOT_WIDTH
 from fogplace.model import (
     RESOURCE_KINDS,
@@ -102,24 +101,23 @@ def function_step_costs(bucket):
     return out
 
 
-def step_cost_sum(bucket, flags):
-    """Summed step cost: left to right within each SSR, then over SSRs."""
+def step_cost_sum(bucket, on_fog):
+    """Summed step cost of a placement (one fog flag per function): left to
+    right within each SSR, then over SSRs."""
     costs = function_step_costs(bucket)
     total, k = 0.0, 0
     for ssr in bucket.ssrs:
         ssr_total = 0.0
         for _ in ssr.functions:
-            f, c = flags[k]
-            if f + c != 1:
-                raise StateError("SSR placement is incomplete")
-            ssr_total = ssr_total + costs[k][0 if f else 1]
+            ssr_total = ssr_total + costs[k][0 if on_fog[k] else 1]
             k += 1
         total = total + ssr_total
     return total
 
 
-def ssr_objectives(bucket, flags):
-    """Per-SSR (communication, computation) latency, and their summed total."""
+def ssr_objectives(bucket, on_fog):
+    """Per-SSR (communication, computation) latency of a placement (one fog
+    flag per function), and their summed total."""
     terms, lf = user_terms(bucket)
     parts, total, k = [], 0.0, 0
     for ssr in bucket.ssrs:
@@ -127,7 +125,7 @@ def ssr_objectives(bucket, flags):
         max_p = max(fn.priority for fn in ssr.functions)
         comm = comp = 0.0
         for fn in ssr.functions:
-            f, c = flags[k]
+            f, c = (1, 0) if on_fog[k] else (0, 1)
             comm = comm + comm_latency_fn(f, c, p_i, lf)
             comp = comp + comp_latency_fn(
                 fn, f, c, bucket.fog, bucket.cloud, bucket.importance_factors, l_i, lf
@@ -182,7 +180,7 @@ def brute_force_optimum(bucket):
     n = bucket.n_functions
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"bucket has {n} functions; oracle limit is {BRUTE_FORCE_LIMIT}")
-    ctx = costs.CostContext.from_bucket(bucket)
+    ctx = bucket.costs
 
     options = []
     for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
@@ -198,9 +196,9 @@ def brute_force_optimum(bucket):
     best_step = int(np.argmin(steps))  # first minimum: the enumeration's tie rule
     best_obj = int(np.argmin(objectives))
     return BruteForceResult(
-        best_step_placement=Placement.from_fog(combos[best_step].tolist()),
+        best_step_placement=tuple(combos[best_step].tolist()),
         best_step_cost=float(steps[best_step]),
-        best_objective_placement=Placement.from_fog(combos[best_obj].tolist()),
+        best_objective_placement=tuple(combos[best_obj].tolist()),
         best_objective=float(objectives[best_obj]),
     )
 

@@ -75,8 +75,7 @@ def test_criterion_1_formula_suite():
          SSR(user_id=1, functions=tuple(make_fn(1, j, priority=5.0) for j in range(6)))],
         users,
     )
-    from fogplace.model import Placement
-    all_fog = Placement(flags=((1, 0),) * 8)
+    all_fog = (True,) * 8
     on_fog, on_cloud = np.array([True]), np.array([False])
     # one function of demand 1 everywhere; l_i = 0.4, lf = 0.1, user priority 0.6
     kernel = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=10.0, priority=0.6)
@@ -106,13 +105,10 @@ def test_criterion_1_formula_suite():
 
 
 def _placement_satisfies_constraints(bucket, placement):
-    for (_, fn), (f, c) in zip(bucket.functions(), placement.flags):
-        if f + c != 1:
-            return False
-        ok = fog_feasible(fn, bucket.fog) if f else cloud_feasible(fn, bucket.cloud)
-        if not ok:
-            return False
-    return True
+    return len(placement) == bucket.n_functions and all(
+        fog_feasible(fn, bucket.fog) if on_fog else cloud_feasible(fn, bucket.cloud)
+        for (_, fn), on_fog in zip(bucket.functions(), placement)
+    )
 
 
 def test_criterion_2_constraint_soundness():

@@ -35,10 +35,10 @@ def small_bucket(seed):
 
 
 def assert_feasible(bucket, placement):
-    assert placement.is_complete()
-    for (_, fn), (f, c) in zip(bucket.functions(), placement.flags):
-        assert f + c == 1
-        if f:
+    assert len(placement) == bucket.n_functions
+    for (_, fn), on_fog in zip(bucket.functions(), placement):
+        assert type(on_fog) is bool
+        if on_fog:
             assert fog_feasible(fn, bucket.fog)
         else:
             assert cloud_feasible(fn, bucket.cloud)
@@ -47,7 +47,7 @@ def assert_feasible(bucket, placement):
 def test_cloud_only_places_everything_on_cloud():
     bucket = small_bucket(1)
     placement = cloud_only(bucket)
-    assert all(flags == (0, 1) for flags in placement.flags)
+    assert placement == (False,) * bucket.n_functions
     assert_feasible(bucket, placement)
 
 
@@ -58,7 +58,7 @@ def test_fog_first_uses_fog_when_possible():
         ssrs=[SSR(user_id=0, functions=(fn_small, fn_big))],
         users=[make_user(0)],
     )
-    assert fog_first(bucket).flags == ((1, 0), (0, 1))
+    assert fog_first(bucket) == (True, False)
 
 
 def test_greedy_cost_prefers_fog_for_zero_demand():
@@ -69,7 +69,7 @@ def test_greedy_cost_prefers_fog_for_zero_demand():
         ssrs=[SSR(user_id=0, functions=(fn,))],
         users=[make_user(0)],
     )
-    assert greedy_cost(bucket).flags == ((1, 0),)
+    assert greedy_cost(bucket) == (True,)
 
 
 def test_random_feasible_is_seeded():
@@ -97,16 +97,15 @@ def test_brute_force_lower_bounds_every_baseline():
     rng = np.random.default_rng(3)
     for seed in range(20):
         bucket = small_bucket(seed)
-        ctx = costs.CostContext.from_bucket(bucket)
-        best = exact_optimum(bucket, ctx)
+        best = exact_optimum(bucket)
         for placement in (
             fog_first(bucket),
             cloud_only(bucket),
-            greedy_cost(bucket, ctx),
+            greedy_cost(bucket),
             random_feasible(bucket, rng),
         ):
-            step = costs.placement_step_cost_sum(bucket, placement, ctx)
-            _, objective = costs.bucket_objective(bucket, placement, ctx)
+            step = costs.placement_step_cost_sum(bucket, placement)
+            _, objective = costs.bucket_objective(bucket, placement)
             assert best.best_step_cost <= step + 1e-12
             assert best.best_objective <= objective + 1e-12
 
@@ -116,20 +115,17 @@ def test_greedy_matches_brute_force_step_optimum():
     # so the greedy policy is exactly optimal for the step-cost objective
     for seed in range(20):
         bucket = small_bucket(seed)
-        ctx = costs.CostContext.from_bucket(bucket)
-        greedy = costs.placement_step_cost_sum(bucket, greedy_cost(bucket, ctx), ctx)
+        greedy = costs.placement_step_cost_sum(bucket, greedy_cost(bucket))
         assert greedy == pytest.approx(brute_force_optimum(bucket).best_step_cost, abs=1e-12)
-        assert greedy == exact_optimum(bucket, ctx).best_step_cost
+        assert greedy == exact_optimum(bucket).best_step_cost
 
 
 def test_fog_fraction_ordering():
     for seed in range(20):
         bucket = small_bucket(seed)
-        def fog_count(p):
-            return sum(f for f, _ in p.flags)
-        assert fog_count(fog_first(bucket)) >= fog_count(greedy_cost(bucket))
-        assert fog_count(greedy_cost(bucket)) >= fog_count(cloud_only(bucket))
-        assert fog_count(cloud_only(bucket)) == 0
+        assert sum(fog_first(bucket)) >= sum(greedy_cost(bucket))
+        assert sum(greedy_cost(bucket)) >= sum(cloud_only(bucket))
+        assert sum(cloud_only(bucket)) == 0
 
 
 def test_brute_force_size_limit():
@@ -139,10 +135,9 @@ def test_brute_force_size_limit():
         generate_bucket(GeneratorConfig(seed=0, n_ssrs=(5, 5), functions_per_ssr=(3, 3))),
         generate_sweep(GeneratorConfig(seed=0), 100),
     ):
-        ctx = costs.CostContext.from_bucket(bucket)
-        best = exact_optimum(bucket, ctx)
-        greedy = greedy_cost(bucket, ctx)
-        assert best.best_step_cost == costs.placement_step_cost_sum(bucket, greedy, ctx)
+        best = exact_optimum(bucket)
+        greedy = greedy_cost(bucket)
+        assert best.best_step_cost == costs.placement_step_cost_sum(bucket, greedy)
         assert_feasible(bucket, best.best_step_placement)
         assert_feasible(bucket, best.best_objective_placement)
     assert bucket.n_functions == 100
@@ -155,10 +150,9 @@ def test_brute_force_single_function():
         users=[make_user(0)],
     )
     result = exact_optimum(bucket)
-    ctx = costs.CostContext.from_bucket(bucket)
-    fog_step, cloud_step = ctx.fog_step[0], ctx.cloud_step[0]
+    fog_step, cloud_step = bucket.costs.fog_step[0], bucket.costs.cloud_step[0]
     assert result.best_step_cost == pytest.approx(min(fog_step, cloud_step), abs=1e-12)
-    assert result.best_step_placement.flags == (((1, 0) if fog_step <= cloud_step else (0, 1)),)
+    assert result.best_step_placement == (bool(fog_step <= cloud_step),)
 
 
 def test_exact_optimum_rejects_function_with_no_feasible_platform():
@@ -177,16 +171,15 @@ def test_exact_optimum_rejects_function_with_no_feasible_platform():
 @PROPERTY
 @given(generated_buckets, seeds)
 def test_exact_optimum_at_or_below_every_baseline(bucket, seed):
-    ctx = costs.CostContext.from_bucket(bucket)
-    best = exact_optimum(bucket, ctx)
+    best = exact_optimum(bucket)
     for placement in (
-        fog_first(bucket, ctx),
+        fog_first(bucket),
         cloud_only(bucket),
-        greedy_cost(bucket, ctx),
-        random_feasible(bucket, np.random.default_rng(seed), ctx),
+        greedy_cost(bucket),
+        random_feasible(bucket, np.random.default_rng(seed)),
     ):
-        step = costs.placement_step_cost_sum(bucket, placement, ctx)
-        _, objective = costs.bucket_objective(bucket, placement, ctx)
+        step = costs.placement_step_cost_sum(bucket, placement)
+        _, objective = costs.bucket_objective(bucket, placement)
         assert best.best_step_cost <= step + 1e-12
         assert best.best_objective <= objective + 1e-12
 

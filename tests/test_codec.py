@@ -304,9 +304,47 @@ CONFIG_FILE_DOC = json.loads(json.dumps({
 }))
 
 
+@st.composite
+def invalid_buckets(draw, doc):
+    """A copy of ``doc`` that decodes but breaks one bucket invariant, and the
+    text of the violation that ``validate_bucket`` must report for it."""
+    doc = json.loads(json.dumps(doc))
+    user = doc["users"][draw(st.integers(0, len(doc["users"]) - 1))]
+    ssr_index = draw(st.integers(0, len(doc["ssrs"]) - 1))
+    ssr = doc["ssrs"][ssr_index]
+    flaw = draw(st.sampled_from(["latency", "distance", "unknown user", "duplicate user",
+                                 "priority", "factors", "empty SSR"]))
+    if flaw == "latency":
+        user["latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
+        return doc, f"user {user['id']} latency"
+    if flaw == "distance":
+        user["position"] = [0.0, doc["distance_cap"] * draw(st.sampled_from([1.01, 2.0]))]
+        return doc, f"user {user['id']} distance"
+    if flaw == "unknown user":
+        ssr["user_id"] = 1 + max(u["id"] for u in doc["users"])
+        return doc, f"SSR index {ssr_index} references unknown user"
+    if flaw == "duplicate user":
+        ssr["user_id"] = doc["ssrs"][ssr_index - 1]["user_id"]  # index -1: the last SSR
+        return doc, "duplicate user id"
+    if flaw == "priority":
+        user["priority"] = draw(st.sampled_from([-0.5, 1.5]))
+        return doc, f"user {user['id']} priority"
+    if flaw == "factors":
+        doc["importance_factors"]["cpu"] += draw(st.sampled_from([-0.2, 0.5]))
+        return doc, "importance factors sum"
+    ssr["functions"] = []
+    return doc, f"empty SSR at index {ssr_index}"
+
+
 @settings(PROPERTY, max_examples=150)
 @given(st.data())
 def test_decode_bucket_is_total(data):
+    if data.draw(st.booleans()):
+        # decodable, invalid: the violation is reported as data, never raised
+        doc, flaw = data.draw(invalid_buckets(BUCKET_DOC))
+        violations = validate_bucket(decode(SSRBucket, doc))
+        assert any(flaw in v for v in violations), (flaw, violations)
+        return
     doc, target = data.draw(mutations(BUCKET_DOC))
     bucket = assert_total(lambda: decode(SSRBucket, doc), target)
     if bucket is not None:  # violations are data: validation never raises

@@ -7,9 +7,7 @@ from hypothesis import given
 import scalar_reference as ref
 from fogplace import costs
 from fogplace.env import Action, PlacementEnv
-from fogplace.model import (
-    Placement, ResourceVector, SSR, StateError, cloud_feasible, fog_feasible,
-)
+from fogplace.model import ResourceVector, SSR, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import (
@@ -34,8 +32,12 @@ def test_per_function_cap_selects_platform():
     # fog: 3 * 0.5 * 0.25 + 0.5 * 0.25 * 0.4; cloud: 3 * 0.25 * 0.25 + 0.25 * 0.25 * 0.4
     assert ctx.fog_comp[0] == pytest.approx(0.425, abs=1e-9)
     assert ctx.cloud_comp[0] == pytest.approx(0.2125, abs=1e-9)
-    with pytest.raises(StateError):
-        ctx.fog_flags(Placement(flags=((0, 0),)))
+
+
+def test_placement_needs_one_flag_per_function(simple_bucket):
+    for placement in ((True, False), (True, False, True, False)):
+        with pytest.raises(ValueError, match=f"placement has {len(placement)} flags for 3"):
+            costs.placement_step_cost_sum(simple_bucket, placement)
 
 
 def test_total_demand():
@@ -57,7 +59,7 @@ def test_ssr_demand_sums():
         )),
         SSR(user_id=2, functions=()),
     ], users=users)
-    ctx = costs.CostContext.from_bucket(bucket)
+    ctx = bucket.costs
     per_ssr = ctx.ssr_sums(ctx.demand.T)  # one row per resource kind
     assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30], [0, 0, 0, 0]]
 
@@ -68,8 +70,6 @@ def test_comm_latency_fn():
     assert ctx.objective(np.array([False]))[0][0] == pytest.approx(0.7, abs=1e-9)
     ctx = kernel_for([make_fn()], priority=0.0, link=0.0)
     assert ctx.objective(np.array([False]))[0][0] == 0.0
-    with pytest.raises(StateError):
-        costs.bucket_objective(ctx.bucket, Placement(flags=((0, 0),)), ctx)
 
 
 def test_comp_latency_fn_zero_demand():
@@ -109,10 +109,10 @@ def test_step_cost_cloud():
 
 def test_ssr_comm_latency(simple_bucket):
     # SSR 0: user priority 0.6, normalized link 0.1; SSR 1: priority 0.5
-    parts, _ = costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 1), (0, 1))))
+    parts, _ = costs.bucket_objective(simple_bucket, (True, False, False))
     assert parts[0].comm == pytest.approx(1.3, abs=1e-9)
     assert parts[1].comm == pytest.approx(0.6, abs=1e-9)
-    parts, _ = costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 1), (1, 0))))
+    parts, _ = costs.bucket_objective(simple_bucket, (True, False, True))
     assert parts[1].comm == pytest.approx(0.5, abs=1e-9)
 
 
@@ -130,7 +130,7 @@ def test_ssr_comp_latency_priority_weighting(simple_bucket):
         fog=HALF_CAP, cloud=dataclasses.replace(HALF_CAP, link_latency=10.0),
     )
     # fog placement, user 0: l_i = 0.4 -> per-function comp 0.425
-    parts, _ = costs.bucket_objective(bucket, Placement(flags=((1, 0),) * 3))
+    parts, _ = costs.bucket_objective(bucket, (True,) * 3)
     assert parts[0].comp == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
 
 
@@ -142,15 +142,12 @@ def test_ssr_comp_latency_two_term_hand_value(simple_bucket):
 
 
 def test_ssr_objective_total(simple_bucket):
-    parts, total = costs.bucket_objective(
-        simple_bucket, Placement(flags=((1, 0), (0, 1), (1, 0))))
+    parts, total = costs.bucket_objective(simple_bucket, (True, False, True))
     breakdown = parts[0]
     assert breakdown.total == pytest.approx(breakdown.comm + breakdown.comp, abs=1e-12)
     # zero-demand functions: comp is 0, total is the comm latency 1.3
     assert breakdown.total == pytest.approx(1.3, abs=1e-9)
     assert total == pytest.approx(1.3 + 0.5, abs=1e-9)
-    with pytest.raises(StateError):
-        costs.bucket_objective(simple_bucket, Placement(flags=((1, 0), (0, 0), (1, 0))))
 
 
 def test_bucket_step_cost_is_mean_of_ssrs():
@@ -162,7 +159,7 @@ def test_bucket_step_cost_is_mean_of_ssrs():
         SSR(user_id=1, functions=tuple(make_fn(1, j, priority=5.0) for j in range(6))),
     ]
     bucket = make_bucket(ssrs, users)
-    placement = Placement(flags=((1, 0),) * 8)
+    placement = (True,) * 8
     assert costs.bucket_step_cost(bucket, placement) == pytest.approx(2.0, abs=1e-9)
     assert costs.placement_step_cost_sum(bucket, placement) == pytest.approx(4.0, abs=1e-9)
 
@@ -173,10 +170,8 @@ def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
         ssrs=(simple_bucket.ssrs[1],),
         users=(simple_bucket.users[1],),
     )
-    ctx = costs.CostContext.from_bucket(bucket)
-    placement = Placement(flags=((0, 1),))
-    ssr_cost = ctx.ssr_sums(ctx.cloud_step)[0]
-    assert costs.bucket_step_cost(bucket, placement, ctx) == pytest.approx(ssr_cost)
+    ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]
+    assert costs.bucket_step_cost(bucket, (False,)) == pytest.approx(ssr_cost)
 
 
 def _random_fn(rng, ssr_index=0, index=0):
@@ -222,29 +217,24 @@ def test_cap_selector_partition_fuzz():
         latency, link = float(rng.uniform(1, 100)), float(rng.uniform(0, 100))
         ctx = kernel_for([fn], fog=fog, cloud=cloud, latency=latency, link=link)
         l_i, lf = latency / 100.0, link / 100.0
-        args = (fog, ctx.bucket.cloud, UNIFORM, l_i, lf)
+        args = (fog, cloud, UNIFORM, l_i, lf)
         assert ctx.fog_comp[0] == ref.comp_latency_fn(fn, 1, 0, *args)
         assert ctx.cloud_comp[0] == ref.comp_latency_fn(fn, 0, 1, *args)
 
 
 def test_episode_additivity_recomputation():
     bucket = generate_bucket(GeneratorConfig(seed=15, n_ssrs=(3, 3), functions_per_ssr=(2, 4)))
-    ctx = costs.CostContext.from_bucket(bucket)
+    ctx = bucket.costs
     rng = np.random.default_rng(5)
-    flags = []
-    for _, fn in bucket.functions():
-        if fog_feasible(fn, bucket.fog) and rng.uniform() < 0.5:
-            flags.append((1, 0))
-        else:
-            flags.append((0, 1))
-    placement = Placement(flags=tuple(flags))
-    total = costs.placement_step_cost_sum(bucket, placement, ctx)
+    placement = tuple(fog_feasible(fn, bucket.fog) and rng.uniform() < 0.5
+                      for _, fn in bucket.functions())
+    total = costs.placement_step_cost_sum(bucket, placement)
     # recompute per function, independent of the per-SSR sums
     expected = 0.0
-    for idx, (f, _) in enumerate(placement.flags):
-        expected += float(ctx.fog_step[idx] if f else ctx.cloud_step[idx])
+    for idx, on_fog in enumerate(placement):
+        expected += float(ctx.fog_step[idx] if on_fog else ctx.cloud_step[idx])
     assert total == pytest.approx(expected, abs=1e-9)
-    assert costs.bucket_step_cost(bucket, placement, ctx) == pytest.approx(
+    assert costs.bucket_step_cost(bucket, placement) == pytest.approx(
         total / len(bucket.ssrs), abs=1e-12)
 
 
@@ -271,7 +261,7 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
     free = forced = 0
     rng = np.random.default_rng(31)
     for bucket in _fuzz_buckets():
-        ctx = costs.CostContext.from_bucket(bucket)
+        ctx = bucket.costs
         terms, lf = ref.user_terms(bucket)
         k = 0
         for ssr in bucket.ssrs:
@@ -295,11 +285,11 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
                 k += 1
         for _ in range(3):
             on_fog = ctx.fog_ok & (rng.uniform(size=len(ctx.fog_ok)) < 0.5)
-            placement = Placement.from_fog(on_fog.tolist())
-            assert costs.placement_step_cost_sum(bucket, placement, ctx) == ref.step_cost_sum(
-                bucket, placement.flags)
-            parts, total = costs.bucket_objective(bucket, placement, ctx)
-            ref_parts, ref_total = ref.ssr_objectives(bucket, placement.flags)
+            placement = tuple(on_fog.tolist())
+            assert costs.placement_step_cost_sum(bucket, placement) == ref.step_cost_sum(
+                bucket, placement)
+            parts, total = costs.bucket_objective(bucket, placement)
+            ref_parts, ref_total = ref.ssr_objectives(bucket, placement)
             assert [(p.comm, p.comp) for p in parts] == ref_parts
             assert total == ref_total
     assert free > 50 and forced > 50
@@ -324,7 +314,7 @@ def test_env_steps_and_encodings_equal_scalar_reference_fuzz():
             assert outcome.cost == fn_costs[idx][action]
             flags[idx] = (1, 0) if action == Action.FOG else (0, 1)
             state = outcome.next_state
-        assert state.placement.flags == tuple(flags)
+        assert state.placement == tuple(f == 1 for f, _ in flags)
 
 
 @PROPERTY
@@ -332,7 +322,7 @@ def test_env_steps_and_encodings_equal_scalar_reference_fuzz():
 def test_cloud_net_io_weights_differ_by_user_latency(bucket):
     # the cloud step cost weights the net I/O ratio by l + lf, the cloud
     # objective by lf alone: their difference is that ratio times l
-    ctx = costs.CostContext.from_bucket(bucket)
+    ctx = bucket.costs
     r_io = (ctx.demand[:, 3] / bucket.cloud.per_function_cap.net_io
             * bucket.importance_factors.net_io)
     gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / ctx.weight

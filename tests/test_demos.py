@@ -1,11 +1,17 @@
-"""Every name a demo imports from fogplace exists, checked without running the demos."""
+"""Every name a demo imports from fogplace exists; the quick demos also run to completion."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+# sweep_comparison.py trains for about 30 s, so only its imports are checked
+QUICK_DEMOS = ["cost_model_walkthrough.py", "train_small_agent.py"]
 
 
 def fogplace_imports(path):
@@ -26,3 +32,13 @@ def test_demo_imports_exist(demo):
         mod = importlib.import_module(module)
         if name is not None and not hasattr(mod, name):
             importlib.import_module(f"{module}.{name}")  # a submodule, or ImportError
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_quick_demo_runs(name):
+    src = str(Path(importlib.import_module("fogplace").__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(DEMO_DIR / name)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout

@@ -7,7 +7,6 @@ from hypothesis import given
 from fogplace import costs
 from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
 from fogplace.model import (
-    Placement,
     ResourceVector,
     SSR,
     StateError,
@@ -42,9 +41,9 @@ def run_random_episode(env, rng):
 @given(generated_buckets, seeds)
 def test_random_masked_episode_is_feasible(bucket, seed):
     state, _, _ = run_random_episode(PlacementEnv(bucket), np.random.default_rng(seed))
-    for (_, fn), (f, c) in zip(bucket.functions(), state.placement.flags):
-        assert f + c == 1
-        assert fog_feasible(fn, bucket.fog) if f else cloud_feasible(fn, bucket.cloud)
+    assert len(state.placement) == bucket.n_functions
+    for (_, fn), on_fog in zip(bucket.functions(), state.placement):
+        assert fog_feasible(fn, bucket.fog) if on_fog else cloud_feasible(fn, bucket.cloud)
 
 
 def test_reset_state():
@@ -105,7 +104,8 @@ def test_step_zero_demand_fog_cost():
     env = PlacementEnv(bucket)
     outcome = env.step(env.reset(), Action.FOG)
     assert outcome.cost == pytest.approx(0.6, abs=1e-9)
-    assert outcome.done
+    assert outcome.next_state.done
+    assert outcome.next_state.placement == (True,)
 
 
 def test_step_rejects_masked_action():
@@ -123,8 +123,7 @@ def test_episode_costs_match_ssr_recomputation():
     bucket = small_bucket(3)
     env = PlacementEnv(bucket)
     state, actions, step_costs = run_random_episode(env, np.random.default_rng(0))
-    ctx = costs.CostContext.from_bucket(bucket)
-    expected = costs.placement_step_cost_sum(bucket, state.placement, ctx)
+    expected = costs.placement_step_cost_sum(bucket, state.placement)
     assert sum(step_costs) == pytest.approx(expected, abs=1e-9)
     record = env.record(actions, step_costs, state.placement)
     assert record.bucket_step_cost == pytest.approx(expected / len(bucket.ssrs), abs=1e-9)
@@ -137,9 +136,9 @@ def test_episode_length_and_constraints_fuzz():
         env = PlacementEnv(bucket)
         state, actions, _ = run_random_episode(env, rng)
         assert len(actions) == bucket.n_functions
-        for (_, fn), (f, c) in zip(bucket.functions(), state.placement.flags):
-            assert f + c == 1
-            if f:
+        assert len(state.placement) == bucket.n_functions
+        for (_, fn), on_fog in zip(bucket.functions(), state.placement):
+            if on_fog:
                 assert fog_feasible(fn, bucket.fog)
             else:
                 assert cloud_feasible(fn, bucket.cloud)

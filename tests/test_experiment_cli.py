@@ -14,8 +14,10 @@ from fogplace.experiment import (
     save_config,
 )
 from fogplace.env import PlacementEnv
-from fogplace.model import load_bucket
+from fogplace.model import SSR, ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
+
+from conftest import make_bucket, make_fn, make_user
 
 
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
@@ -212,6 +214,64 @@ def test_cli_oracle_small_bucket(tmp_path, capsys):
     assert set(doc) == {"best_step_cost", "best_step_placement",
                         "best_objective", "best_objective_placement"}
     assert len(doc["best_step_placement"]) == 1
+
+
+# SSR 0's second function is too large for the fog's 300 MB code limit
+ORACLE_GOLDEN = """\
+{
+  "best_step_cost": 2.9526041666666667,
+  "best_step_placement": [
+    [
+      1,
+      0
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      0
+    ]
+  ],
+  "best_objective": 2.8483072916666665,
+  "best_objective_placement": [
+    [
+      1,
+      0
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      0
+    ]
+  ]
+}
+"""
+
+
+def test_cli_oracle_stdout_is_pinned(tmp_path, capsys):
+    demand = ResourceVector(1, 256, 64, 128)
+    bucket = make_bucket(
+        ssrs=[
+            SSR(user_id=0, functions=(
+                make_fn(0, 0, base=demand, priority=2.0),
+                make_fn(0, 1, code=480.0, base=demand, priority=4.0),
+            )),
+            SSR(user_id=1, functions=(
+                make_fn(1, 0, base=ResourceVector(2, 512, 128, 256), priority=3.0),
+            )),
+        ],
+        users=[make_user(0, latency=20.0, priority=0.75),
+               make_user(1, latency=80.0, priority=0.25)],
+    )
+    path = tmp_path / "bucket.json"
+    save_bucket(bucket, path)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == ORACLE_GOLDEN
 
 
 def test_cli_oracle_size_limit(tmp_path, capsys):

@@ -3,13 +3,7 @@ import pytest
 
 from fogplace.baselines import cloud_only, random_feasible
 from fogplace.metrics import REPORT_COLUMNS, report, report_row
-from fogplace.model import (
-    Placement,
-    ResourceKind,
-    SSR,
-    ResourceVector,
-    StateError,
-)
+from fogplace.model import ResourceKind, SSR, ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import make_bucket, make_fn, make_user
@@ -23,9 +17,7 @@ def bucket_with(fns):
 
 
 def flags_for(fns, fog_indices):
-    return Placement(flags=tuple(
-        (1, 0) if i in fog_indices else (0, 1) for i in range(len(fns))
-    ))
+    return tuple(i in fog_indices for i in range(len(fns)))
 
 
 def test_fog_fraction_three_of_ten():
@@ -91,10 +83,10 @@ def test_histogram_counts_sum_to_totals():
             100.0 * fog_total / rep.n_functions, abs=1e-12)
 
 
-def test_incomplete_placement_rejected():
+def test_placement_of_wrong_length_rejected():
     bucket = generate_bucket(GeneratorConfig(seed=1))
-    with pytest.raises(StateError):
-        report(bucket, Placement(flags=((0, 0),) * bucket.n_functions))
+    with pytest.raises(ValueError, match="flags for"):
+        report(bucket, (False,) * (bucket.n_functions + 1))
 
 
 def test_report_row_covers_all_columns():

@@ -1,16 +1,14 @@
+import dataclasses
 import math
 
-import numpy as np
 import pytest
 
-from fogplace.costs import CostContext
+from fogplace.codec import encode
 from fogplace.model import (
-    Placement,
     ResourceKind,
     ResourceVector,
     RESOURCE_KINDS,
     SSR,
-    StateError,
     load_bucket,
     save_bucket,
     validate_bucket,
@@ -90,24 +88,6 @@ def test_critical_value_range_enforced():
         make_fn(critical=6)
 
 
-def test_placement_partial_states_allowed():
-    assert not Placement(flags=((0, 0),) * 3).is_complete()
-    p = Placement(flags=((1, 0), (0, 0), (0, 1)))
-    assert not p.is_complete()
-    assert Placement.from_fog([True, False]).flags == ((1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        Placement(flags=((1, 1),))
-
-
-def test_complete_placement_has_exactly_one_flag_fuzz():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        n = int(rng.integers(1, 12))
-        p = Placement.from_fog(rng.integers(0, 2, size=n).tolist())
-        assert p.is_complete()
-        assert all(f + c == 1 for f, c in p.flags)
-
-
 def test_bucket_serialization_round_trip(tmp_path):
     bucket = generate_bucket(GeneratorConfig(seed=4))
     path = tmp_path / "bucket.json"
@@ -117,17 +97,19 @@ def test_bucket_serialization_round_trip(tmp_path):
     assert loaded == bucket
 
 
-def test_unassigned_lookup_raises():
-    p = Placement(flags=((1, 0), (0, 0)))
-    assert not p.is_complete()
-    bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(priority=5.0), make_fn(index=1, priority=5.0)))],
-        users=[make_user(0)],
-    )
-    ctx = CostContext.from_bucket(bucket)
-    assert ctx.fog_flags(Placement(flags=((1, 0), (0, 1)))).tolist() == [True, False]
-    with pytest.raises(StateError):
-        ctx.fog_flags(p)
+def test_bucket_costs_is_built_once_per_bucket():
+    bucket = generate_bucket(GeneratorConfig(seed=4))
+    doc = encode(bucket)
+    ctx = bucket.costs
+    assert bucket.costs is ctx
+    # the cache is no field: equality, hashing and the file format ignore it
+    copy = dataclasses.replace(bucket)
+    assert copy == bucket and hash(copy) == hash(bucket) and encode(bucket) == doc
+    assert copy.costs is not ctx
+    assert copy.costs.fog_step.tolist() == ctx.fog_step.tolist()
+    slower = dataclasses.replace(
+        bucket, cloud=dataclasses.replace(bucket.cloud, link_latency=2 * bucket.cloud.link_latency))
+    assert slower.costs.norm_link == 2 * ctx.norm_link
 
 
 def test_validate_reports_non_finite_latency_and_distance_cap():
