@@ -91,6 +91,6 @@ print("\n== whole-bucket objective for two candidate placements ==")
 all_cloud = (False,) * bucket.n_functions
 mixed = (True, False, True)
 for name, placement in (("all cloud", all_cloud), ("small fns on fog", mixed)):
-    _, objective = costs.bucket_objective(bucket, placement)
+    objective = costs.bucket_objective(bucket, placement)
     step = costs.bucket_step_cost(bucket, placement)
     print(f"{name:18s}: objective sum {objective:.4f}, mean step cost {step:.4f}")

@@ -2,21 +2,20 @@
 
 Submodules:
   codec      the strict JSON codec behind every config, bucket and checkpoint file
-  model      domain entities, validation, bucket JSON files
+  model      domain entities, resource kind names, validation, bucket JSON files
   scoring    user and function priority formulas
-  costs      latency cost model and per-step placement costs
+  costs      latency cost model as per-bucket arrays, built after validation
   workload   seeded synthetic bucket generation
   env        episodic placement environment with action masking
   agent      from-scratch DQN (value network, replay, training loop)
   baselines  reference policies and the exact O(n) oracle
-  metrics    placement reports and CSV schema
+  metrics    one CSV row dict per placement, and the CSV columns
   experiment sweep runner and experiment config
   cli        command line interface
 """
 from .model import (
     EnvironmentLimits,
     Placement,
-    ResourceKind,
     ResourceVector,
     SSR,
     SSRBucket,
@@ -39,7 +38,6 @@ __all__ = [
     "GeneratorConfig",
     "Placement",
     "PlacementEnv",
-    "ResourceKind",
     "ResourceVector",
     "SSR",
     "SSRBucket",

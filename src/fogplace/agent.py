@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .codec import DecodeError, decode
-from .env import Action, EpisodeRecord, PlacementEnv
+from .env import Action, PlacementEnv
 from .model import Placement, StateError
 
 CHECKPOINT_VERSION = 1
@@ -374,6 +374,14 @@ def write_training_log(log: list[dict], path: str | Path) -> None:
             writer.writerow(row)
 
 
+@dataclass(frozen=True)
+class EpisodeRecord:
+    """The actions of one episode and their step costs, in processing order."""
+
+    actions: tuple[int, ...]
+    step_costs: tuple[float, ...]
+
+
 def greedy_rollout(net: ValueNetwork, env: PlacementEnv) -> tuple[Placement, EpisodeRecord]:
     """One epsilon=0 episode; returns the final placement and its record."""
     rng = np.random.default_rng(0)  # never consulted at epsilon 0
@@ -386,4 +394,4 @@ def greedy_rollout(net: ValueNetwork, env: PlacementEnv) -> tuple[Placement, Epi
         actions.append(int(action))
         step_costs.append(outcome.cost)
         state = outcome.next_state
-    return state.placement, env.record(actions, step_costs, state.placement)
+    return state.placement, EpisodeRecord(tuple(actions), tuple(step_costs))

@@ -19,7 +19,8 @@ def fog_first(bucket: SSRBucket) -> Placement:
 
 
 def cloud_only(bucket: SSRBucket) -> Placement:
-    return (False,) * bucket.n_functions
+    """Every function in the cloud, whose limits every function of a valid bucket fits."""
+    return (False,) * len(bucket.costs.cloud_ok)
 
 
 def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
@@ -27,8 +28,6 @@ def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
     ctx = bucket.costs
     on_fog = []
     for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
-        if not (fog_ok or cloud_ok):
-            raise ValueError("function with no feasible platform")
         pick = int(rng.integers(0, fog_ok + cloud_ok))
         on_fog.append(fog_ok and pick == 0)
     return tuple(on_fog)
@@ -37,8 +36,6 @@ def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
 def _cheaper_side(bucket: SSRBucket, fog_cost, cloud_cost, fog_wins) -> np.ndarray:
     """Fog flags of each function's feasible side; ``fog_wins`` decides when both are."""
     ctx = bucket.costs
-    if not (ctx.fog_ok | ctx.cloud_ok).all():
-        raise ValueError("function with no feasible platform")
     return ctx.fog_ok & (fog_wins(fog_cost, cloud_cost) | ~ctx.cloud_ok)
 
 

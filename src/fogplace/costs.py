@@ -9,8 +9,9 @@ argmin decisions relative to any fixed positive latency scaling.
 ``CostContext.from_bucket`` is the one place that turns a bucket into
 per-function arrays, in the bucket's flattened insertion order. It runs once
 per bucket: ``SSRBucket.costs`` builds the context on first use and keeps it.
-Environment steps, baselines, the oracle and placement reports all read those
-arrays, and a placement is one fog flag per function in that same order.
+It validates the bucket first, so environment steps, baselines, the oracle and
+placement reports, which all read those arrays, reject an invalid bucket with
+the same ``ValueError``. A placement is one fog flag per function in that order.
 Each vector keeps the operation order of the per-function formula, and every
 total adds left to right, per SSR and then over SSRs, so results do not depend
 on how many placements are evaluated at once.
@@ -37,17 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Placement, SSRBucket
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    comm: float
-    comp: float
-
-    @property
-    def total(self) -> float:
-        return self.comm + self.comp
+from .model import Placement, SSRBucket, validate_bucket
 
 
 def _running_total(values: np.ndarray) -> np.ndarray:
@@ -78,6 +69,10 @@ class CostContext:
 
     @classmethod
     def from_bucket(cls, bucket: SSRBucket) -> "CostContext":
+        """Validate the bucket, then build its arrays; ``ValueError`` if either fails."""
+        violations = validate_bucket(bucket)
+        if violations:
+            raise ValueError("invalid bucket: " + "; ".join(violations))
         for u in bucket.users:
             if u.priority is None:
                 raise ValueError(f"user {u.id} has no cached priority; score the bucket first")
@@ -88,7 +83,7 @@ class CostContext:
             l_i, p_i = by_user[ssr.user_id]
             if any(fn.priority is None for fn in ssr.functions):
                 raise ValueError("function priorities are not cached; score the bucket first")
-            top = max((fn.priority for fn in ssr.functions), default=1.0)
+            top = max(fn.priority for fn in ssr.functions)
             slots.append(range(len(fns), len(fns) + len(ssr.functions)))
             for fn in ssr.functions:
                 fns.append(fn)
@@ -96,7 +91,7 @@ class CostContext:
                 priority.append(p_i)
                 weight.append(fn.priority / top)
         n = len(fns)
-        longest = max((len(s) for s in slots), default=0)
+        longest = max(len(s) for s in slots)
         ssr_slots = np.full((len(slots), longest), n, dtype=np.intp)
         for k, s in enumerate(slots):
             ssr_slots[k, :len(s)] = s
@@ -173,12 +168,13 @@ class CostContext:
         return _running_total(comm + comp)
 
 
-def bucket_objective(bucket: SSRBucket, placement: Placement) -> tuple[list[CostBreakdown], float]:
-    """Per-SSR objective vector and its unweighted sum (the evaluation scalar)."""
+def bucket_objective(bucket: SSRBucket, placement: Placement) -> float:
+    """The unweighted sum of the per-SSR objectives (the evaluation scalar).
+
+    ``bucket.costs.objective`` gives the per-SSR communication and computation parts.
+    """
     ctx = bucket.costs
-    comm, comp = ctx.objective(ctx.on_fog(placement))
-    parts = [CostBreakdown(c, p) for c, p in zip(comm.tolist(), comp.tolist())]
-    return parts, float(_running_total(comm + comp))
+    return float(ctx.objective_total(ctx.on_fog(placement)))
 
 
 def placement_step_cost_sum(bucket: SSRBucket, placement: Placement) -> float:

@@ -12,8 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import costs
-from .model import Placement, SSRBucket, StateError, validate_bucket
+from .model import Placement, SSRBucket, StateError
 
 # Entries per function slot in the encoded state vector.
 SLOT_WIDTH = 11
@@ -44,17 +43,6 @@ class StepOutcome:
     cost: float
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    bucket_seed: int | None
-    actions: tuple[int, ...]
-    step_costs: tuple[float, ...]
-    bucket_step_cost: float
-    objective_total: float
-    fog_count: int
-    cloud_count: int
-
-
 class PlacementEnv:
     """Episodes over one bucket: ``reset`` starts one, ``step`` advances its latest state.
 
@@ -62,18 +50,10 @@ class PlacementEnv:
     of the processing order; its first two entries are the fog and cloud flags.
     """
 
-    def __init__(
-        self,
-        bucket: SSRBucket,
-        max_functions: int | None = None,
-        bucket_seed: int | None = None,
-    ):
-        violations = validate_bucket(bucket)
-        if violations:
-            raise ValueError("invalid bucket: " + "; ".join(violations))
+    def __init__(self, bucket: SSRBucket, max_functions: int | None = None):
+        """``ValueError`` on an invalid bucket (``bucket.costs`` validates it)."""
         self.bucket = bucket
         ctx = bucket.costs
-        self.bucket_seed = bucket_seed
 
         flat = bucket.functions()  # insertion order: (ssr index, fn)
         n = len(flat)
@@ -85,7 +65,6 @@ class PlacementEnv:
             return (-user_priority[flat_idx], ssr_idx, -fn_priority[flat_idx], fn.index)
         self.order = sorted(range(n), key=sort_key)
 
-        self.flat = flat
         self.n_functions = n
         self.max_functions = max_functions or n
         if self.max_functions < n:
@@ -140,17 +119,3 @@ class PlacementEnv:
         used[:, 9] = ctx.priority[visit]
         used[:, 10] = ctx.fog_ok[visit]
         return np.append(slots.ravel(), 0.0)
-
-    def record(self, actions: list[int], step_costs: list[float],
-               placement: Placement) -> EpisodeRecord:
-        _, total = costs.bucket_objective(self.bucket, placement)
-        fog_count = sum(placement)
-        return EpisodeRecord(
-            bucket_seed=self.bucket_seed,
-            actions=tuple(actions),
-            step_costs=tuple(step_costs),
-            bucket_step_cost=costs.bucket_step_cost(self.bucket, placement),
-            objective_total=total,
-            fog_count=fog_count,
-            cloud_count=len(placement) - fog_count,
-        )

@@ -79,9 +79,8 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 def training_env_factory(cfg: ExperimentConfig):
     """Fresh default-config bucket per episode, seeded from the generator seed."""
     def factory(episode: int) -> PlacementEnv:
-        seed = cfg.generator.seed + episode
-        bucket = generate_bucket(cfg.generator, seed=seed)
-        return PlacementEnv(bucket, max_functions=MAX_FUNCTIONS, bucket_seed=seed)
+        bucket = generate_bucket(cfg.generator, seed=cfg.generator.seed + episode)
+        return PlacementEnv(bucket, max_functions=MAX_FUNCTIONS)
     return factory
 
 
@@ -125,19 +124,15 @@ def run_compare(cfg: ExperimentConfig, net: ValueNetwork | None) -> list[dict]:
             for algorithm in cfg.algorithms:
                 rng = np.random.default_rng(seed)
                 placement = run_placement(algorithm, bucket, net, rng)
-                rep = metrics.report(bucket, placement)
-                rows.append(metrics.report_row(rep, run, algorithm, total, seed))
+                rows.append({"run": run, "algorithm": algorithm, "total_functions": total,
+                             "seed": seed, **metrics.report(bucket, placement)})
     order = {name: i for i, name in enumerate(cfg.algorithms)}
     rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))
     return rows
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
-    """Mean of each numeric column per (algorithm, total_functions) group."""
-    numeric = [
-        c for c in metrics.REPORT_COLUMNS
-        if c not in ("run", "algorithm", "seed", "total_functions")
-    ]
+    """Mean of each placement column per (algorithm, total_functions) group."""
     groups: dict[tuple[str, int], list[dict]] = {}
     for row in rows:
         groups.setdefault((row["algorithm"], row["total_functions"]), []).append(row)
@@ -145,7 +140,7 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
     for (algorithm, total) in sorted(groups, key=lambda k: (k[1], k[0])):
         members = groups[(algorithm, total)]
         agg: dict = {"algorithm": algorithm, "total_functions": total, "runs": len(members)}
-        for col in numeric:
+        for col in metrics.PLACEMENT_COLUMNS:
             values = [m[col] for m in members if m[col] is not None]
             agg[col] = sum(values) / len(values) if values else None
         out.append(agg)
@@ -167,7 +162,4 @@ def write_detail_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_mean_csv(rows: list[dict], path: str | Path) -> None:
-    columns = ["algorithm", "total_functions", "runs"] + [
-        c for c in metrics.REPORT_COLUMNS if c not in ("run", "algorithm", "seed", "total_functions")
-    ]
-    write_csv(rows, columns, path)
+    write_csv(rows, ["algorithm", "total_functions", "runs"] + metrics.PLACEMENT_COLUMNS, path)

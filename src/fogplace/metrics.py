@@ -6,31 +6,22 @@ rounded by whoever plots them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import RESOURCE_KINDS, Placement, ResourceKind, SSRBucket
+from .model import RESOURCE_KINDS, Placement, SSRBucket
 
-
-@dataclass(frozen=True)
-class PlacementReport:
-    n_functions: int
-    fog_fraction: float  # % of functions
-    cloud_fraction: float
-    demand_fog_pct: dict[ResourceKind, float]
-    demand_cloud_pct: dict[ResourceKind, float]
-    avg_code_fog: float | None
-    avg_code_cloud: float | None
-    avg_input_fog: float | None
-    avg_input_cloud: float | None
-    avg_critical_fog: float | None
-    avg_critical_cloud: float | None
-    avg_priority_fog: float | None
-    avg_priority_cloud: float | None
-    critical_counts: dict[int, tuple[int, int]]  # value -> (fog, cloud)
-    total_step_cost: float
-    objective_sum: float
+# the columns ``report`` fills, in CSV order; the mean CSV averages each of them
+PLACEMENT_COLUMNS = (
+    ["n_functions", "fog_fraction", "cloud_fraction"]
+    + [f"{kind}_fog_pct" for kind in RESOURCE_KINDS]
+    + [f"{kind}_cloud_pct" for kind in RESOURCE_KINDS]
+    + ["avg_code_fog", "avg_code_cloud", "avg_input_fog", "avg_input_cloud",
+       "avg_critical_fog", "avg_critical_cloud", "avg_priority_fog", "avg_priority_cloud"]
+    + [f"crit{v}_fog" for v in range(1, 6)]
+    + [f"crit{v}_cloud" for v in range(1, 6)]
+    + ["total_step_cost", "objective_sum"]
+)
+REPORT_COLUMNS = ["run", "algorithm", "total_functions", "seed"] + PLACEMENT_COLUMNS
 
 
 def _running_totals(values: np.ndarray) -> list[float]:
@@ -38,12 +29,22 @@ def _running_totals(values: np.ndarray) -> list[float]:
     return np.cumsum(values, axis=0)[-1].tolist()
 
 
-def report(bucket: SSRBucket, placement: Placement) -> PlacementReport:
+def report(bucket: SSRBucket, placement: Placement) -> dict:
+    """One CSV row dict per placement: a value for each of ``PLACEMENT_COLUMNS``.
+
+    Fractions and demand shares are percentages; ``critN_fog``/``critN_cloud``
+    count the functions of critical value N on each side.
+    """
     ctx = bucket.costs
     on_fog = ctx.on_fog(placement)
     n = len(on_fog)
     n_fog = int(on_fog.sum())
     n_cloud = n - n_fog
+    row: dict = {
+        "n_functions": n,
+        "fog_fraction": 100.0 * n_fog / n,
+        "cloud_fraction": 100.0 * n_cloud / n,
+    }
 
     # the four demand kinds, then code size, input size, critical value, priority
     table = np.column_stack(
@@ -53,78 +54,20 @@ def report(bucket: SSRBucket, placement: Placement) -> PlacementReport:
     fog_sums = _running_totals(np.where(on_fog[:, None], table, 0.0))
     cloud_sums = _running_totals(np.where(on_fog[:, None], 0.0, table))
 
-    demand_fog_pct = {}
-    demand_cloud_pct = {}
     for k, kind in enumerate(RESOURCE_KINDS):
-        total = totals[k]
-        demand_fog_pct[kind] = 100.0 * fog_sums[k] / total if total else 0.0
-        demand_cloud_pct[kind] = 100.0 - demand_fog_pct[kind] if total else 0.0
-    fog_means = [v / n_fog if n_fog else None for v in fog_sums[4:]]
-    cloud_means = [v / n_cloud if n_cloud else None for v in cloud_sums[4:]]
+        fog_pct = 100.0 * fog_sums[k] / totals[k] if totals[k] else 0.0
+        row[f"{kind}_fog_pct"] = fog_pct
+        row[f"{kind}_cloud_pct"] = 100.0 - fog_pct if totals[k] else 0.0
+    for k, name in enumerate(("code", "input", "critical", "priority"), start=4):
+        row[f"avg_{name}_fog"] = fog_sums[k] / n_fog if n_fog else None
+        row[f"avg_{name}_cloud"] = cloud_sums[k] / n_cloud if n_cloud else None
 
     fog_counts = np.bincount(ctx.critical[on_fog], minlength=6).tolist()
     cloud_counts = np.bincount(ctx.critical[~on_fog], minlength=6).tolist()
-    counts = {v: (fog_counts[v], cloud_counts[v]) for v in range(1, 6)}
+    for v in range(1, 6):
+        row[f"crit{v}_fog"] = fog_counts[v]
+        row[f"crit{v}_cloud"] = cloud_counts[v]
 
-    return PlacementReport(
-        n_functions=n,
-        fog_fraction=100.0 * n_fog / n,
-        cloud_fraction=100.0 * n_cloud / n,
-        demand_fog_pct=demand_fog_pct,
-        demand_cloud_pct=demand_cloud_pct,
-        avg_code_fog=fog_means[0],
-        avg_code_cloud=cloud_means[0],
-        avg_input_fog=fog_means[1],
-        avg_input_cloud=cloud_means[1],
-        avg_critical_fog=fog_means[2],
-        avg_critical_cloud=cloud_means[2],
-        avg_priority_fog=fog_means[3],
-        avg_priority_cloud=cloud_means[3],
-        critical_counts=counts,
-        total_step_cost=float(ctx.step_cost_sum(on_fog)),
-        objective_sum=float(ctx.objective_total(on_fog)),
-    )
-
-
-REPORT_COLUMNS = (
-    ["run", "algorithm", "total_functions", "seed", "n_functions",
-     "fog_fraction", "cloud_fraction"]
-    + [f"{k.value}_fog_pct" for k in RESOURCE_KINDS]
-    + [f"{k.value}_cloud_pct" for k in RESOURCE_KINDS]
-    + ["avg_code_fog", "avg_code_cloud", "avg_input_fog", "avg_input_cloud",
-       "avg_critical_fog", "avg_critical_cloud", "avg_priority_fog", "avg_priority_cloud"]
-    + [f"crit{v}_fog" for v in range(1, 6)]
-    + [f"crit{v}_cloud" for v in range(1, 6)]
-    + ["total_step_cost", "objective_sum"]
-)
-
-
-def report_row(
-    rep: PlacementReport, run: int, algorithm: str, total_functions: int, seed: int
-) -> dict:
-    row: dict = {
-        "run": run,
-        "algorithm": algorithm,
-        "total_functions": total_functions,
-        "seed": seed,
-        "n_functions": rep.n_functions,
-        "fog_fraction": rep.fog_fraction,
-        "cloud_fraction": rep.cloud_fraction,
-        "avg_code_fog": rep.avg_code_fog,
-        "avg_code_cloud": rep.avg_code_cloud,
-        "avg_input_fog": rep.avg_input_fog,
-        "avg_input_cloud": rep.avg_input_cloud,
-        "avg_critical_fog": rep.avg_critical_fog,
-        "avg_critical_cloud": rep.avg_critical_cloud,
-        "avg_priority_fog": rep.avg_priority_fog,
-        "avg_priority_cloud": rep.avg_priority_cloud,
-        "total_step_cost": rep.total_step_cost,
-        "objective_sum": rep.objective_sum,
-    }
-    for kind in RESOURCE_KINDS:
-        row[f"{kind.value}_fog_pct"] = rep.demand_fog_pct[kind]
-        row[f"{kind.value}_cloud_pct"] = rep.demand_cloud_pct[kind]
-    for value, (fog_n, cloud_n) in rep.critical_counts.items():
-        row[f"crit{value}_fog"] = fog_n
-        row[f"crit{value}_cloud"] = cloud_n
+    row["total_step_cost"] = float(ctx.step_cost_sum(on_fog))
+    row["objective_sum"] = float(ctx.objective_total(on_fog))
     return row

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,20 +22,8 @@ if TYPE_CHECKING:
     from .costs import CostContext
 
 
-class ResourceKind(Enum):
-    CPU = "cpu"
-    RAM = "ram"
-    STORAGE = "storage"
-    NET_IO = "net_io"
-
-
-# Fixed iteration order; all per-kind loops use this tuple for determinism.
-RESOURCE_KINDS = (
-    ResourceKind.CPU,
-    ResourceKind.RAM,
-    ResourceKind.STORAGE,
-    ResourceKind.NET_IO,
-)
+# The ``ResourceVector`` field names, in the fixed order of every per-kind loop.
+RESOURCE_KINDS = ("cpu", "ram", "storage", "net_io")
 
 
 class StateError(RuntimeError):
@@ -60,26 +47,12 @@ class ResourceVector:
         # the chained comparison is False for NaN and infinities
         if not (0 <= self.cpu < math.inf and 0 <= self.ram < math.inf
                 and 0 <= self.storage < math.inf and 0 <= self.net_io < math.inf):
-            for name, v in zip(("cpu", "ram", "storage", "net_io"), self.as_tuple()):
+            for name, v in zip(RESOURCE_KINDS, self.as_tuple()):
                 if not 0 <= v < math.inf:
                     raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
-    def get(self, kind: ResourceKind) -> float:
-        return getattr(self, kind.value)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.ram, self.storage, self.net_io)
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu + other.cpu,
-            self.ram + other.ram,
-            self.storage + other.storage,
-            self.net_io + other.net_io,
-        )
-
-    def fits_within(self, cap: "ResourceVector") -> bool:
-        return all(a <= b for a, b in zip(self.as_tuple(), cap.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -233,7 +206,8 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
     if not (math.isfinite(bucket.distance_cap) and bucket.distance_cap > 0):
         violations.append(f"distance cap {bucket.distance_cap} must be finite and > 0")
 
-    if not bucket.fog.per_function_cap.fits_within(bucket.cloud.per_function_cap):
+    fog_cap, cloud_cap = bucket.fog.per_function_cap, bucket.cloud.per_function_cap
+    if not all(f <= c for f, c in zip(fog_cap.as_tuple(), cloud_cap.as_tuple())):
         violations.append("fog per-function cap exceeds cloud cap in some component")
 
     for u in bucket.users:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .model import SSR, SSRBucket, ServerlessFunction, User
+from .model import SSRBucket
 
 # Makes the maximum function priority exactly 5, matching the convention
 # that top functions within an SSR carry priority value 5.
@@ -47,48 +47,28 @@ def user_priority(pd: float, pl: float, p_omega: float) -> float:
     return p_omega * pd + pl * (1 - p_omega)
 
 
-def _largest_sizes(code_sizes, input_sizes, delta: float) -> tuple[float, float]:
-    """The largest code and input size of one non-empty SSR, checked for the formula."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not code_sizes:
-        raise ValueError("SSR has no functions")
-    max_code, max_input = max(code_sizes), max(input_sizes)
-    if max_code == 0 or max_input == 0:
-        raise ValueError("degenerate SSR: zero maximum code or input size")
-    return max_code, max_input
-
-
-def _priority(critical: int, code_size: float, input_size: float,
-              max_code: float, max_input: float, delta: float) -> float:
-    critical_term = (5 - critical) / 5
-    code_term = (max_code - code_size) / max_code
-    input_term = (max_input - input_size) / max_input
-    return 1.0 / (delta + critical_term * code_term * input_term)
-
-
-def function_priority(fn: ServerlessFunction, ssr: SSR, delta: float = DEFAULT_DELTA) -> float:
-    """Preference of a function for fog placement, in [1/(delta+1), 1/delta].
-
-    Higher critical value and larger code/input size (relative to the
-    largest in the same SSR) all push the priority up.
-    """
-    largest = _largest_sizes([f.code_size for f in ssr.functions],
-                             [f.input_size for f in ssr.functions], delta)
-    return _priority(fn.critical_value, fn.code_size, fn.input_size, *largest, delta)
-
-
 def ssr_priorities(critical: list[int], code_sizes: list[float], input_sizes: list[float],
                    delta: float = DEFAULT_DELTA) -> list[float]:
-    """``function_priority`` of every function of one SSR, given column by column.
+    """Preference of each function of one SSR for fog placement, given column by column.
 
-    The SSR's largest code and input sizes are taken once, not per function.
+    Every priority lies in [1/(delta+1), 1/delta]. Higher critical value and
+    larger code/input size (relative to the largest in the same SSR) all push
+    it up; the SSR's largest code and input sizes are taken once.
     """
     if not code_sizes:
         return []
-    largest = _largest_sizes(code_sizes, input_sizes, delta)
-    return [_priority(c, code, size, *largest, delta)
-            for c, code, size in zip(critical, code_sizes, input_sizes)]
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    max_code, max_input = max(code_sizes), max(input_sizes)
+    if max_code == 0 or max_input == 0:
+        raise ValueError("degenerate SSR: zero maximum code or input size")
+    priorities = []
+    for c, code, size in zip(critical, code_sizes, input_sizes):
+        critical_term = (5 - c) / 5
+        code_term = (max_code - code) / max_code
+        input_term = (max_input - size) / max_input
+        priorities.append(1.0 / (delta + critical_term * code_term * input_term))
+    return priorities
 
 
 def user_priorities(positions: list[tuple[float, float]], latencies: list[float],

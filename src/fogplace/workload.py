@@ -62,21 +62,16 @@ class GeneratorConfig:
         if not 1 <= self.critical_value[0] <= self.critical_value[1] <= 5:
             raise ValueError(f"critical_value range {self.critical_value} outside 1..5")
 
-    def demand_ranges(self) -> dict:
-        return {
-            RESOURCE_KINDS[0]: self.cpu_demand,
-            RESOURCE_KINDS[1]: self.ram_demand,
-            RESOURCE_KINDS[2]: self.storage_demand,
-            RESOURCE_KINDS[3]: self.net_io_demand,
-        }
+    def demand_ranges(self) -> dict[str, Range]:
+        return {kind: getattr(self, f"{kind}_demand") for kind in RESOURCE_KINDS}
 
 
 def _check_cloud_feasibility(cfg: GeneratorConfig) -> None:
     cap = cfg.cloud.per_function_cap
     for kind, (lo, hi) in cfg.demand_ranges().items():
-        if hi > cap.get(kind):
+        if hi > getattr(cap, kind):
             raise GenerationError(
-                f"{kind.value} demand range max {hi} exceeds cloud cap {cap.get(kind)}"
+                f"{kind} demand range max {hi} exceeds cloud cap {getattr(cap, kind)}"
             )
     if cfg.code_size[1] > cfg.cloud.code_size_limit:
         raise GenerationError("code size range exceeds cloud code size limit")

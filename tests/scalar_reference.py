@@ -18,7 +18,6 @@ from fogplace.env import SLOT_WIDTH
 from fogplace.model import (
     RESOURCE_KINDS,
     Placement,
-    ResourceKind,
     ResourceVector,
     SSR,
     SSRBucket,
@@ -30,11 +29,12 @@ from fogplace.model import (
 from fogplace.scoring import distance_priority, latency_priority, user_distance, user_priority
 from fogplace.workload import _check_cloud_feasibility
 
-_COMPUTE_KINDS = (ResourceKind.CPU, ResourceKind.RAM, ResourceKind.STORAGE)
+_COMPUTE_KINDS = ("cpu", "ram", "storage")
 
 
 def total_demand(fn):
-    return fn.base_demand + fn.supplementary_demand
+    base, extra = fn.base_demand.as_tuple(), fn.supplementary_demand.as_tuple()
+    return ResourceVector(*(b + e for b, e in zip(base, extra)))
 
 
 def per_function_cap(f_flag, c_flag, fog, cloud):
@@ -45,7 +45,8 @@ def per_function_cap(f_flag, c_flag, fog, cloud):
 
 
 def _compute_ratios(demand, cap, weights):
-    cpu, ram, storage = (demand.get(x) / cap.get(x) * weights.get(x) for x in _COMPUTE_KINDS)
+    cpu, ram, storage = (getattr(demand, x) / getattr(cap, x) * getattr(weights, x)
+                         for x in _COMPUTE_KINDS)
     return cpu + ram + storage
 
 
@@ -153,7 +154,7 @@ def encode(bucket, order, flags, cursor, max_functions):
         row[base + 3] = fn.input_size / cloud.input_size_limit
         row[base + 4] = fn.critical_value / 5
         for k, kind in enumerate(RESOURCE_KINDS):
-            row[base + 5 + k] = demand.get(kind) / cap.get(kind)
+            row[base + 5 + k] = getattr(demand, kind) / getattr(cap, kind)
         row[base + 9] = user.priority
         row[base + 10] = 1.0 if fog_feasible(fn, bucket.fog) else 0.0
     row[-1] = cursor / len(flat)
@@ -248,8 +249,8 @@ def _sample_function(cfg, rng, ssr_index, index):
     for kind, (lo, hi) in cfg.demand_ranges().items():
         total = rng.uniform(lo, hi)
         split = rng.uniform(0.0, 1.0)
-        base[kind.value] = total * split
-        supplementary[kind.value] = total - total * split
+        base[kind] = total * split
+        supplementary[kind] = total - total * split
     return ServerlessFunction(
         ssr_index=ssr_index,
         index=index,

@@ -65,10 +65,8 @@ def test_criterion_1_formula_suite():
     tol = 1e-9
     half_cap = make_limits(cpu=2, ram=2, storage=2, net_io=2, code=500, input_size=2500)
     ones = make_fn(base=ResourceVector(1, 1, 1, 1))
-    ssr = SSR(user_id=0, functions=(
-        make_fn(critical=1, code=100, input_size=500),
-        make_fn(index=1, critical=5, code=500, input_size=2500),
-    ))
+    # function priorities of an SSR with (critical, code, input) (1, 100, 500), (5, 500, 2500)
+    fn_priorities = scoring.ssr_priorities([1, 5], [100.0, 500.0], [500.0, 2500.0], 0.2)
     users = [make_user(0, latency=50, priority=0.5), make_user(1, latency=50, priority=0.5)]
     two_ssrs = make_bucket(
         [SSR(user_id=0, functions=tuple(make_fn(0, j, priority=5.0) for j in range(2))),
@@ -89,8 +87,8 @@ def test_criterion_1_formula_suite():
         abs(scoring.distance_priority(25.0, 100.0) - 0.25) < tol,
         abs(scoring.latency_priority(20.0, [20.0, 80.0]) - 0.25) < tol,
         abs(scoring.user_priority(0.4, 0.8, 0.5) - 0.6) < tol,
-        abs(scoring.function_priority(ssr.functions[0], ssr, 0.2) - 1 / 0.712) < tol,
-        abs(scoring.function_priority(ssr.functions[1], ssr, 0.2) - 5.0) < tol,
+        abs(fn_priorities[0] - 1 / 0.712) < tol,
+        abs(fn_priorities[1] - 5.0) < tol,
         abs(comm.objective_total(on_fog) - 0.6) < tol,
         abs(comm.objective_total(on_cloud) - 0.7) < tol,
         abs(fog_comp.fog_comp[0] - 0.425) < tol,

@@ -23,8 +23,7 @@ def tiny_env_factory(gen_seed=0):
     cfg = GeneratorConfig(seed=gen_seed, n_ssrs=(2, 2), functions_per_ssr=(2, 3))
 
     def factory(episode):
-        return PlacementEnv(generate_bucket(cfg, seed=episode),
-                            max_functions=6, bucket_seed=episode)
+        return PlacementEnv(generate_bucket(cfg, seed=episode), max_functions=6)
 
     return factory
 
@@ -258,7 +257,7 @@ def test_train_single_function_bandit_converges():
     )
 
     def factory(episode):
-        return PlacementEnv(generate_bucket(cfg), bucket_seed=0)
+        return PlacementEnv(generate_bucket(cfg))
 
     agent_cfg = AgentConfig(episodes=400, gamma=0.0, seed=1,
                             hidden_sizes=(16,), batch_size=16)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogplace.agent import AgentConfig
+from fogplace.agent import AgentConfig, EpisodeRecord
 from fogplace.codec import DecodeError, decode, encode
 from fogplace.env import Action, PlacementEnv
 from fogplace.experiment import ALGORITHMS, ExperimentConfig, load_config, save_config
@@ -114,7 +114,7 @@ def test_decode_rejects_shapes(doc, message):
 
 def episode_record():
     bucket = generate_bucket(GeneratorConfig(seed=5, n_ssrs=(2, 3), functions_per_ssr=(2, 4)))
-    env = PlacementEnv(bucket, bucket_seed=5)
+    env = PlacementEnv(bucket)
     rng = np.random.default_rng(1)
     state, actions, step_costs = env.reset(), [], []
     while not state.done:
@@ -124,7 +124,7 @@ def episode_record():
         actions.append(int(action))
         step_costs.append(outcome.cost)
         state = outcome.next_state
-    return env.record(actions, step_costs, state.placement)
+    return EpisodeRecord(tuple(actions), tuple(step_costs))
 
 
 ROUND_TRIP_INPUTS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import scalar_reference as ref
-from fogplace import costs
+from fogplace import baselines, costs, metrics
 from fogplace.env import Action, PlacementEnv
 from fogplace.model import ResourceVector, SSR, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
@@ -40,16 +40,44 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
             costs.placement_step_cost_sum(simple_bucket, placement)
 
 
+INVALID_BUCKETS = {
+    "empty": lambda: make_bucket(ssrs=[], users=[make_user(0)]),
+    "code-above-cloud-limit": lambda: make_bucket(
+        ssrs=[SSR(user_id=0, functions=(make_fn(code=600.0, priority=5.0),))],
+        users=[make_user(0)]),
+}
+BUCKET_CONSUMERS = {
+    "report": lambda b: metrics.report(b, (False,) * b.n_functions),
+    "placement_step_cost_sum": lambda b: costs.placement_step_cost_sum(b, (False,) * b.n_functions),
+    "bucket_step_cost": lambda b: costs.bucket_step_cost(b, (False,) * b.n_functions),
+    "bucket_objective": lambda b: costs.bucket_objective(b, (False,) * b.n_functions),
+    "exact_optimum": baselines.exact_optimum,
+    "greedy_cost": baselines.greedy_cost,
+    "fog_first": baselines.fog_first,
+    "cloud_only": baselines.cloud_only,
+    "random_feasible": lambda b: baselines.random_feasible(b, np.random.default_rng(0)),
+    "PlacementEnv": PlacementEnv,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(BUCKET_CONSUMERS))
+@pytest.mark.parametrize("bucket", sorted(INVALID_BUCKETS))
+def test_every_consumer_rejects_an_invalid_bucket(bucket, consumer):
+    with pytest.raises(ValueError, match="invalid bucket"):
+        BUCKET_CONSUMERS[consumer](INVALID_BUCKETS[bucket]())
+
+
 def test_total_demand():
     ctx = kernel_for([
         make_fn(base=ResourceVector(1, 100, 10, 10)),
         make_fn(index=1, base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
         make_fn(index=2),
-    ])
+    ], cloud=make_limits())
     assert ctx.demand.tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
 
 
 def test_ssr_demand_sums():
+    # SSR 0 is shorter than SSR 1, so its padded slot is summed too
     users = [make_user(0), make_user(1), make_user(2)]
     bucket = make_bucket(ssrs=[
         SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
@@ -57,11 +85,10 @@ def test_ssr_demand_sums():
             make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
             make_fn(index=1, base=ResourceVector(2, 200, 20, 20), priority=1.0),
         )),
-        SSR(user_id=2, functions=()),
     ], users=users)
     ctx = bucket.costs
     per_ssr = ctx.ssr_sums(ctx.demand.T)  # one row per resource kind
-    assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30], [0, 0, 0, 0]]
+    assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30]]
 
 
 def test_comm_latency_fn():
@@ -107,13 +134,19 @@ def test_step_cost_cloud():
     assert ctx.cloud_step[0] == 0.0
 
 
+def objective_parts(bucket, placement):
+    """Per-SSR (communication, computation) objective terms of a placement."""
+    comm, comp = bucket.costs.objective(bucket.costs.on_fog(placement))
+    return list(zip(comm.tolist(), comp.tolist()))
+
+
 def test_ssr_comm_latency(simple_bucket):
     # SSR 0: user priority 0.6, normalized link 0.1; SSR 1: priority 0.5
-    parts, _ = costs.bucket_objective(simple_bucket, (True, False, False))
-    assert parts[0].comm == pytest.approx(1.3, abs=1e-9)
-    assert parts[1].comm == pytest.approx(0.6, abs=1e-9)
-    parts, _ = costs.bucket_objective(simple_bucket, (True, False, True))
-    assert parts[1].comm == pytest.approx(0.5, abs=1e-9)
+    parts = objective_parts(simple_bucket, (True, False, False))
+    assert parts[0][0] == pytest.approx(1.3, abs=1e-9)
+    assert parts[1][0] == pytest.approx(0.6, abs=1e-9)
+    parts = objective_parts(simple_bucket, (True, False, True))
+    assert parts[1][0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ssr_comp_latency_priority_weighting(simple_bucket):
@@ -130,8 +163,8 @@ def test_ssr_comp_latency_priority_weighting(simple_bucket):
         fog=HALF_CAP, cloud=dataclasses.replace(HALF_CAP, link_latency=10.0),
     )
     # fog placement, user 0: l_i = 0.4 -> per-function comp 0.425
-    parts, _ = costs.bucket_objective(bucket, (True,) * 3)
-    assert parts[0].comp == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
+    _, comp = objective_parts(bucket, (True,) * 3)[0]
+    assert comp == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
 
 
 def test_ssr_comp_latency_two_term_hand_value(simple_bucket):
@@ -142,11 +175,11 @@ def test_ssr_comp_latency_two_term_hand_value(simple_bucket):
 
 
 def test_ssr_objective_total(simple_bucket):
-    parts, total = costs.bucket_objective(simple_bucket, (True, False, True))
-    breakdown = parts[0]
-    assert breakdown.total == pytest.approx(breakdown.comm + breakdown.comp, abs=1e-12)
-    # zero-demand functions: comp is 0, total is the comm latency 1.3
-    assert breakdown.total == pytest.approx(1.3, abs=1e-9)
+    comm, comp = objective_parts(simple_bucket, (True, False, True))[0]
+    # zero-demand functions: comp is 0, the SSR total is the comm latency 1.3
+    assert comp == 0.0
+    assert comm + comp == pytest.approx(1.3, abs=1e-9)
+    total = costs.bucket_objective(simple_bucket, (True, False, True))
     assert total == pytest.approx(1.3 + 0.5, abs=1e-9)
 
 
@@ -198,8 +231,8 @@ def test_step_cost_monotone_in_demand_fuzz():
         kind = int(rng.integers(0, 4))
         bump = [0.0] * 4
         bump[kind] = float(rng.uniform(0.01, 1.0))
-        bigger = dataclasses.replace(
-            fn, index=1, base_demand=fn.base_demand + ResourceVector(*bump))
+        grown = [d + b for d, b in zip(fn.base_demand.as_tuple(), bump)]
+        bigger = dataclasses.replace(fn, index=1, base_demand=ResourceVector(*grown))
         ctx = kernel_for([fn, bigger], fog=caps, cloud=caps,
                          latency=float(rng.uniform(1, 100)), link=float(rng.uniform(1, 100)),
                          priority=0.5)
@@ -288,10 +321,9 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
             placement = tuple(on_fog.tolist())
             assert costs.placement_step_cost_sum(bucket, placement) == ref.step_cost_sum(
                 bucket, placement)
-            parts, total = costs.bucket_objective(bucket, placement)
             ref_parts, ref_total = ref.ssr_objectives(bucket, placement)
-            assert [(p.comm, p.comp) for p in parts] == ref_parts
-            assert total == ref_total
+            assert objective_parts(bucket, placement) == ref_parts
+            assert costs.bucket_objective(bucket, placement) == ref_total
     assert free > 50 and forced > 50
 
 

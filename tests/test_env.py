@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from fogplace import costs
+from fogplace import costs, model
 from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
 from fogplace.model import (
     ResourceVector,
@@ -122,11 +123,11 @@ def test_step_rejects_masked_action():
 def test_episode_costs_match_ssr_recomputation():
     bucket = small_bucket(3)
     env = PlacementEnv(bucket)
-    state, actions, step_costs = run_random_episode(env, np.random.default_rng(0))
+    state, _, step_costs = run_random_episode(env, np.random.default_rng(0))
     expected = costs.placement_step_cost_sum(bucket, state.placement)
     assert sum(step_costs) == pytest.approx(expected, abs=1e-9)
-    record = env.record(actions, step_costs, state.placement)
-    assert record.bucket_step_cost == pytest.approx(expected / len(bucket.ssrs), abs=1e-9)
+    assert costs.bucket_step_cost(bucket, state.placement) == pytest.approx(
+        expected / len(bucket.ssrs), abs=1e-9)
 
 
 def test_episode_length_and_constraints_fuzz():
@@ -199,7 +200,8 @@ def test_processing_order_priority_vs_insertion():
     pri = PlacementEnv(bucket)
     assert sorted(pri.order) == list(range(bucket.n_functions))
     # SSR-major: user priorities along the visit order are non-increasing
-    visited_users = [bucket.users[bucket.ssrs[pri.flat[i][0]].user_id].priority
+    flat = bucket.functions()
+    visited_users = [bucket.users[bucket.ssrs[flat[i][0]].user_id].priority
                      for i in pri.order]
     blocks = []
     for p in visited_users:
@@ -234,3 +236,20 @@ def test_empty_bucket_rejected(ssrs, users):
     assert validate_bucket(bucket) == ["bucket has no functions"]
     with pytest.raises(ValueError, match="invalid bucket: bucket has no functions"):
         PlacementEnv(bucket)
+
+
+def test_bucket_is_validated_once_per_bucket_object(monkeypatch):
+    # as a training factory does: a fresh environment per episode on one bucket
+    original, calls = model.validate_bucket, []
+
+    def counting(bucket):
+        calls.append(bucket)
+        return original(bucket)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fogplace" and getattr(module, "validate_bucket", None) is original:
+            monkeypatch.setattr(module, "validate_bucket", counting)
+    bucket = small_bucket()
+    for _ in range(80):
+        PlacementEnv(bucket)
+    assert calls == [bucket]

@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fogplace
 from fogplace.agent import AgentConfig, train
 from fogplace.baselines import greedy_cost
 from fogplace.cli import main
@@ -461,3 +467,18 @@ def test_cli_bucket_that_is_not_json_is_runtime_error(tmp_path, command):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main([command, str(bad)]) == 1
+
+
+def test_output_digests_tool_prints_one_line_per_output():
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(fogplace.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "tools" / "output_digests.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
+        "bucket.json", "sweep.json", "run/checkpoint.json", "run/training_log.csv",
+        "results/results_detail.csv", "results/results_mean.csv", "oracle stdout",
+    ]

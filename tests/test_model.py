@@ -5,7 +5,6 @@ import pytest
 
 from fogplace.codec import encode
 from fogplace.model import (
-    ResourceKind,
     ResourceVector,
     RESOURCE_KINDS,
     SSR,
@@ -15,12 +14,13 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_user
+from conftest import make_bucket, make_fn, make_limits, make_user
 
 
 def test_resource_kinds_fixed_order():
-    assert [k.value for k in RESOURCE_KINDS] == ["cpu", "ram", "storage", "net_io"]
-    assert len(ResourceKind) == 4
+    assert RESOURCE_KINDS == ("cpu", "ram", "storage", "net_io")
+    vector = ResourceVector(1, 2, 3, 4)
+    assert tuple(getattr(vector, kind) for kind in RESOURCE_KINDS) == vector.as_tuple()
 
 
 def test_resource_vector_rejects_negative_and_nonfinite():
@@ -30,12 +30,19 @@ def test_resource_vector_rejects_negative_and_nonfinite():
         ResourceVector(ram=math.inf)
 
 
-def test_resource_vector_addition_and_fit():
-    a = ResourceVector(1, 100, 10, 10)
-    b = ResourceVector(1, 50, 20, 30)
-    assert (a + b).as_tuple() == (2, 150, 30, 40)
-    assert a.fits_within(ResourceVector(1, 100, 10, 10))
-    assert not (a + b).fits_within(ResourceVector(1, 100, 10, 10))
+def test_validate_fog_cap_above_cloud_cap_reported():
+    def violations(fog_cap):
+        bucket = make_bucket(
+            ssrs=[SSR(user_id=0, functions=(make_fn(),))], users=[make_user(0)],
+            fog=make_limits(*fog_cap), cloud=make_limits(1, 100, 10, 10),
+        )
+        return [v for v in validate_bucket(bucket) if "fog per-function cap" in v]
+
+    assert violations((1, 100, 10, 10)) == []  # equal caps fit
+    for kind in range(4):
+        fog_cap = [1, 100, 10, 10]
+        fog_cap[kind] += 1
+        assert violations(fog_cap) == ["fog per-function cap exceeds cloud cap in some component"]
 
 
 def test_validate_empty_ssr_reported():

@@ -9,6 +9,13 @@ from fogplace.model import SSR
 from conftest import make_fn
 
 
+def priorities(ssr, delta=scoring.DEFAULT_DELTA):
+    """The function priorities of one SSR, in its function order."""
+    fns = ssr.functions
+    return scoring.ssr_priorities([f.critical_value for f in fns], [f.code_size for f in fns],
+                                  [f.input_size for f in fns], delta)
+
+
 def test_user_distance_345_triangle():
     assert scoring.user_distance((0, 0), (3, 4)) == pytest.approx(5.0, abs=1e-9)
 
@@ -86,7 +93,7 @@ def test_function_priority_max_critical():
         make_fn(critical=5, code=100, input_size=500),
         make_fn(index=1, critical=2, code=500, input_size=2500),
     ))
-    assert scoring.function_priority(ssr.functions[0], ssr, delta=0.2) == pytest.approx(5.0)
+    assert priorities(ssr, delta=0.2)[0] == pytest.approx(5.0)
 
 
 def test_function_priority_max_code_size():
@@ -94,7 +101,7 @@ def test_function_priority_max_code_size():
         make_fn(critical=1, code=500, input_size=100),
         make_fn(index=1, critical=1, code=100, input_size=2500),
     ))
-    assert scoring.function_priority(ssr.functions[0], ssr, delta=0.2) == pytest.approx(5.0)
+    assert priorities(ssr, delta=0.2)[0] == pytest.approx(5.0)
 
 
 def test_function_priority_hand_value():
@@ -103,7 +110,7 @@ def test_function_priority_hand_value():
         make_fn(critical=1, code=100, input_size=500),
         make_fn(index=1, critical=5, code=500, input_size=2500),
     ))
-    value = scoring.function_priority(ssr.functions[0], ssr, delta=0.2)
+    value = priorities(ssr, delta=0.2)[0]
     assert value == pytest.approx(1 / 0.712, abs=1e-9)
     assert value == pytest.approx(1.4044943820224718, abs=1e-9)
 
@@ -111,7 +118,7 @@ def test_function_priority_hand_value():
 def test_function_priority_degenerate_ssr():
     ssr = SSR(user_id=0, functions=(make_fn(code=1.0, input_size=0.0),))
     with pytest.raises(ValueError):
-        scoring.function_priority(ssr.functions[0], ssr)
+        priorities(ssr)
 
 
 def test_function_priority_bounds_fuzz():
@@ -123,9 +130,7 @@ def test_function_priority_bounds_fuzz():
                     code=float(rng.uniform(1, 500)), input_size=float(rng.uniform(1, 2500)))
             for j in range(int(rng.integers(1, 6)))
         )
-        ssr = SSR(user_id=0, functions=fns)
-        for fn in fns:
-            p = scoring.function_priority(fn, ssr, delta)
+        for p in priorities(SSR(user_id=0, functions=fns), delta):
             assert 1 / (delta + 1) - 1e-12 <= p <= 1 / delta + 1e-12
 
 
@@ -136,8 +141,7 @@ def test_function_priority_monotone_in_critical():
         other = make_fn(index=1, critical=1, code=500, input_size=2500)
         ssr_a = SSR(user_id=0, functions=(base, other))
         ssr_b = SSR(user_id=0, functions=(bumped, other))
-        assert (scoring.function_priority(bumped, ssr_b)
-                >= scoring.function_priority(base, ssr_a))
+        assert priorities(ssr_b)[0] >= priorities(ssr_a)[0]
 
 
 def test_user_priority_fuzz_unit_interval():

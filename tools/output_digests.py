@@ -1,0 +1,78 @@
+"""Print the SHA-256 digest of every output of one fixed, tiny fogplace job.
+
+The job runs through ``fogplace.cli.main``, in this process, inside a
+temporary directory that is removed afterwards:
+
+  generate   the default bucket, and a 40-function sweep bucket
+  train      a few episodes at the compare width
+  compare    all five algorithms, including defdrel, on the sweep [10, 20]
+  oracle     on the generated default bucket
+
+One line ``<sha256>  <name>`` is printed per output file and for the oracle's
+stdout. Two source trees whose lines match wrote byte-identical outputs.
+
+Run: PYTHONPATH=<checkout>/src python tools/output_digests.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from fogplace.cli import main as fogplace
+
+CONFIG = {
+    "agent": {"episodes": 3},
+    "experiment": {
+        "sweep": [10, 20],
+        "algorithms": ["defdrel", "fog_first", "cloud_only", "random", "greedy_cost"],
+        "runs_per_point": 2,
+    },
+}
+OUTPUT_FILES = (
+    "bucket.json",
+    "sweep.json",
+    "run/checkpoint.json",
+    "run/training_log.csv",
+    "results/results_detail.csv",
+    "results/results_mean.csv",
+)
+
+
+def run(*argv: str) -> str:
+    """``fogplace <argv>``; returns its stdout and stops on a non-zero exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fogplace(list(argv))
+    if code != 0:
+        raise SystemExit(f"fogplace {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def digests(work: Path) -> list[tuple[str, str]]:
+    """(sha256, name) of every output of the job, run inside ``work``."""
+    config = work / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    run("generate", "--config", str(config), "--out", str(work / "bucket.json"))
+    run("generate", "--config", str(config), "--sweep-n", "40", "--out", str(work / "sweep.json"))
+    run("train", "--config", str(config), "--out", str(work / "run"))
+    run("compare", "--config", str(config), "--checkpoint", str(work / "run" / "checkpoint.json"),
+        "--out", str(work / "results"))
+    outputs = [(name, (work / name).read_bytes()) for name in OUTPUT_FILES]
+    outputs.append(("oracle stdout", run("oracle", str(work / "bucket.json")).encode()))
+    return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="fogplace-digests-") as tmp:
+        for digest, name in digests(Path(tmp)):
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
