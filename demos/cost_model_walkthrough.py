@@ -1,9 +1,9 @@
 """Walk through the cost model on a tiny hand-built request bucket.
 
 Two users, each with one serverless service request (SSR). We compute user
-priorities from distance and latency, function priorities from critical value
-and sizes, and then compare the per-function step cost of a fog placement
-against a cloud placement.
+priorities from distance and latency and function priorities from critical
+value and sizes, as the bucket generator does, and then compare the
+per-function step cost of a fog placement against a cloud placement.
 
 Run: python3 demos/cost_model_walkthrough.py
 """
@@ -30,39 +30,37 @@ cloud = EnvironmentLimits(
     link_latency=40.0,
 )
 
+DISTANCE_CAP, BLEND = 100.0, 0.5  # coverage radius (km), distance vs latency weight
+positions, latencies = [(30.0, 40.0), (60.0, 0.0)], [20.0, 80.0]
+user_scores = scoring.user_priorities(positions, latencies, DISTANCE_CAP, BLEND)
 
-def fn(ssr_index, index, code, inp, critical, cpu, ram, storage, net_io):
-    return ServerlessFunction(
-        ssr_index=ssr_index, index=index,
-        code_size=code, input_size=inp, critical_value=critical,
-        base_demand=ResourceVector(cpu, ram, storage, net_io),
-        supplementary_demand=ResourceVector(),
-    )
+
+def ssr(i, *rows):
+    """SSR i of user i; a row is (code MB, input MB, critical, cpu, ram, storage, net_io)."""
+    code, inp, critical = ([row[k] for row in rows] for k in range(3))
+    return SSR(user_id=i, functions=tuple(
+        ServerlessFunction(ssr_index=i, index=j, code_size=row[0], input_size=row[1],
+                           critical_value=row[2], base_demand=ResourceVector(*row[3:]),
+                           supplementary_demand=ResourceVector(), priority=p)
+        for j, (row, p) in enumerate(zip(rows, scoring.ssr_priorities(critical, code, inp)))
+    ))
 
 
 bucket = SSRBucket(
-    users=(
-        User(id=0, position=(30.0, 40.0), latency=20.0),
-        User(id=1, position=(60.0, 0.0), latency=80.0),
-    ),
+    users=tuple(User(id=i, position=pos, latency=latency, priority=p)
+                for i, (pos, latency, p) in enumerate(zip(positions, latencies, user_scores))),
     ssrs=(
-        SSR(user_id=0, functions=(
-            fn(0, 0, code=120, inp=400, critical=2, cpu=1, ram=256, storage=64, net_io=128),
-            fn(0, 1, code=480, inp=2000, critical=5, cpu=3, ram=2048, storage=512, net_io=512),
-        )),
-        SSR(user_id=1, functions=(
-            fn(1, 0, code=200, inp=900, critical=3, cpu=2, ram=512, storage=128, net_io=256),
-        )),
+        ssr(0, (120, 400, 2, 1, 256, 64, 128), (480, 2000, 5, 3, 2048, 512, 512)),
+        ssr(1, (200, 900, 3, 2, 512, 128, 256)),
     ),
     fog=fog,
     cloud=cloud,
     importance_factors=ResourceVector(0.25, 0.25, 0.25, 0.25),
-    distance_cap=100.0,
-    priority_blend=0.5,
+    distance_cap=DISTANCE_CAP,
+    priority_blend=BLEND,
 )
 
 print("== user priorities ==")
-bucket = scoring.with_priorities(bucket)
 for user in bucket.users:
     d = scoring.user_distance((0.0, 0.0), user.position)
     print(f"user {user.id}: distance {d:5.1f} km, latency {user.latency:5.1f} ms"

@@ -62,8 +62,8 @@ class ValueNetwork:
     """Rectifier MLP mapping an encoded state to one Q-value per action."""
 
     def __init__(self, input_size: int, hidden_sizes: tuple[int, ...],
-                 rng: np.random.Generator | None = None, n_actions: int = 2):
-        sizes = [input_size, *hidden_sizes, n_actions]
+                 rng: np.random.Generator | None = None):
+        sizes = [input_size, *hidden_sizes, len(Action)]
         self.sizes = sizes
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -136,7 +136,7 @@ class ValueNetwork:
             w -= lr * gw
         for b, gb in zip(self.biases, grads_b):
             b -= lr * gb
-        if not all(np.isfinite(w).all() for w in self.weights):
+        if not all(np.isfinite(p).all() for p in (*self.weights, *self.biases)):
             raise TrainingFault("non-finite network parameters after update")
 
     def copy(self) -> "ValueNetwork":

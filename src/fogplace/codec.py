@@ -2,11 +2,11 @@
 
 ``encode`` and ``decode`` follow ``dataclasses.fields`` and each class's type
 hints (resolved once per class). ``decode`` is the one place that rejects a
-malformed document: unknown or missing keys (only ``X | None`` fields may be
-absent), wrong types (a bool is not a number; a float is an int only when
-integral), non-finite numbers, and the ``ValueError``s of a dataclass's own
-checks. An int in a float field stays that int when a float holds it exactly,
-so a file that says ``2`` re-saves as ``2``.
+malformed document: unknown or missing keys (every field is required), wrong
+types (a bool is not a number; a float is an int only when integral),
+non-finite numbers, and the ``ValueError``s of a dataclass's own checks. An
+int in a float field stays that int when a float holds it exactly, so a file
+that says ``2`` re-saves as ``2``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import json
 import math
-import types
 import typing
 from typing import Any, TypeVar
 
@@ -47,11 +46,6 @@ def _fields(cls: type) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _optional(tp: Any) -> bool:
-    """True for ``X | None``, the one union the codec knows."""
-    return typing.get_origin(tp) in (typing.Union, types.UnionType)
-
-
 def _wrong(path: str, expected: str, value: Any) -> DecodeError:
     got = ("an object" if isinstance(value, dict)
            else "an array" if isinstance(value, list) else json.dumps(value))
@@ -69,21 +63,15 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
         kwargs = {}
         for name, hint in fields.items():
             where = f"{path}.{name}" if path else name
-            if name in value:
-                kwargs[name] = _decode(hint, value[name], where)
-            elif _optional(hint):
-                kwargs[name] = None
-            else:
+            if name not in value:
                 raise DecodeError(where, "missing")
+            kwargs[name] = _decode(hint, value[name], where)
         try:
             return tp(**kwargs)
         except ValueError as exc:
             raise DecodeError(path, str(exc)) from exc
     if tp is Any:
         return value
-    if _optional(tp):
-        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
-        return None if value is None else _decode(tp, value, path)
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise _wrong(path, "an array", value)

@@ -11,7 +11,10 @@ per-function arrays, in the bucket's flattened insertion order. It runs once
 per bucket: ``SSRBucket.costs`` builds the context on first use and keeps it.
 It validates the bucket first, so environment steps, baselines, the oracle and
 placement reports, which all read those arrays, reject an invalid bucket with
-the same ``ValueError``. A placement is one fog flag per function in that order.
+the same ``ValueError``. The bucket's stored priorities are used as given;
+validation has checked that each is in range. A placement is one fog flag per
+function in that order, and ``CostContext.on_fog`` rejects a fog flag on a
+function that does not fit the fog.
 Each vector keeps the operation order of the per-function formula, and every
 total adds left to right, per SSR and then over SSRs, so results do not depend
 on how many placements are evaluated at once.
@@ -73,16 +76,11 @@ class CostContext:
         violations = validate_bucket(bucket)
         if violations:
             raise ValueError("invalid bucket: " + "; ".join(violations))
-        for u in bucket.users:
-            if u.priority is None:
-                raise ValueError(f"user {u.id} has no cached priority; score the bucket first")
         max_latency = max(u.latency for u in bucket.users)
         by_user = {u.id: (u.latency / max_latency, u.priority) for u in bucket.users}
         fns, latency, priority, weight, slots = [], [], [], [], []
         for ssr in bucket.ssrs:
             l_i, p_i = by_user[ssr.user_id]
-            if any(fn.priority is None for fn in ssr.functions):
-                raise ValueError("function priorities are not cached; score the bucket first")
             top = max(fn.priority for fn in ssr.functions)
             slots.append(range(len(fns), len(fns) + len(ssr.functions)))
             for fn in ssr.functions:
@@ -141,12 +139,20 @@ class CostContext:
         )
 
     def on_fog(self, placement: Placement) -> np.ndarray:
-        """The placement's fog flags as an array; it must have one per function."""
+        """The placement's fog flags as an array: one per function, fog only where it fits.
+
+        Every function of a validated bucket fits the cloud, so only the fog is checked.
+        """
         if len(placement) != len(self.fog_step):
             raise ValueError(
                 f"placement has {len(placement)} flags for {len(self.fog_step)} functions"
             )
-        return np.array(placement, dtype=bool)
+        flags = np.array(placement, dtype=bool)
+        misplaced = np.flatnonzero(flags & ~self.fog_ok)
+        if misplaced.size:
+            raise ValueError(f"placement puts function {misplaced[0]} (flattened order) "
+                             "on the fog, which it does not fit")
+        return flags
 
     def ssr_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-SSR sums of per-function values on the last axis."""

@@ -60,9 +60,8 @@ class PlacementEnv:
         user_priority = ctx.priority.tolist()
         fn_priority = ctx.fn_priority.tolist()
 
-        def sort_key(flat_idx: int):
-            ssr_idx, fn = flat[flat_idx]
-            return (-user_priority[flat_idx], ssr_idx, -fn_priority[flat_idx], fn.index)
+        def sort_key(flat_idx: int):  # ties keep insertion order: sorted is stable
+            return (-user_priority[flat_idx], flat[flat_idx][0], -fn_priority[flat_idx])
         self.order = sorted(range(n), key=sort_key)
 
         self.n_functions = n

@@ -1,11 +1,11 @@
 """Domain entities for fog/cloud serverless placement.
 
-Everything here is an immutable dataclass; derived priority fields are
-filled in once at construction time and never mutated afterwards. The
-generator builds every user and function once, with the priority that
-``scoring.user_priorities`` and ``scoring.ssr_priorities`` give it; a
-hand-built bucket is scored by ``scoring.with_priorities``, which uses the
-same helpers.
+Everything here is an immutable dataclass. Every user and function carries
+its priority as required data: the generator gives it the value that
+``scoring.user_priorities`` or ``scoring.ssr_priorities`` computes, and a
+bucket file's priorities are used as given, never recomputed (the function
+priority's delta is not stored in a bucket). ``validate_bucket`` checks
+their ranges.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ class User:
     id: int
     position: tuple[float, float]  # km, relative to an arbitrary origin
     latency: float  # ms, round trip to the fog node
-    priority: float | None = None  # blended unit-interval priority, cached
+    priority: float  # blended distance and latency priority, in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class ServerlessFunction:
     critical_value: int  # 1 (low) .. 5 (high)
     base_demand: ResourceVector
     supplementary_demand: ResourceVector
-    priority: float | None = None  # cached, filled at construction time
+    priority: float  # placement priority within its SSR, > 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.critical_value <= 5:
@@ -220,15 +220,22 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
             violations.append(
                 f"user {u.id} distance {d:.6g} outside coverage radius {bucket.distance_cap}"
             )
-        if u.priority is not None and not 0 <= u.priority <= 1:
+        if not 0 <= u.priority <= 1:
             violations.append(f"user {u.id} priority {u.priority} outside [0, 1]")
 
     for i, ssr in enumerate(bucket.ssrs):
-        for fn in ssr.functions:
-            if not cloud_feasible(fn, bucket.cloud):
+        for j, fn in enumerate(ssr.functions):
+            if (fn.ssr_index, fn.index) != (i, j):
                 violations.append(
-                    f"function ({i}, {fn.index}) does not fit the cloud limits"
+                    f"function at ({i}, {j}) is labelled ({fn.ssr_index}, {fn.index})"
                 )
+            # from_bucket divides by the SSR's top priority
+            if not 0 < fn.priority < math.inf:
+                violations.append(
+                    f"function ({i}, {j}) priority {fn.priority} must be finite and > 0"
+                )
+            if not cloud_feasible(fn, bucket.cloud):
+                violations.append(f"function ({i}, {j}) does not fit the cloud limits")
 
     return violations
 

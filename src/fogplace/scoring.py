@@ -7,9 +7,6 @@ that use another frame.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
-from .model import SSRBucket
 
 # Makes the maximum function priority exactly 5, matching the convention
 # that top functions within an SSR carry priority value 5.
@@ -79,25 +76,3 @@ def user_priorities(positions: list[tuple[float, float]], latencies: list[float]
                       latency_priority(latency, latencies), blend)
         for pos, latency in zip(positions, latencies)
     ]
-
-
-def with_priorities(bucket: SSRBucket, delta: float = DEFAULT_DELTA) -> SSRBucket:
-    """Return a copy of the bucket with all cached priority fields filled.
-
-    User priorities need the whole latency population, and function
-    priorities need the enclosing SSR, so both are bucket-level steps.
-    The generator fills the same fields through the same helpers.
-    """
-    users = bucket.users
-    scores = user_priorities([u.position for u in users], [u.latency for u in users],
-                             bucket.distance_cap, bucket.priority_blend)
-    ssrs = []
-    for ssr in bucket.ssrs:
-        fns = ssr.functions
-        fn_scores = ssr_priorities([f.critical_value for f in fns], [f.code_size for f in fns],
-                                   [f.input_size for f in fns], delta)
-        ssrs.append(replace(ssr, functions=tuple(
-            replace(fn, priority=p) for fn, p in zip(fns, fn_scores))))
-
-    return replace(bucket, users=tuple(replace(u, priority=p) for u, p in zip(users, scores)),
-                   ssrs=tuple(ssrs))

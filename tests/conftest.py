@@ -38,7 +38,7 @@ def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
 
 
 def make_fn(ssr_index=0, index=0, code=100.0, input_size=500.0, critical=3,
-            base=None, suppl=None, priority=None):
+            base=None, suppl=None, priority=5.0):
     return ServerlessFunction(
         ssr_index=ssr_index,
         index=index,
@@ -74,12 +74,10 @@ def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
     """Cost context of one SSR holding fns, whose user has latency share latency / 100.
 
     A second user without functions has latency 100, so l_i = latency / 100
-    and lf = link / 100. Functions without a priority get priority 5.
+    and lf = link / 100.
     """
-    fns = tuple(fn if fn.priority is not None else dataclasses.replace(fn, priority=5.0)
-                for fn in fns)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=fns)],
+        ssrs=[SSR(user_id=0, functions=tuple(fns))],
         users=[make_user(0, latency=latency, priority=priority),
                make_user(1, latency=100.0, priority=0.5)],
         fog=fog, cloud=dataclasses.replace(cloud, link_latency=link), weights=weights,

@@ -259,6 +259,7 @@ def _sample_function(cfg, rng, ssr_index, index):
         critical_value=critical,
         base_demand=ResourceVector(**base),
         supplementary_demand=ResourceVector(**supplementary),
+        priority=1.0,  # placeholder: with_priorities scores the bucket afterwards
     )
 
 
@@ -273,6 +274,7 @@ def _build_bucket(cfg, rng, fn_counts):
                 id=i,
                 position=(float(radius * np.cos(theta)), float(radius * np.sin(theta))),
                 latency=float(rng.uniform(*cfg.latency)),
+                priority=0.0,  # placeholder: with_priorities scores the bucket afterwards
             )
         )
 

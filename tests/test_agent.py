@@ -7,6 +7,7 @@ import pytest
 from fogplace.agent import (
     AgentConfig,
     ReplayBuffer,
+    TrainingFault,
     ValueNetwork,
     greedy_rollout,
     select_action,
@@ -44,11 +45,11 @@ def test_forward_zero_network_is_zero():
 
 
 def test_forward_linear_hand_value():
-    # no hidden layer, one action: q = w*x + b = 2*3 + 1 = 7
-    net = ValueNetwork(1, (), np.random.default_rng(0), n_actions=1)
-    net.weights[0][:] = 2.0
-    net.biases[0][:] = 1.0
-    assert net.forward(np.array([3.0]))[0] == pytest.approx(7.0, abs=1e-12)
+    # no hidden layer, two actions: q = w*x + b = (2*3 + 1, -1*3 + 0.5) = (7, -2.5)
+    net = ValueNetwork(1, (), np.random.default_rng(0))
+    net.weights[0][:] = [[2.0, -1.0]]
+    net.biases[0][:] = [1.0, 0.5]
+    assert net.forward(np.array([3.0])).tolist() == pytest.approx([7.0, -2.5], abs=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -132,6 +133,16 @@ def test_gradient_scales_with_duplicated_batch():
     assert loss2 == pytest.approx(loss1, abs=1e-12)
     for a, b in zip(gw1 + gb1, gw2 + gb2):
         assert np.allclose(a, b)
+
+
+def test_update_to_non_finite_biases_is_a_fault():
+    # zero states give zero weight gradients, so only the biases overflow
+    net = ValueNetwork(3, (), np.random.default_rng(0))
+    with np.errstate(over="ignore"):  # the loss and the update both overflow
+        grads_w, grads_b, _ = net.gradient(np.zeros((2, 3)), np.array([0, 1]), np.full(2, 1e300))
+        with pytest.raises(TrainingFault, match="non-finite network parameters"):
+            net.apply_gradients(grads_w, grads_b, lr=1e10)
+    assert all(np.isfinite(w).all() for w in net.weights)
 
 
 def test_select_action_greedy_prefers_higher_q():

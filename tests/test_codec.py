@@ -30,7 +30,7 @@ class Leaf:
     count: int
     share: float
     label: str
-    note: float | None = None
+    note: float
 
     def __post_init__(self):
         if self.count < 0:
@@ -42,38 +42,32 @@ class Tree:
     leaves: tuple[Leaf, ...]
     corner: tuple[float, int]
     extra: Any
-    tag: str | None  # no default: absent still decodes to None
+    tag: str
 
 
-LEAF = {"count": 1, "share": 0.5, "label": "a", "note": None}
+LEAF = {"count": 1, "share": 0.5, "label": "a", "note": 0.0}
 
 
 def tree_doc(**leaf):
-    return {"leaves": [LEAF, {**LEAF, **leaf}], "corner": [1.5, 2], "extra": [1, "x"]}
+    return {"leaves": [LEAF, {**LEAF, **leaf}], "corner": [1.5, 2], "extra": [1, "x"], "tag": "t"}
 
 
 @pytest.mark.parametrize("leaf, expected", [
-    ({}, Leaf(1, 0.5, "a")),
-    ({"count": 3.0}, Leaf(3, 0.5, "a")),  # an integral float is an int
-    ({"share": 2}, Leaf(1, 2, "a")),  # an int is a float, kept as written
+    ({}, Leaf(1, 0.5, "a", 0.0)),
+    ({"count": 3.0}, Leaf(3, 0.5, "a", 0.0)),  # an integral float is an int
+    ({"share": 2}, Leaf(1, 2, "a", 0.0)),  # an int is a float, kept as written
     ({"note": 4.25}, Leaf(1, 0.5, "a", 4.25)),
 ])
 def test_decode_accepts(leaf, expected):
     tree = decode(Tree, tree_doc(**leaf))
     assert tree.leaves[1] == expected
-    assert tree.corner == (1.5, 2) and tree.extra == [1, "x"] and tree.tag is None
+    assert tree.corner == (1.5, 2) and tree.extra == [1, "x"] and tree.tag == "t"
 
 
 def test_decode_keeps_exact_ints_and_rounds_the_rest():
     assert type(decode(Tree, tree_doc(share=2)).leaves[1].share) is int
     share = decode(Tree, tree_doc(share=2**53 + 1)).leaves[1].share
     assert type(share) is float and share == float(2**53 + 1)
-
-
-def test_decode_optional_field_may_be_absent():
-    doc = tree_doc()
-    del doc["leaves"][1]["note"]
-    assert decode(Tree, doc).leaves[1].note is None
 
 
 @pytest.mark.parametrize("leaf, message", [
@@ -312,8 +306,11 @@ def invalid_buckets(draw, doc):
     user = doc["users"][draw(st.integers(0, len(doc["users"]) - 1))]
     ssr_index = draw(st.integers(0, len(doc["ssrs"]) - 1))
     ssr = doc["ssrs"][ssr_index]
+    fn_index = draw(st.integers(0, len(ssr["functions"]) - 1))
+    fn = ssr["functions"][fn_index]
     flaw = draw(st.sampled_from(["latency", "distance", "unknown user", "duplicate user",
-                                 "priority", "factors", "empty SSR"]))
+                                 "priority", "function priority", "function label", "factors",
+                                 "empty SSR"]))
     if flaw == "latency":
         user["latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
         return doc, f"user {user['id']} latency"
@@ -329,6 +326,12 @@ def invalid_buckets(draw, doc):
     if flaw == "priority":
         user["priority"] = draw(st.sampled_from([-0.5, 1.5]))
         return doc, f"user {user['id']} priority"
+    if flaw == "function priority":
+        fn["priority"] = draw(st.sampled_from([0.0, -1.0]))
+        return doc, f"function ({ssr_index}, {fn_index}) priority"
+    if flaw == "function label":
+        fn[draw(st.sampled_from(["ssr_index", "index"]))] += draw(st.sampled_from([1, -1]))
+        return doc, f"function at ({ssr_index}, {fn_index}) is labelled"
     if flaw == "factors":
         doc["importance_factors"]["cpu"] += draw(st.sampled_from([-0.2, 0.5]))
         return doc, "importance factors sum"

@@ -40,6 +40,17 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
             costs.placement_step_cost_sum(simple_bucket, placement)
 
 
+@pytest.mark.parametrize("consumer", [costs.placement_step_cost_sum, costs.bucket_objective,
+                                      metrics.report], ids=lambda f: f.__name__)
+def test_fog_flag_on_a_function_the_fog_cannot_take_is_rejected(consumer):
+    # 6 cores: beyond the fog cap of 2, within the cloud cap of 6
+    bucket = make_bucket(ssrs=[SSR(user_id=0, functions=(make_fn(base=ResourceVector(cpu=6)),))],
+                         users=[make_user(0)])
+    assert bucket.costs.fog_ok.tolist() == [False]
+    with pytest.raises(ValueError, match=r"puts function 0 \(flattened order\) on the fog"):
+        consumer(bucket, (True,))
+
+
 INVALID_BUCKETS = {
     "empty": lambda: make_bucket(ssrs=[], users=[make_user(0)]),
     "code-above-cloud-limit": lambda: make_bucket(
@@ -82,8 +93,8 @@ def test_ssr_demand_sums():
     bucket = make_bucket(ssrs=[
         SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
         SSR(user_id=1, functions=(
-            make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
-            make_fn(index=1, base=ResourceVector(2, 200, 20, 20), priority=1.0),
+            make_fn(1, 0, base=ResourceVector(1, 100, 10, 10), priority=1.0),
+            make_fn(1, 1, base=ResourceVector(2, 200, 20, 20), priority=1.0),
         )),
     ], users=users)
     ctx = bucket.costs
@@ -200,7 +211,7 @@ def test_bucket_step_cost_is_mean_of_ssrs():
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
     bucket = dataclasses.replace(
         simple_bucket,
-        ssrs=(simple_bucket.ssrs[1],),
+        ssrs=(SSR(user_id=1, functions=(make_fn(0, 0),)),),
         users=(simple_bucket.users[1],),
     )
     ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]

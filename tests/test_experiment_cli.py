@@ -347,6 +347,44 @@ def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
     assert "VIOLATION: distance cap -1.0 must be finite and > 0" in printed
 
 
+def zero_ssr_0_priorities(doc):
+    for fn in doc["ssrs"][0]["functions"]:
+        fn["priority"] = 0.0
+
+
+def negative_priority(doc):
+    doc["ssrs"][2]["functions"][1]["priority"] = -3.0
+
+
+def drop_user_priorities(doc):
+    for user in doc["users"]:
+        del user["priority"]
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+@pytest.mark.parametrize("edit, code, expected", [
+    (zero_ssr_0_priorities, 1, "".join(
+        f"VIOLATION: function (0, {j}) priority 0.0 must be finite and > 0\n" for j in range(4))),
+    (negative_priority, 1, "VIOLATION: function (2, 1) priority -3.0 must be finite and > 0\n"),
+    (drop_user_priorities, 2, "users[0].priority: missing"),
+], ids=["zero-priorities", "negative-priority", "no-user-priorities"])
+def test_cli_validate_and_oracle_agree_on_bucket_priorities(tmp_path, capsys, command, edit,
+                                                             code, expected):
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["ssrs"][0]["functions"]) == 4
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(out)]) == code
+    printed = capsys.readouterr()
+    if code == 1:
+        assert printed.out == expected
+    else:
+        assert printed.err == f"error: malformed bucket {out}: {expected}\n"
+
+
 def test_cli_compare_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     save_config(small_experiment(
@@ -481,4 +519,5 @@ def test_output_digests_tool_prints_one_line_per_output():
     assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
         "bucket.json", "sweep.json", "run/checkpoint.json", "run/training_log.csv",
         "results/results_detail.csv", "results/results_mean.csv", "oracle stdout",
+        "cost_model_walkthrough.py stdout",
     ]

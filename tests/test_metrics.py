@@ -9,10 +9,11 @@ from fogplace.workload import GeneratorConfig, generate_bucket
 from conftest import make_bucket, make_fn, make_limits, make_user
 
 
-def bucket_with(fns, cloud=None):
+def bucket_with(fns, fog=None, cloud=None):
     return make_bucket(
         ssrs=[SSR(user_id=0, functions=tuple(fns))],
         users=[make_user(0)],
+        fog=fog,
         cloud=cloud,
     )
 
@@ -48,12 +49,12 @@ def test_all_cloud_report():
 
 
 def test_demand_percentage_hand_value():
-    # fog CPU share: 6 of 30 total -> 20%; the cloud takes 24 cores per function
+    # fog CPU share: 6 of 30 total -> 20%; the fog takes 6 cores, the cloud 24
     fns = [
         make_fn(index=0, base=ResourceVector(cpu=6), priority=1.0),
         make_fn(index=1, base=ResourceVector(cpu=24), priority=1.0),
     ]
-    bucket = bucket_with(fns, cloud=make_limits(cpu=24, link=40.0))
+    bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24, link=40.0))
     rep = report(bucket, flags_for(fns, {0}))
     assert rep["cpu_fog_pct"] == pytest.approx(20.0, abs=1e-12)
     assert rep["cpu_cloud_pct"] == pytest.approx(80.0, abs=1e-12)

@@ -8,8 +8,10 @@ temporary directory that is removed afterwards:
   compare    all five algorithms, including defdrel, on the sweep [10, 20]
   oracle     on the generated default bucket
 
-One line ``<sha256>  <name>`` is printed per output file and for the oracle's
-stdout. Two source trees whose lines match wrote byte-identical outputs.
+and then runs ``demos/cost_model_walkthrough.py`` of the checkout whose
+``src/`` holds the imported package. One line ``<sha256>  <name>`` is printed
+per output file and for the oracle's and the demo's stdout. Two source trees
+whose lines match wrote byte-identical outputs.
 
 Run: PYTHONPATH=<checkout>/src python tools/output_digests.py
 """
@@ -19,11 +21,12 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
 
-from fogplace.cli import main as fogplace
+import fogplace.cli
 
 CONFIG = {
     "agent": {"episodes": 3},
@@ -41,13 +44,14 @@ OUTPUT_FILES = (
     "results/results_detail.csv",
     "results/results_mean.csv",
 )
+DEMO = "cost_model_walkthrough.py"
 
 
 def run(*argv: str) -> str:
     """``fogplace <argv>``; returns its stdout and stops on a non-zero exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = fogplace(list(argv))
+        code = fogplace.cli.main(list(argv))
     if code != 0:
         raise SystemExit(f"fogplace {' '.join(argv)} exited {code}")
     return out.getvalue()
@@ -64,6 +68,11 @@ def digests(work: Path) -> list[tuple[str, str]]:
         "--out", str(work / "results"))
     outputs = [(name, (work / name).read_bytes()) for name in OUTPUT_FILES]
     outputs.append(("oracle stdout", run("oracle", str(work / "bucket.json")).encode()))
+    demo = Path(fogplace.__file__).resolve().parents[2] / "demos" / DEMO
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    outputs.append((f"{DEMO} stdout", out.getvalue().encode()))
     return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
 
 
