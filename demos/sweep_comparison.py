@@ -6,22 +6,24 @@ fog fraction and step cost per sweep point.
 
 Run: python3 demos/sweep_comparison.py  (about 30 seconds)
 """
-from fogplace.agent import train
+from fogplace.agent import AgentConfig, train
 from fogplace.experiment import (
     ExperimentConfig,
+    SweepSettings,
     aggregate_rows,
     run_compare,
     training_env_factory,
 )
-from fogplace.agent import AgentConfig
 from fogplace.workload import GeneratorConfig
 
 cfg = ExperimentConfig(
     generator=GeneratorConfig(seed=3),
     agent=AgentConfig(episodes=100, seed=0),
-    sweep=(10, 30, 50),
-    algorithms=("defdrel", "fog_first", "cloud_only"),
-    runs_per_point=10,
+    experiment=SweepSettings(
+        sweep=(10, 30, 50),
+        algorithms=("defdrel", "fog_first", "cloud_only"),
+        runs_per_point=10,
+    ),
 )
 
 print(f"training for {cfg.agent.episodes} episodes...")

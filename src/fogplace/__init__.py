@@ -28,7 +28,7 @@ from .model import (
 from .workload import GeneratorConfig, generate_bucket, generate_sweep
 from .env import Action, PlacementEnv
 from .agent import AgentConfig, ValueNetwork, train
-from .experiment import ExperimentConfig
+from .experiment import ExperimentConfig, SweepSettings
 
 __all__ = [
     "Action",
@@ -42,6 +42,7 @@ __all__ = [
     "SSR",
     "SSRBucket",
     "ServerlessFunction",
+    "SweepSettings",
     "User",
     "ValueNetwork",
     "generate_bucket",

@@ -40,40 +40,33 @@ class SweepSettings:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        for name, values in (("sweep", self.sweep), ("algorithms", self.algorithms)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} lists an entry twice: {list(values)}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(SweepSettings):
+class ExperimentConfig:
+    """A config file: its generator, agent and experiment sections."""
+
     generator: GeneratorConfig = GeneratorConfig()
     agent: AgentConfig = AgentConfig()
-
-
-@dataclass(frozen=True)
-class _ConfigFile:  # the file layout
-    generator: GeneratorConfig
-    agent: AgentConfig
-    experiment: SweepSettings
-
-
-def _file_doc(cfg: ExperimentConfig) -> dict:
-    sweep = SweepSettings(cfg.sweep, cfg.algorithms, cfg.runs_per_point)
-    return encode(_ConfigFile(cfg.generator, cfg.agent, sweep))
+    experiment: SweepSettings = SweepSettings()
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """A config file whose sections may omit keys; ``DecodeError`` if it is not one."""
     doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict):
-        for name, default in _file_doc(ExperimentConfig()).items():
+        for name, default in encode(ExperimentConfig()).items():
             section = doc.setdefault(name, default)
             if isinstance(section, dict):
                 doc[name] = {**default, **section}
-    file = decode(_ConfigFile, doc)
-    return ExperimentConfig(**vars(file.experiment), generator=file.generator, agent=file.agent)
+    return decode(ExperimentConfig, doc)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_file_doc(cfg), sort_keys=True, indent=2))
+    Path(path).write_text(json.dumps(encode(cfg), sort_keys=True, indent=2))
 
 
 def training_env_factory(cfg: ExperimentConfig):
@@ -116,17 +109,17 @@ def run_compare(cfg: ExperimentConfig, net: ValueNetwork | None) -> list[dict]:
 
     Every algorithm at a given (sweep point, run) sees the identical bucket.
     """
-    rows = []
-    for total in cfg.sweep:
-        for run in range(cfg.runs_per_point):
+    rows, settings = [], cfg.experiment
+    for total in settings.sweep:
+        for run in range(settings.runs_per_point):
             seed = _sweep_seed(cfg.generator.seed, total, run)
             bucket = generate_sweep(cfg.generator, total, seed=seed)
-            for algorithm in cfg.algorithms:
+            for algorithm in settings.algorithms:
                 rng = np.random.default_rng(seed)
                 placement = run_placement(algorithm, bucket, net, rng)
                 rows.append({"run": run, "algorithm": algorithm, "total_functions": total,
                              "seed": seed, **metrics.report(bucket, placement)})
-    order = {name: i for i, name in enumerate(cfg.algorithms)}
+    order = {name: i for i, name in enumerate(settings.algorithms)}
     rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))
     return rows
 

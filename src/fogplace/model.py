@@ -30,10 +30,6 @@ class StateError(RuntimeError):
     """An operation was applied to a placement state it does not allow."""
 
 
-class GenerationError(ValueError):
-    """A generator config cannot produce a feasible workload."""
-
-
 @dataclass(frozen=True)
 class ResourceVector:
     """Per-kind quantities: cpu in cores, ram/storage in MB, net_io in KBps."""
@@ -172,6 +168,23 @@ def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
 fog_feasible = cloud_feasible = fits_platform
 
 
+def settings_violations(settings: SSRBucket) -> list[str]:
+    """Checks of the settings that a bucket shares, by name, with a ``GeneratorConfig``."""
+    violations = []
+    factor_sum = sum(settings.importance_factors.as_tuple())
+    if abs(factor_sum - 1.0) > 1e-9:
+        violations.append(f"importance factors sum {factor_sum} != 1")
+    if not 0 <= settings.priority_blend <= 1:
+        violations.append(f"priority blend {settings.priority_blend} outside [0, 1]")
+    if not (math.isfinite(settings.distance_cap) and settings.distance_cap > 0):
+        violations.append(f"distance cap {settings.distance_cap} must be finite and > 0")
+    fog_cap = settings.fog.per_function_cap.as_tuple()
+    cloud_cap = settings.cloud.per_function_cap.as_tuple()
+    if not all(f <= c for f, c in zip(fog_cap, cloud_cap)):
+        violations.append("fog per-function cap exceeds cloud cap in some component")
+    return violations
+
+
 def validate_bucket(bucket: SSRBucket) -> list[str]:
     """Collect every invariant violation; an empty list means the bucket is valid.
 
@@ -185,9 +198,7 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
         if len(ssr.functions) == 0:
             violations.append(f"empty SSR at index {i}")
 
-    factor_sum = sum(bucket.importance_factors.as_tuple())
-    if abs(factor_sum - 1.0) > 1e-9:
-        violations.append(f"importance factors sum {factor_sum} != 1")
+    violations += settings_violations(bucket)
 
     if len(bucket.ssrs) > len(bucket.users):
         violations.append(
@@ -200,15 +211,6 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
         seen_users.add(ssr.user_id)
         if not any(u.id == ssr.user_id for u in bucket.users):
             violations.append(f"SSR index {i} references unknown user {ssr.user_id}")
-
-    if not 0 <= bucket.priority_blend <= 1:
-        violations.append(f"priority blend {bucket.priority_blend} outside [0, 1]")
-    if not (math.isfinite(bucket.distance_cap) and bucket.distance_cap > 0):
-        violations.append(f"distance cap {bucket.distance_cap} must be finite and > 0")
-
-    fog_cap, cloud_cap = bucket.fog.per_function_cap, bucket.cloud.per_function_cap
-    if not all(f <= c for f, c in zip(fog_cap.as_tuple(), cloud_cap.as_tuple())):
-        violations.append("fog per-function cap exceeds cloud cap in some component")
 
     for u in bucket.users:
         if not (math.isfinite(u.latency) and u.latency > 0):

@@ -2,11 +2,14 @@
 
 Default ranges mirror the standard simulation parameter table: uniform
 sampling for every range, user positions uniform over the coverage disc,
-and latencies independent of distance. Generated functions always fit the
-cloud limits, so a cloud assignment is feasible by construction.
+and latencies independent of distance. ``GeneratorConfig`` refuses, on
+construction, every config that could generate an invalid bucket: generated
+functions always fit the cloud limits, so a cloud assignment is feasible by
+construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +17,12 @@ import numpy as np
 from .model import (
     RESOURCE_KINDS,
     EnvironmentLimits,
-    GenerationError,
     ResourceVector,
     SSR,
     SSRBucket,
     ServerlessFunction,
     User,
+    settings_violations,
 )
 from .scoring import DEFAULT_DELTA, ssr_priorities, user_priorities
 
@@ -61,26 +64,26 @@ class GeneratorConfig:
                 raise ValueError(f"{name} range has min {getattr(self, name)[0]} < 1")
         if not 1 <= self.critical_value[0] <= self.critical_value[1] <= 5:
             raise ValueError(f"critical_value range {self.critical_value} outside 1..5")
+        cloud, cap = self.cloud, self.cloud.per_function_cap
+        maxima = {f"{kind}_demand": getattr(cap, kind) for kind in RESOURCE_KINDS}
+        maxima.update(code_size=cloud.code_size_limit, input_size=cloud.input_size_limit)
+        for name, limit in maxima.items():  # every generated function fits the cloud
+            lo, hi = getattr(self, name)
+            if hi > limit:
+                raise ValueError(f"{name} range max {hi} exceeds the cloud limit {limit}")
+            if lo < 0:
+                raise ValueError(f"{name} range has min {lo} < 0")
+        for name in ("code_size", "input_size", "latency"):  # priorities divide by these
+            if getattr(self, name)[0] <= 0:
+                raise ValueError(f"{name} range has min {getattr(self, name)[0]} <= 0")
+        if not (self.delta > 0 and 1 / self.delta < math.inf):  # the top function priority
+            raise ValueError(f"delta must be > 0 with a finite 1/delta, got {self.delta}")
+        problems = settings_violations(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def demand_ranges(self) -> dict[str, Range]:
         return {kind: getattr(self, f"{kind}_demand") for kind in RESOURCE_KINDS}
-
-
-def _check_cloud_feasibility(cfg: GeneratorConfig) -> None:
-    cap = cfg.cloud.per_function_cap
-    for kind, (lo, hi) in cfg.demand_ranges().items():
-        if hi > getattr(cap, kind):
-            raise GenerationError(
-                f"{kind} demand range max {hi} exceeds cloud cap {getattr(cap, kind)}"
-            )
-    if cfg.code_size[1] > cfg.cloud.code_size_limit:
-        raise GenerationError("code size range exceeds cloud code size limit")
-    if cfg.input_size[1] > cfg.cloud.input_size_limit:
-        raise GenerationError("input size range exceeds cloud input size limit")
-    if cfg.code_size[0] <= 0:
-        raise GenerationError("code sizes must be > 0")
-    if cfg.input_size[0] <= 0:
-        raise GenerationError("input sizes must be > 0 to keep SSR priorities well defined")
 
 
 def _build_bucket(
@@ -163,7 +166,6 @@ def _build_bucket(
 
 def generate_bucket(cfg: GeneratorConfig, seed: int | None = None) -> SSRBucket:
     """Generate one bucket; identical (config, seed) pairs give identical buckets."""
-    _check_cloud_feasibility(cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n = int(rng.integers(cfg.n_ssrs[0], cfg.n_ssrs[1] + 1))
     counts = [int(rng.integers(cfg.functions_per_ssr[0], cfg.functions_per_ssr[1] + 1))
@@ -180,7 +182,6 @@ def generate_sweep(
             f"total functions {total_functions} outside [10, 100]; "
             "cannot split over 10 SSRs with 1-10 functions each"
         )
-    _check_cloud_feasibility(cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     counts = [1] * 10
     open_slots = list(range(10))  # SSRs below 10 functions, ascending

@@ -27,7 +27,6 @@ from fogplace.model import (
     fog_feasible,
 )
 from fogplace.scoring import distance_priority, latency_priority, user_distance, user_priority
-from fogplace.workload import _check_cloud_feasibility
 
 _COMPUTE_KINDS = ("cpu", "ram", "storage")
 
@@ -297,7 +296,6 @@ def _build_bucket(cfg, rng, fn_counts):
 
 def generate_bucket(cfg, seed=None):
     """``fogplace.workload.generate_bucket``, one scalar draw at a time."""
-    _check_cloud_feasibility(cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n = int(rng.integers(cfg.n_ssrs[0], cfg.n_ssrs[1] + 1))
     counts = [int(rng.integers(cfg.functions_per_ssr[0], cfg.functions_per_ssr[1] + 1))
@@ -309,7 +307,6 @@ def generate_sweep(cfg, total_functions, seed=None):
     """``fogplace.workload.generate_sweep``: the split drawn with ``rng.choice``."""
     if not 10 <= total_functions <= 100:
         raise ValueError(f"total functions {total_functions} outside [10, 100]")
-    _check_cloud_feasibility(cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     counts = [1] * 10
     for _ in range(total_functions - 10):

@@ -13,6 +13,7 @@ from fogplace.baselines import cloud_only, exact_optimum, fog_first, greedy_cost
 from fogplace.env import Action, PlacementEnv
 from fogplace.experiment import (
     ExperimentConfig,
+    SweepSettings,
     aggregate_rows,
     run_compare,
     training_env_factory,
@@ -34,8 +35,8 @@ def verdict(number: int, description: str, ok: bool) -> None:
 SWEEP_EXPERIMENT = ExperimentConfig(
     generator=GeneratorConfig(seed=3),
     agent=AgentConfig(episodes=300, seed=0),
-    algorithms=("defdrel", "fog_first", "cloud_only"),
-    runs_per_point=150,
+    experiment=SweepSettings(algorithms=("defdrel", "fog_first", "cloud_only"),
+                             runs_per_point=150),
 )
 
 # small buckets where both platforms are usually feasible, for the oracle check
@@ -192,7 +193,7 @@ def test_criterion_4_oracle_proximity():
 def test_criterion_5_function_distribution(trained_sweep):
     cfg, _, _, means = trained_sweep
     ok = True
-    for total in cfg.sweep:
+    for total in cfg.experiment.sweep:
         agent_fog = mean_of(means, "defdrel", total, "fog_fraction")
         agent_cloud = mean_of(means, "defdrel", total, "cloud_fraction")
         ff_fog = mean_of(means, "fog_first", total, "fog_fraction")

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from fogplace.agent import AgentConfig, EpisodeRecord
 from fogplace.codec import DecodeError, decode, encode
 from fogplace.env import Action, PlacementEnv
-from fogplace.experiment import ALGORITHMS, ExperimentConfig, load_config, save_config
+from fogplace.experiment import (
+    ALGORITHMS,
+    ExperimentConfig,
+    SweepSettings,
+    load_config,
+    save_config,
+)
 from fogplace.model import (
+    RESOURCE_KINDS,
     EnvironmentLimits,
     ResourceVector,
     SSRBucket,
@@ -126,7 +133,8 @@ ROUND_TRIP_INPUTS = {
     "sweep-bucket": lambda: generate_sweep(GeneratorConfig(seed=4), 40),
     "generator-config": lambda: GeneratorConfig(seed=9, n_ssrs=(2, 3), latency=(1.0, 10.0)),
     "agent-config": lambda: AgentConfig(episodes=12, hidden_sizes=(8, 8), seed=4),
-    "experiment-config": lambda: ExperimentConfig(sweep=(10, 30), runs_per_point=2),
+    "experiment-config": lambda: ExperimentConfig(
+        experiment=SweepSettings(sweep=(10, 30), runs_per_point=2)),
     "episode-record": episode_record,
 }
 
@@ -150,26 +158,68 @@ def ordered(elements):
 positive_vectors = st.builds(ResourceVector, *[finite(1e-3, 1e5)] * 4)
 limits = st.builds(EnvironmentLimits, positive_vectors, finite(1e-3, 1e4),
                    finite(1e-3, 1e4), finite(0.0, 1e3))
-generator_configs = st.builds(
-    GeneratorConfig,
-    seed=st.integers(0, 2**63),
-    n_ssrs=ordered(st.integers(1, 20)),
-    functions_per_ssr=ordered(st.integers(1, 20)),
-    code_size=ordered(finite(1e-3, 1e3)),
-    input_size=ordered(finite(0.0, 1e4)),
-    cpu_demand=ordered(finite(0.0, 10.0)),
-    ram_demand=ordered(finite(0.0, 1e4)),
-    storage_demand=ordered(finite(0.0, 1e5)),
-    net_io_demand=ordered(finite(0.0, 1e5)),
-    critical_value=ordered(st.integers(1, 5)),
-    fog=limits,
-    cloud=limits,
-    distance_cap=finite(1e-3, 1e3),
-    latency=ordered(finite(1e-3, 1e3)),
-    priority_blend=finite(0.0, 1.0),
-    importance_factors=st.builds(ResourceVector, *[finite(0.0, 1.0)] * 4),
-    delta=finite(0.0, 1.0),
-)
+shares = st.tuples(*[finite(1e-3, 1.0)] * 4)
+
+
+def within_limit(draw, limit):
+    """A range inside (0, limit]."""
+    lo, hi = draw(ordered(finite(1e-3, 1.0)))
+    return (lo * limit, hi * limit)
+
+
+@st.composite
+def generator_configs(draw):
+    """Generator configs that can generate: fog caps at most the cloud caps, every range
+    inside the cloud limits with minima > 0, normalised importance factors, delta > 0."""
+    cloud = draw(limits)
+    cap = cloud.per_function_cap
+    fog = dataclasses.replace(draw(limits), per_function_cap=ResourceVector(
+        *(c * share for c, share in zip(cap.as_tuple(), draw(shares)))))
+    weights = draw(st.tuples(*[finite(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 1e-3))
+    return GeneratorConfig(
+        seed=draw(st.integers(0, 2**63)),
+        n_ssrs=draw(ordered(st.integers(1, 20))),
+        functions_per_ssr=draw(ordered(st.integers(1, 20))),
+        code_size=within_limit(draw, cloud.code_size_limit),
+        input_size=within_limit(draw, cloud.input_size_limit),
+        **{f"{kind}_demand": within_limit(draw, getattr(cap, kind)) for kind in RESOURCE_KINDS},
+        critical_value=draw(ordered(st.integers(1, 5))),
+        fog=fog,
+        cloud=cloud,
+        distance_cap=draw(finite(1e-3, 1e3)),
+        latency=draw(ordered(finite(1e-3, 1e3))),
+        priority_blend=draw(finite(0.0, 1.0)),
+        importance_factors=ResourceVector(*(w / sum(weights) for w in weights)),
+        delta=draw(finite(1e-3, 1.0)),
+    )
+
+
+# values that may make a generator config unable to generate
+RISKY_VALUES = {
+    "code_size": ordered(finite(-1e4, 1e4)),
+    "input_size": ordered(finite(-1e4, 1e4)),
+    "cpu_demand": ordered(finite(-1e5, 1e5)),
+    "net_io_demand": ordered(finite(-1e5, 1e5)),
+    "fog": limits,
+    "distance_cap": finite(-1.0, 1e3),
+    "latency": ordered(finite(-1e3, 1e3)),
+    "priority_blend": finite(-1.0, 2.0),
+    "importance_factors": st.builds(ResourceVector, *[finite(0.0, 1.0)] * 4),
+    "delta": st.one_of(finite(-1.0, 1.0), st.just(1e-320)),  # 1 / 1e-320 overflows
+}
+risky_changes = st.sampled_from(sorted(RISKY_VALUES)).flatmap(
+    lambda name: RISKY_VALUES[name].map(lambda value: {name: value}))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(generator_configs(), st.integers(10, 100), st.one_of(st.just({}), risky_changes))
+def test_every_config_that_constructs_generates_valid_buckets(cfg, total, change):
+    try:
+        cfg = dataclasses.replace(cfg, **change)
+    except ValueError:
+        return  # refused where it is built
+    assert validate_bucket(generate_bucket(cfg)) == []
+    assert validate_bucket(generate_sweep(cfg, total)) == []
 
 
 @st.composite
@@ -192,17 +242,19 @@ def agent_configs(draw):
 
 experiment_configs = st.builds(
     ExperimentConfig,
-    generator=generator_configs,
+    generator=generator_configs(),
     agent=agent_configs(),
-    sweep=st.lists(st.integers(10, 100), max_size=6).map(tuple),
-    algorithms=st.lists(st.sampled_from(ALGORITHMS), max_size=6).map(tuple),
-    runs_per_point=st.integers(1, 1000),
+    experiment=st.builds(
+        SweepSettings,
+        sweep=st.lists(st.integers(10, 100), max_size=6, unique=True).map(tuple),
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), unique=True).map(tuple),
+        runs_per_point=st.integers(1, 1000),
+    ),
 )
 
 
-
 @PROPERTY
-@given(st.one_of(generated_buckets, generator_configs, agent_configs(), experiment_configs))
+@given(st.one_of(generated_buckets, generator_configs(), agent_configs(), experiment_configs))
 def test_round_trip_property(obj):
     assert decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
 
@@ -290,12 +342,7 @@ def assert_total(load, target):
 
 
 BUCKET_DOC = encode(generate_bucket(GeneratorConfig(seed=3, n_ssrs=(2, 3), functions_per_ssr=(1, 3))))
-CONFIG_DOC = encode(ExperimentConfig())
-CONFIG_FILE_DOC = json.loads(json.dumps({
-    "generator": CONFIG_DOC["generator"],
-    "agent": CONFIG_DOC["agent"],
-    "experiment": {key: CONFIG_DOC[key] for key in ("sweep", "algorithms", "runs_per_point")},
-}))
+CONFIG_DOC = encode(ExperimentConfig())  # the default config file, every key written
 
 
 @st.composite
@@ -357,7 +404,7 @@ def test_decode_bucket_is_total(data):
 @settings(PROPERTY, max_examples=150)
 @given(st.data())
 def test_load_config_is_total(tmp_path, data):
-    doc, target = data.draw(mutations(CONFIG_FILE_DOC))
+    doc, target = data.draw(mutations(CONFIG_DOC))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert_total(lambda: load_config(path), target)

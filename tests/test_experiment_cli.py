@@ -14,6 +14,7 @@ from fogplace.cli import main
 from fogplace.costs import placement_step_cost_sum
 from fogplace.experiment import (
     ExperimentConfig,
+    SweepSettings,
     aggregate_rows,
     load_config,
     run_compare,
@@ -29,16 +30,10 @@ from conftest import make_bucket, make_fn, make_user
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
 
 
-def small_experiment(**kwargs):
-    defaults = dict(
-        generator=GeneratorConfig(seed=5),
-        agent=SMALL_AGENT,
-        sweep=(10, 20),
-        algorithms=("fog_first", "cloud_only"),
-        runs_per_point=2,
-    )
-    defaults.update(kwargs)
-    return ExperimentConfig(**defaults)
+def small_experiment(generator=GeneratorConfig(seed=5), **settings):
+    """A small config; ``settings`` replace entries of its experiment section."""
+    defaults = dict(sweep=(10, 20), algorithms=("fog_first", "cloud_only"), runs_per_point=2)
+    return ExperimentConfig(generator, SMALL_AGENT, SweepSettings(**{**defaults, **settings}))
 
 
 def test_config_round_trip(tmp_path):
@@ -50,11 +45,15 @@ def test_config_round_trip(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(sweep=(5,))
+        SweepSettings(sweep=(5,))
     with pytest.raises(ValueError):
-        ExperimentConfig(runs_per_point=0)
+        SweepSettings(runs_per_point=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(algorithms=("nonsense",))
+        SweepSettings(algorithms=("nonsense",))
+    with pytest.raises(ValueError, match=r"^sweep lists an entry twice: \[10, 20, 10\]$"):
+        SweepSettings(sweep=(10, 20, 10))
+    with pytest.raises(ValueError, match="^algorithms lists an entry twice: "):
+        SweepSettings(algorithms=("fog_first", "cloud_only", "fog_first"))
 
 
 def test_run_compare_shapes_and_sharing():
@@ -456,6 +455,8 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
     ({"generator": {"critical_value": [0, 7]}}, "generator"),
     ({"generator": {"critical_value": [2, 6]}}, "generator"),
     ({"generator": {"seed": -1}}, "generator"),
+    ({"experiment": {"algorithms": ["fog_first", "fog_first"], "sweep": [10, 10],
+                     "runs_per_point": 1}}, "experiment"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -466,11 +467,42 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     assert not out.exists()
 
 
+FOG_CPU_ABOVE_CLOUD = {
+    "per_function_cap": {"cpu": 8, "ram": 1024, "storage": 1024, "net_io": 2048},
+    "code_size_limit": 300.0, "input_size_limit": 1500.0, "link_latency": 0.0,
+}
+
+
+# generator sections that decode field by field but cannot generate a valid bucket
+@pytest.mark.parametrize("command", ["generate", "train", "compare"])
+@pytest.mark.parametrize("generator, message", [
+    ({"cpu_demand": [1, 10]}, "cpu_demand range max 10 exceeds the cloud limit 6"),
+    ({"distance_cap": 0}, "distance cap 0 must be finite and > 0"),
+    ({"latency": [-5, 100]}, "latency range has min -5 <= 0"),
+    ({"priority_blend": 2}, "priority blend 2 outside [0, 1]"),
+    ({"delta": 0}, "delta must be > 0 with a finite 1/delta, got 0"),
+    ({"importance_factors": {"cpu": 0.5, "ram": 0.5, "storage": 0.5, "net_io": 0.5}},
+     "importance factors sum 2.0 != 1"),
+    ({"fog": FOG_CPU_ABOVE_CLOUD}, "fog per-function cap exceeds cloud cap in some component"),
+], ids=["cpu-demand", "distance-cap", "latency", "blend", "delta", "factors", "fog-cap"])
+def test_cli_rejects_config_that_cannot_generate(tmp_path, capsys, command, generator, message):
+    cfg_path = tmp_path / "config.json"
+    # without defdrel, compare needs no checkpoint and goes straight to generation
+    cfg_path.write_text(json.dumps({"generator": generator, "experiment": {
+        "sweep": [10], "algorithms": ["fog_first"], "runs_per_point": 1}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed config {cfg_path}: generator: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_config_sections_may_be_partial(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"agent": {"episodes": 7}, "experiment": {"sweep": [30]}}))
     assert load_config(path) == ExperimentConfig(
-        agent=AgentConfig(episodes=7), sweep=(30,))
+        agent=AgentConfig(episodes=7), experiment=SweepSettings(sweep=(30,)))
     path.write_text("{}")
     assert load_config(path) == ExperimentConfig()
 
@@ -517,7 +549,7 @@ def test_output_digests_tool_prints_one_line_per_output():
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
     assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
-        "bucket.json", "sweep.json", "run/checkpoint.json", "run/training_log.csv",
-        "results/results_detail.csv", "results/results_mean.csv", "oracle stdout",
-        "cost_model_walkthrough.py stdout",
+        "saved_config.json", "bucket.json", "sweep.json", "run/checkpoint.json",
+        "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
+        "oracle stdout", "cost_model_walkthrough.py stdout",
     ]

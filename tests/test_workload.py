@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as reference
 from fogplace.codec import decode, encode
-from fogplace.model import GenerationError, fog_feasible, validate_bucket
+from fogplace.model import fog_feasible, validate_bucket
 from scalar_reference import total_demand
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
@@ -62,9 +62,8 @@ def test_demand_split_consistency():
 
 
 def test_infeasible_demand_range_rejected():
-    cfg = GeneratorConfig(seed=0, cpu_demand=(1.0, 10.0))  # cloud CPU cap is 6
-    with pytest.raises(GenerationError):
-        generate_bucket(cfg)
+    with pytest.raises(ValueError, match="^cpu_demand range max 10.0 exceeds the cloud limit 6$"):
+        GeneratorConfig(seed=0, cpu_demand=(1.0, 10.0))  # cloud CPU cap is 6
 
 
 def test_sweep_exact_splits():

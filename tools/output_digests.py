@@ -3,6 +3,7 @@
 The job runs through ``fogplace.cli.main``, in this process, inside a
 temporary directory that is removed afterwards:
 
+  config     the file that ``save_config`` writes for ``load_config`` of CONFIG
   generate   the default bucket, and a 40-function sweep bucket
   train      a few episodes at the compare width
   compare    all five algorithms, including defdrel, on the sweep [10, 20]
@@ -27,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 import fogplace.cli
+from fogplace.experiment import load_config, save_config
 
 CONFIG = {
     "agent": {"episodes": 3},
@@ -37,6 +39,7 @@ CONFIG = {
     },
 }
 OUTPUT_FILES = (
+    "saved_config.json",
     "bucket.json",
     "sweep.json",
     "run/checkpoint.json",
@@ -61,6 +64,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
     """(sha256, name) of every output of the job, run inside ``work``."""
     config = work / "config.json"
     config.write_text(json.dumps(CONFIG))
+    save_config(load_config(config), work / "saved_config.json")
     run("generate", "--config", str(config), "--out", str(work / "bucket.json"))
     run("generate", "--config", str(config), "--sweep-n", "40", "--out", str(work / "sweep.json"))
     run("train", "--config", str(config), "--out", str(work / "run"))
