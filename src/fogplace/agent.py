@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import DecodeError, decode
 from .env import Action, PlacementEnv
-from .model import Placement, StateError
+from .model import Placement
 
 CHECKPOINT_VERSION = 1
 
@@ -61,13 +61,11 @@ class AgentConfig:
 class ValueNetwork:
     """Rectifier MLP mapping an encoded state to one Q-value per action."""
 
-    def __init__(self, input_size: int, hidden_sizes: tuple[int, ...],
-                 rng: np.random.Generator | None = None):
+    def __init__(self, input_size: int, hidden_sizes: tuple[int, ...], rng: np.random.Generator):
         sizes = [input_size, *hidden_sizes, len(Action)]
         self.sizes = sizes
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        rng = rng or np.random.default_rng(0)
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
@@ -84,20 +82,16 @@ class ValueNetwork:
         a = x[None, :] if single else x
         if a.shape[1] != self.input_size:
             raise ValueError(f"expected input size {self.input_size}, got {a.shape[1]}")
+        q = self._layers(a)[1]
+        return q[0] if single else q
+
+    def _layers(self, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each layer's input (the batch, then each ReLU output) and the Q-values."""
+        inputs = [a]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = np.maximum(a @ w + b, 0.0)
-        a = a @ self.weights[-1] + self.biases[-1]
-        return a[0] if single else a
-
-    def _forward_cached(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        pre: list[np.ndarray] = []
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-        out = a @ self.weights[-1] + self.biases[-1]
-        return pre, out
+            inputs.append(a)
+        return inputs, a @ self.weights[-1] + self.biases[-1]
 
     def gradient(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
@@ -112,7 +106,7 @@ class ValueNetwork:
             raise TrainingFault("non-finite batch input")
         batch = states.shape[0]
 
-        pre, q = self._forward_cached(states)
+        inputs, q = self._layers(states)
         picked = q[np.arange(batch), actions]
         loss = float(np.mean((picked - targets) ** 2))
 
@@ -122,13 +116,12 @@ class ValueNetwork:
 
         grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
         grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        activations = [states] + [np.maximum(z, 0.0) for z in pre]
         delta = dq
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
+            grads_w[layer] = inputs[layer].T @ delta
             grads_b[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (pre[layer - 1] > 0)
+            if layer > 0:  # a ReLU output is > 0 exactly where its pre-activation is
+                delta = (delta @ self.weights[layer].T) * (inputs[layer] > 0)
         return grads_w, grads_b, loss
 
     def apply_gradients(self, grads_w, grads_b, lr: float) -> None:
@@ -218,7 +211,7 @@ class ReplayBuffer:
         self.actions = np.empty(rows, dtype=np.intp)
         self.rewards = np.empty(rows)
         self.dones = np.empty(rows, dtype=bool)
-        self.next_masks = np.empty((rows, 2), dtype=bool)
+        self.next_fog_ok = np.empty(rows, dtype=bool)  # the next state's fog flag
         self._size = 0
         self._next = 0  # row the next push overwrites
         # batch-sized state buffers, reused by every sample: a fresh pair of
@@ -227,13 +220,13 @@ class ReplayBuffer:
 
     def _grow(self) -> None:
         rows = min(2 * len(self.rewards), self.capacity)
-        for name in ("states", "next_states", "actions", "rewards", "dones", "next_masks"):
+        for name in ("states", "next_states", "actions", "rewards", "dones", "next_fog_ok"):
             old = getattr(self, name)
             new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
             new[: len(old)] = old
             setattr(self, name, new)
 
-    def push(self, state, action, reward, next_state, done, next_mask) -> None:
+    def push(self, state, action, reward, next_state, done, next_fog_ok) -> None:
         row = self._next
         if row == len(self.rewards):  # every allocated row is in use
             self._grow()
@@ -242,7 +235,7 @@ class ReplayBuffer:
         self.rewards[row] = reward
         self.next_states[row] = next_state
         self.dones[row] = done
-        self.next_masks[row] = next_mask
+        self.next_fog_ok[row] = next_fog_ok
         self._next = (row + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -250,7 +243,7 @@ class ReplayBuffer:
         return self._size
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform batch: (states, actions, rewards, next states, dones, next masks).
+        """Uniform batch: (states, actions, rewards, next states, dones, next fog flags).
 
         The two state arrays are buffers of this replay that the next sample overwrites.
         """
@@ -267,24 +260,20 @@ class ReplayBuffer:
         np.take(self.states, idx, axis=0, out=states, mode="clip")
         np.take(self.next_states, idx, axis=0, out=next_states, mode="clip")
         return (states, self.actions[idx], self.rewards[idx],
-                next_states, self.dones[idx], self.next_masks[idx])
+                next_states, self.dones[idx], self.next_fog_ok[idx])
 
 
 def select_action(
     net: ValueNetwork,
     encoded: np.ndarray,
-    mask: tuple[bool, bool],
+    fog_ok: bool,
     epsilon: float,
     rng: np.random.Generator,
 ) -> Action:
-    """Epsilon-greedy over the feasible actions; greedy ties go to the cloud."""
-    fog_ok, cloud_ok = mask
-    if not (fog_ok and cloud_ok):
-        if fog_ok:
-            return Action.FOG
-        if cloud_ok:
-            return Action.CLOUD
-        raise StateError("no feasible action")
+    """Epsilon-greedy between fog and cloud, or the cloud for a function that does
+    not fit the fog; greedy ties go to the cloud."""
+    if not fog_ok:
+        return Action.CLOUD
     if rng.uniform() < epsilon:
         return Action(int(rng.integers(0, 2)))
     q = net.forward(encoded)
@@ -300,12 +289,10 @@ class TrainResult:
 def _batch_targets(
     batch, target_net: ValueNetwork, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    states, actions, rewards, next_states, dones, masks = batch
+    states, actions, rewards, next_states, dones, next_fog_ok = batch
     q_next = target_net.forward(next_states)
-    # infeasible continuations are excluded from the max
-    q_next = np.where(masks, q_next, -np.inf)
-    best_next = q_next.max(axis=1)
-    best_next = np.where(np.isfinite(best_next), best_next, 0.0)
+    # the best feasible continuation: the cloud's alone where the fog cannot take it
+    best_next = np.where(next_fog_ok, q_next.max(axis=1), q_next[:, Action.CLOUD])
     targets = rewards + np.where(dones, 0.0, gamma * best_next)
     return states, actions, targets
 
@@ -335,11 +322,11 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
         losses: list[float] = []
         try:
             while not state.done:
-                action = select_action(net, state.encoded, state.mask, epsilon, rng)
+                action = select_action(net, state.encoded, state.mask[0], epsilon, rng)
                 outcome = env.step(state, action)
                 after = outcome.next_state
                 replay.push(state.encoded, int(action), -outcome.cost,
-                            after.encoded, after.done, after.mask)
+                            after.encoded, after.done, after.mask[0])
                 total_cost += outcome.cost
                 state = after
                 step_count += 1
@@ -384,12 +371,12 @@ class EpisodeRecord:
 
 def greedy_rollout(net: ValueNetwork, env: PlacementEnv) -> tuple[Placement, EpisodeRecord]:
     """One epsilon=0 episode; returns the final placement and its record."""
-    rng = np.random.default_rng(0)  # never consulted at epsilon 0
+    rng = np.random.default_rng(0)  # drawn on each free decision, but at epsilon 0 never decides
     state = env.reset()
     actions: list[int] = []
     step_costs: list[float] = []
     while not state.done:
-        action = select_action(net, state.encoded, state.mask, 0.0, rng)
+        action = select_action(net, state.encoded, state.mask[0], 0.0, rng)
         outcome = env.step(state, action)
         actions.append(int(action))
         step_costs.append(outcome.cost)

@@ -20,29 +20,18 @@ def fog_first(bucket: SSRBucket) -> Placement:
 
 def cloud_only(bucket: SSRBucket) -> Placement:
     """Every function in the cloud, whose limits every function of a valid bucket fits."""
-    return (False,) * len(bucket.costs.cloud_ok)
+    return (False,) * len(bucket.costs.fog_ok)
 
 
 def random_feasible(bucket: SSRBucket, rng: np.random.Generator) -> Placement:
-    """Uniform over each function's feasible platforms; one rng draw per function."""
-    ctx = bucket.costs
-    on_fog = []
-    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
-        pick = int(rng.integers(0, fog_ok + cloud_ok))
-        on_fog.append(fog_ok and pick == 0)
-    return tuple(on_fog)
-
-
-def _cheaper_side(bucket: SSRBucket, fog_cost, cloud_cost, fog_wins) -> np.ndarray:
-    """Fog flags of each function's feasible side; ``fog_wins`` decides when both are."""
-    ctx = bucket.costs
-    return ctx.fog_ok & (fog_wins(fog_cost, cloud_cost) | ~ctx.cloud_ok)
+    """Fog or cloud with equal odds where the fog fits, else cloud; one draw per fog fit."""
+    return tuple(fog_ok and int(rng.integers(0, 2)) == 0 for fog_ok in bucket.costs.fog_ok.tolist())
 
 
 def greedy_cost(bucket: SSRBucket) -> Placement:
     """Per function, the feasible action with the smaller step cost; ties to cloud."""
     ctx = bucket.costs
-    return tuple(_cheaper_side(bucket, ctx.fog_step, ctx.cloud_step, np.less).tolist())
+    return tuple((ctx.fog_ok & (ctx.fog_step < ctx.cloud_step)).tolist())
 
 
 @dataclass(frozen=True)
@@ -60,10 +49,10 @@ def exact_optimum(bucket: SSRBucket) -> Optimum:
     (0 = fog, 1 = cloud) is lexicographically smallest.
     """
     ctx = bucket.costs
-    step = _cheaper_side(bucket, ctx.fog_step, ctx.cloud_step, np.less_equal)
+    step = ctx.fog_ok & (ctx.fog_step <= ctx.cloud_step)
     fog_objective = ctx.priority + ctx.fog_comp
     cloud_objective = (ctx.priority + ctx.norm_link) + ctx.cloud_comp
-    objective = _cheaper_side(bucket, fog_objective, cloud_objective, np.less_equal)
+    objective = ctx.fog_ok & (fog_objective <= cloud_objective)
     return Optimum(
         best_step_placement=tuple(step.tolist()),
         best_step_cost=float(ctx.step_cost_sum(step)),

@@ -28,7 +28,7 @@ from .experiment import (
     aggregate_rows,
 )
 from .env import SLOT_WIDTH
-from .model import SSRBucket, load_bucket, save_bucket, validate_bucket
+from .model import InvalidBucket, load_bucket, save_bucket, validate_bucket
 from .workload import generate_bucket, generate_sweep
 
 CONFIG_ENV_VAR = "FOGPLACE_CONFIG"
@@ -123,9 +123,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _print_violations(bucket: SSRBucket) -> bool:
+def _print_violations(violations: list[str]) -> bool:
     """Print one VIOLATION line per broken invariant; True when there were any."""
-    violations = validate_bucket(bucket)
     for v in violations:
         print(f"VIOLATION: {v}")
     return bool(violations)
@@ -133,9 +132,11 @@ def _print_violations(bucket: SSRBucket) -> bool:
 
 def cmd_oracle(args) -> int:
     bucket = _read("bucket", load_bucket, args.bucket)
-    if _print_violations(bucket):
+    try:  # reading the cost arrays validates the bucket, once
+        result = baselines.exact_optimum(bucket)
+    except InvalidBucket as invalid:
+        _print_violations(invalid.violations)
         return 1
-    result = baselines.exact_optimum(bucket)  # a valid bucket always has an optimum
 
     def pairs(placement):  # each function as its [fog, cloud] flags
         return [[1, 0] if on_fog else [0, 1] for on_fog in placement]
@@ -151,7 +152,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if _print_violations(_read("bucket", load_bucket, args.bucket)):
+    if _print_violations(validate_bucket(_read("bucket", load_bucket, args.bucket))):
         return 1
     print("bucket is valid")
     return 0

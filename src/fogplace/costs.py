@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Placement, SSRBucket, validate_bucket
+from .model import InvalidBucket, Placement, SSRBucket, validate_bucket
 
 
 def _running_total(values: np.ndarray) -> np.ndarray:
@@ -54,8 +54,7 @@ class CostContext:
     """Per-function arrays of one bucket, in its flattened insertion order."""
 
     demand: np.ndarray  # n x 4 total (base + supplementary) demand, RESOURCE_KINDS order
-    fog_ok: np.ndarray  # bool: the function fits the fog limits
-    cloud_ok: np.ndarray  # bool: the function fits the cloud limits
+    fog_ok: np.ndarray  # bool: the function fits the fog limits (every one fits the cloud)
     latency: np.ndarray  # l_i: the owning user's latency / max user latency
     priority: np.ndarray  # p_i: the owning user's priority
     weight: np.ndarray  # function priority / highest function priority of its SSR
@@ -72,10 +71,10 @@ class CostContext:
 
     @classmethod
     def from_bucket(cls, bucket: SSRBucket) -> "CostContext":
-        """Validate the bucket, then build its arrays; ``ValueError`` if either fails."""
+        """Validate the bucket, then build its arrays; ``InvalidBucket`` if it is invalid."""
         violations = validate_bucket(bucket)
         if violations:
-            raise ValueError("invalid bucket: " + "; ".join(violations))
+            raise InvalidBucket(violations)
         max_latency = max(u.latency for u in bucket.users)
         by_user = {u.id: (u.latency / max_latency, u.priority) for u in bucket.users}
         fns, latency, priority, weight, slots = [], [], [], [], []
@@ -106,23 +105,19 @@ class CostContext:
         factors = np.array(bucket.importance_factors.as_tuple())
         lf = bucket.cloud.link_latency / max_latency
 
-        def platform(limits):
-            cap = np.array(limits.per_function_cap.as_tuple())
-            fits = (
-                (code_size <= limits.code_size_limit)
-                & (input_size <= limits.input_size_limit)
-                & (demand <= cap).all(axis=1)
-            )
-            ratio = demand / cap * factors
-            return fits, ratio[:, 0] + ratio[:, 1] + ratio[:, 2], ratio[:, 3]
+        def ratios(limits):
+            ratio = demand / np.array(limits.per_function_cap.as_tuple()) * factors
+            return ratio[:, 0] + ratio[:, 1] + ratio[:, 2], ratio[:, 3]
 
-        fog_ok, fog_base, fog_io = platform(bucket.fog)
-        cloud_ok, cloud_base, cloud_io = platform(bucket.cloud)
+        fog = bucket.fog
+        fog_ok = ((code_size <= fog.code_size_limit) & (input_size <= fog.input_size_limit)
+                  & (demand <= np.array(fog.per_function_cap.as_tuple())).all(axis=1))
+        fog_base, fog_io = ratios(fog)
+        cloud_base, cloud_io = ratios(bucket.cloud)
         fog_comp = fog_base + fog_io * latency_v
         return cls(
             demand=demand,
             fog_ok=fog_ok,
-            cloud_ok=cloud_ok,
             latency=latency_v,
             priority=priority_v,
             weight=weight_v,

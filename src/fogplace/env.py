@@ -29,7 +29,7 @@ class EnvState:
 
     encoded: np.ndarray  # float64 state row: slot features and flags, then the cursor share
     cursor: int  # position in the processing order
-    mask: tuple[bool, bool]  # (fog allowed, cloud allowed) for the next function
+    mask: tuple[bool, bool]  # (next function fits the fog, not done): the allowed actions
     placement: Placement | None = None  # in insertion order, set once the episode completes
 
     @property
@@ -72,7 +72,8 @@ class PlacementEnv:
             )
         visit = np.array(self.order, dtype=np.intp)
         self._costs = (ctx.fog_step[visit].tolist(), ctx.cloud_step[visit].tolist())
-        self._masks = list(zip(ctx.fog_ok[visit].tolist(), ctx.cloud_ok[visit].tolist()))
+        # the cloud takes every function of a valid bucket, so only the fog flag varies
+        self._masks = [(fog_ok, True) for fog_ok in ctx.fog_ok[visit].tolist()]
         self._masks.append((False, False))
         self._static = self._static_encoding(visit)
         self._on_fog = [False] * n  # this episode's decisions, in insertion order
@@ -82,11 +83,6 @@ class PlacementEnv:
         """Start a new episode; states of earlier episodes can no longer be stepped."""
         self._latest = EnvState(encoded=self._static.copy(), cursor=0, mask=self._masks[0])
         return self._latest
-
-    def feasible_actions(self, state: EnvState) -> tuple[bool, bool]:
-        if state.done:
-            raise StateError("episode is complete")
-        return state.mask
 
     def step(self, state: EnvState, action: Action) -> StepOutcome:
         if state is not self._latest:

@@ -185,6 +185,14 @@ def settings_violations(settings: SSRBucket) -> list[str]:
     return violations
 
 
+class InvalidBucket(ValueError):
+    """A bucket with invariant violations, raised where it becomes cost arrays."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid bucket: " + "; ".join(violations))
+        self.violations = violations
+
+
 def validate_bucket(bucket: SSRBucket) -> list[str]:
     """Collect every invariant violation; an empty list means the bucket is valid.
 

@@ -24,6 +24,7 @@ from fogplace.model import (
     ServerlessFunction,
     StateError,
     User,
+    cloud_feasible,
     fog_feasible,
 )
 from fogplace.scoring import distance_priority, latency_priority, user_distance, user_priority
@@ -183,8 +184,9 @@ def brute_force_optimum(bucket):
     ctx = bucket.costs
 
     options = []
-    for fog_ok, cloud_ok in zip(ctx.fog_ok.tolist(), ctx.cloud_ok.tolist()):
-        opts = [on_fog for on_fog, ok in ((True, fog_ok), (False, cloud_ok)) if ok]
+    for _, fn in bucket.functions():
+        fits = ((True, fog_feasible(fn, bucket.fog)), (False, cloud_feasible(fn, bucket.cloud)))
+        opts = [on_fog for on_fog, ok in fits if ok]
         if not opts:
             raise ValueError("function with no feasible platform")
         options.append(opts)

@@ -121,8 +121,7 @@ def test_criterion_2_constraint_soundness():
             env = PlacementEnv(bucket)
             state = env.reset()
             while not state.done:
-                mask = env.feasible_actions(state)
-                feasible = [a for a in (Action.FOG, Action.CLOUD) if mask[a]]
+                feasible = [a for a in (Action.FOG, Action.CLOUD) if state.mask[a]]
                 state = env.step(
                     state, feasible[int(rng.integers(0, len(feasible)))]
                 ).next_state

@@ -16,7 +16,6 @@ from fogplace.agent import (
 )
 from fogplace.codec import DecodeError, decode, encode
 from fogplace.env import Action, PlacementEnv
-from fogplace.model import StateError
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 
@@ -149,33 +148,33 @@ def test_select_action_greedy_prefers_higher_q():
     net = ValueNetwork(2, (), np.random.default_rng(0))
     net.weights[0][:] = 0.0
     net.biases[0][:] = [-1.0, -0.5]
-    action = select_action(net, (0.0, 0.0), (True, True), 0.0, np.random.default_rng(0))
+    action = select_action(net, (0.0, 0.0), True, 0.0, np.random.default_rng(0))
     assert action == Action.CLOUD
     net.biases[0][:] = [-0.5, -1.0]
-    action = select_action(net, (0.0, 0.0), (True, True), 0.0, np.random.default_rng(0))
+    action = select_action(net, (0.0, 0.0), True, 0.0, np.random.default_rng(0))
     assert action == Action.FOG
 
 
 def test_select_action_tie_breaks_to_cloud():
     net = zeroed(ValueNetwork(2, (), np.random.default_rng(0)))
-    action = select_action(net, (0.0, 0.0), (True, True), 0.0, np.random.default_rng(0))
+    action = select_action(net, (0.0, 0.0), True, 0.0, np.random.default_rng(0))
     assert action == Action.CLOUD
 
 
 def test_select_action_forced_by_mask():
+    """A function that does not fit the fog goes to the cloud, with no rng draw."""
     net = zeroed(ValueNetwork(2, (), np.random.default_rng(0)))
     rng = np.random.default_rng(0)
-    assert select_action(net, (0.0, 0.0), (True, False), 1.0, rng) == Action.FOG
-    assert select_action(net, (0.0, 0.0), (False, True), 0.0, rng) == Action.CLOUD
-    with pytest.raises(StateError):
-        select_action(net, (0.0, 0.0), (False, False), 0.0, rng)
+    assert select_action(net, (0.0, 0.0), False, 0.0, rng) == Action.CLOUD
+    assert select_action(net, (0.0, 0.0), False, 1.0, rng) == Action.CLOUD
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_select_action_exploration_is_seeded():
     net = zeroed(ValueNetwork(2, (), np.random.default_rng(0)))
     rng1, rng2 = np.random.default_rng(21), np.random.default_rng(21)
-    seq1 = [select_action(net, (0.0,) * 2, (True, True), 1.0, rng1) for _ in range(20)]
-    seq2 = [select_action(net, (0.0,) * 2, (True, True), 1.0, rng2) for _ in range(20)]
+    seq1 = [select_action(net, (0.0,) * 2, True, 1.0, rng1) for _ in range(20)]
+    seq2 = [select_action(net, (0.0,) * 2, True, 1.0, rng2) for _ in range(20)]
     assert seq1 == seq2
     assert Action.FOG in seq1 and Action.CLOUD in seq1
 
@@ -183,7 +182,7 @@ def test_select_action_exploration_is_seeded():
 def test_replay_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=3, width=1)
     for i in range(5):
-        buf.push([float(i)], 0, 0.0, [float(i)], False, (True, True))
+        buf.push([float(i)], 0, 0.0, [float(i)], False, True)
     assert len(buf) == 3
     states, *_ = buf.sample(8, np.random.default_rng(0))
     assert states.shape == (8, 1)
@@ -201,19 +200,19 @@ def test_replay_ring_samples_like_a_deque(capacity, pushes):
     reference = deque(maxlen=capacity)
     for i in range(pushes):
         entry = (np.full(width, i + 0.5), i % 2, -float(i), np.full(width, i + 0.25),
-                 i % 3 == 0, (True, i % 2 == 0))
+                 i % 3 == 0, i % 2 == 0)
         buf.push(*entry)
         reference.append(entry)
     assert len(buf) == len(reference)
     rng_ring, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    states, actions, rewards, next_states, dones, masks = buf.sample(16, rng_ring)
+    states, actions, rewards, next_states, dones, next_fog_ok = buf.sample(16, rng_ring)
     picked = [reference[i] for i in rng_ref.integers(0, len(reference), size=16)]
     assert np.array_equal(states, np.array([e[0] for e in picked]))
     assert actions.tolist() == [e[1] for e in picked]
     assert rewards.tolist() == [e[2] for e in picked]
     assert np.array_equal(next_states, np.array([e[3] for e in picked]))
     assert dones.tolist() == [e[4] for e in picked]
-    assert masks.tolist() == [list(e[5]) for e in picked]
+    assert next_fog_ok.tolist() == [e[5] for e in picked]
 
 
 def test_train_zero_episodes_is_noop():

@@ -80,6 +80,26 @@ def test_random_feasible_is_seeded():
     assert_feasible(bucket, a)
 
 
+def test_random_feasible_draws_one_uniform_pick_per_function():
+    """The draw stream of the rule "one rng.integers(0, fits_fog + 1) per function,
+    and 0 means fog": an integers(0, 1) call for a function that does not fit the
+    fog consumes no generator state."""
+    mixed = 0
+    cfg = dataclasses.replace(SMALL_CFG, cpu_demand=(1.0, 3.0))  # the fog takes at most 2 cores
+    for seed in range(10):
+        bucket = generate_bucket(cfg, seed=seed)
+        fits_fog = [fog_feasible(fn, bucket.fog) for _, fn in bucket.functions()]
+        mixed += any(fits_fog) and not all(fits_fog)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for fits in fits_fog:
+            pick = int(reference.integers(0, fits + 1))
+            expected.append(fits and pick == 0)
+        assert random_feasible(bucket, rng) == tuple(expected)
+        assert rng.integers(0, 2**63) == reference.integers(0, 2**63)
+    assert mixed == 10
+
+
 def test_all_baselines_satisfy_constraints_fuzz():
     rng = np.random.default_rng(2)
     for seed in range(30):

@@ -321,8 +321,8 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
                 assert ctx.fog_comp[k] == ref.comp_latency_fn(fn, 1, 0, *args) * w
                 assert ctx.cloud_comp[k] == ref.comp_latency_fn(fn, 0, 1, *args) * w
                 assert ctx.fog_ok[k] == fog_feasible(fn, bucket.fog)
-                assert ctx.cloud_ok[k] == cloud_feasible(fn, bucket.cloud)
-                if ctx.fog_ok[k] and ctx.cloud_ok[k]:
+                assert cloud_feasible(fn, bucket.cloud)  # the cloud takes every function
+                if ctx.fog_ok[k]:
                     free += 1
                 else:
                     forced += 1

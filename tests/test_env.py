@@ -28,8 +28,7 @@ def run_random_episode(env, rng):
     state = env.reset()
     actions, step_costs = [], []
     while not state.done:
-        mask = env.feasible_actions(state)
-        feasible = [a for a in (Action.FOG, Action.CLOUD) if mask[a]]
+        feasible = [a for a in (Action.FOG, Action.CLOUD) if state.mask[a]]
         action = feasible[int(rng.integers(0, len(feasible)))]
         outcome = env.step(state, action)
         actions.append(int(action))
@@ -73,7 +72,7 @@ def test_mask_fog_cpu_cap():
         users=[make_user(0)],
     )
     env = PlacementEnv(bucket)
-    assert env.feasible_actions(env.reset()) == (False, True)
+    assert env.reset().mask == (False, True)
 
 
 def test_mask_fog_input_limit():
@@ -83,7 +82,7 @@ def test_mask_fog_input_limit():
         users=[make_user(0)],
     )
     env = PlacementEnv(bucket)
-    assert env.feasible_actions(env.reset())[0] is False
+    assert env.reset().mask[0] is False
 
 
 def test_mask_both_feasible():
@@ -93,7 +92,7 @@ def test_mask_both_feasible():
         users=[make_user(0)],
     )
     env = PlacementEnv(bucket)
-    assert env.feasible_actions(env.reset()) == (True, True)
+    assert env.reset().mask == (True, True)
 
 
 def test_step_zero_demand_fog_cost():
@@ -169,8 +168,7 @@ def test_encoding_in_unit_interval_fuzz():
             assert all(0.0 <= v <= 1.0 for v in state.encoded)
             if state.done:
                 break
-            mask = env.feasible_actions(state)
-            feasible = [a for a in (Action.FOG, Action.CLOUD) if mask[a]]
+            feasible = [a for a in (Action.FOG, Action.CLOUD) if state.mask[a]]
             state = env.step(state, feasible[int(rng.integers(0, len(feasible)))]).next_state
 
 

@@ -346,6 +346,22 @@ def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
     assert "VIOLATION: distance cap -1.0 must be finite and > 0" in printed
 
 
+def test_cli_oracle_validates_a_valid_bucket_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bucket.json"
+    save_bucket(generate_bucket(GeneratorConfig(seed=3)), path)
+    original, calls = fogplace.model.validate_bucket, []
+
+    def counting(bucket):
+        calls.append(bucket)
+        return original(bucket)
+
+    for name, module in list(sys.modules.items()):  # every fogplace module that binds it
+        if name.split(".")[0] == "fogplace" and vars(module).get("validate_bucket") is original:
+            monkeypatch.setattr(module, "validate_bucket", counting)
+    assert main(["oracle", str(path)]) == 0
+    assert len(calls) == 1
+
+
 def zero_ssr_0_priorities(doc):
     for fn in doc["ssrs"][0]["functions"]:
         fn["priority"] = 0.0

@@ -112,8 +112,7 @@ def test_report_step_cost_matches_episode_replay():
     state = env.reset()
     total = 0.0
     while not state.done:
-        mask = env.feasible_actions(state)
-        feasible = [a for a in (Action.FOG, Action.CLOUD) if mask[a]]
+        feasible = [a for a in (Action.FOG, Action.CLOUD) if state.mask[a]]
         outcome = env.step(state, feasible[int(rng.integers(0, len(feasible)))])
         total += outcome.cost
         state = outcome.next_state
