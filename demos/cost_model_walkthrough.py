@@ -39,16 +39,16 @@ def ssr(i, *rows):
     """SSR i of user i; a row is (code MB, input MB, critical, cpu, ram, storage, net_io)."""
     code, inp, critical = ([row[k] for row in rows] for k in range(3))
     return SSR(user_id=i, functions=tuple(
-        ServerlessFunction(ssr_index=i, index=j, code_size=row[0], input_size=row[1],
-                           critical_value=row[2], base_demand=ResourceVector(*row[3:]),
+        ServerlessFunction(code_size=row[0], input_size=row[1], critical_value=row[2],
+                           base_demand=ResourceVector(*row[3:]),
                            supplementary_demand=ResourceVector(), priority=p)
-        for j, (row, p) in enumerate(zip(rows, scoring.ssr_priorities(critical, code, inp)))
+        for row, p in zip(rows, scoring.ssr_priorities(critical, code, inp))
     ))
 
 
 bucket = SSRBucket(
-    users=tuple(User(id=i, position=pos, latency=latency, priority=p)
-                for i, (pos, latency, p) in enumerate(zip(positions, latencies, user_scores))),
+    users=tuple(User(id=i, latency=latency, priority=p)
+                for i, (latency, p) in enumerate(zip(latencies, user_scores))),
     ssrs=(
         ssr(0, (120, 400, 2, 1, 256, 64, 128), (480, 2000, 5, 3, 2048, 512, 512)),
         ssr(1, (200, 900, 3, 2, 512, 128, 256)),
@@ -56,33 +56,33 @@ bucket = SSRBucket(
     fog=fog,
     cloud=cloud,
     importance_factors=ResourceVector(0.25, 0.25, 0.25, 0.25),
-    distance_cap=DISTANCE_CAP,
-    priority_blend=BLEND,
 )
 
 print("== user priorities ==")
-for user in bucket.users:
-    d = scoring.user_distance((0.0, 0.0), user.position)
+for user, position in zip(bucket.users, positions):
+    d = scoring.user_distance((0.0, 0.0), position)
     print(f"user {user.id}: distance {d:5.1f} km, latency {user.latency:5.1f} ms"
           f" -> priority {user.priority:.3f}")
 
 print("\n== function priorities (within each SSR) ==")
 for i, ssr in enumerate(bucket.ssrs):
-    for f in ssr.functions:
-        print(f"SSR {i} fn {f.index}: critical {f.critical_value},"
+    for j, f in enumerate(ssr.functions):
+        print(f"SSR {i} fn {j}: critical {f.critical_value},"
               f" code {f.code_size:5.0f} MB, input {f.input_size:6.0f} MB"
               f" -> priority {f.priority:.3f}")
 
 print("\n== per-function step costs ==")
 ctx = bucket.costs  # the per-function cost arrays, built once per bucket
-for k, (i, f) in enumerate(bucket.functions()):
+# function j of SSR i, in the bucket's flattened order
+slots = [(i, j) for i, ssr in enumerate(bucket.ssrs) for j in range(len(ssr.functions))]
+for k, (i, j) in enumerate(slots):
     fog_c, cloud_c = ctx.fog_step[k], ctx.cloud_step[k]
     if ctx.fog_ok[k]:
         pick = "fog" if fog_c < cloud_c else "cloud"
-        print(f"SSR {i} fn {f.index}: fog {fog_c:.4f} vs cloud {cloud_c:.4f}"
+        print(f"SSR {i} fn {j}: fog {fog_c:.4f} vs cloud {cloud_c:.4f}"
               f" -> {pick}")
     else:
-        print(f"SSR {i} fn {f.index}: fog infeasible, cloud {cloud_c:.4f} -> cloud")
+        print(f"SSR {i} fn {j}: fog infeasible, cloud {cloud_c:.4f} -> cloud")
 
 print("\n== whole-bucket objective for two candidate placements ==")
 # a placement is one fog flag per function, in the bucket's flattened order

@@ -3,7 +3,7 @@
 Config precedence: built-in defaults < config file (--config or the
 FOGPLACE_CONFIG environment variable) < command line flags.
 Exit codes: 0 success, 1 runtime fault or invalid bucket, 2 usage error or a
-malformed config, bucket or checkpoint file.
+config, bucket or checkpoint file that cannot be read, is not JSON or is malformed.
 """
 from __future__ import annotations
 
@@ -39,22 +39,19 @@ class UsageError(Exception):
 
 
 def _read(kind: str, load, path: str):
-    """Load a config, bucket or checkpoint file; a document of the wrong shape is a usage error."""
+    """Load a config, bucket or checkpoint file; a file that cannot be read, is not
+    JSON or has the wrong shape is a usage error."""
     try:
         return load(path)
     except DecodeError as exc:
         raise UsageError(f"malformed {kind} {path}: {exc}") from exc
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot load {kind} {path}: {exc}") from exc
 
 
 def _resolve_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        cfg = ExperimentConfig()
-    else:
-        try:
-            cfg = _read("config", load_config, path)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot load config {path}: {exc}") from exc
+    cfg = ExperimentConfig() if path is None else _read("config", load_config, path)
     try:
         if getattr(args, "seed", None) is not None:
             cfg = dataclasses.replace(
@@ -105,8 +102,6 @@ def cmd_compare(args) -> int:
     if "defdrel" in cfg.experiment.algorithms:
         if args.checkpoint is None:
             raise UsageError("--checkpoint is required when the defdrel agent is compared")
-        if not Path(args.checkpoint).exists():
-            raise UsageError(f"checkpoint {args.checkpoint} does not exist")
         net = _read("checkpoint", ValueNetwork.load, args.checkpoint)
         width = MAX_FUNCTIONS * SLOT_WIDTH + 1
         if net.input_size != width:
@@ -207,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:  # an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """Placement statistics: distribution of functions, demand, and characteristics.
 
-Averages over an environment with no functions are reported as None and
-rendered as empty CSV cells; percentages carry full precision and are only
-rounded by whoever plots them.
+Each average over a fog or cloud side that holds no functions is reported
+as None and rendered as an empty CSV cell; percentages carry full precision
+and are only rounded by whoever plots them.
 """
 from __future__ import annotations
 

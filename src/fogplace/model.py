@@ -3,8 +3,9 @@
 Everything here is an immutable dataclass. Every user and function carries
 its priority as required data: the generator gives it the value that
 ``scoring.user_priorities`` or ``scoring.ssr_priorities`` computes, and a
-bucket file's priorities are used as given, never recomputed (the function
-priority's delta is not stored in a bucket). ``validate_bucket`` checks
+bucket file's priorities are used as given, never recomputed: user positions,
+the coverage radius, the blend and delta are not stored in a bucket, and a
+function's place is its position in its SSR. ``validate_bucket`` checks
 their ranges.
 """
 from __future__ import annotations
@@ -55,8 +56,8 @@ class ResourceVector:
 class EnvironmentLimits:
     """Per-function caps of one serverless platform (fog or cloud).
 
-    ``link_latency`` is the fog-to-platform round trip in ms; it is zero
-    for the fog platform itself and positive for the cloud.
+    ``link_latency`` is the fog-to-platform round trip in ms; it must be
+    zero for the fog platform itself (``settings_violations``).
     """
 
     per_function_cap: ResourceVector
@@ -76,15 +77,12 @@ class EnvironmentLimits:
 @dataclass(frozen=True)
 class User:
     id: int
-    position: tuple[float, float]  # km, relative to an arbitrary origin
     latency: float  # ms, round trip to the fog node
     priority: float  # blended distance and latency priority, in [0, 1]
 
 
 @dataclass(frozen=True)
 class ServerlessFunction:
-    ssr_index: int
-    index: int
     code_size: float  # MB
     input_size: float  # MB
     critical_value: int  # 1 (low) .. 5 (high)
@@ -116,8 +114,6 @@ class SSRBucket:
     fog: EnvironmentLimits
     cloud: EnvironmentLimits
     importance_factors: ResourceVector  # per-kind weights, sum to 1
-    distance_cap: float  # km
-    priority_blend: float  # weight of distance vs latency priority
 
     def functions(self) -> list[tuple[int, ServerlessFunction]]:
         """Flattened (ssr index, function) pairs in insertion order."""
@@ -174,10 +170,8 @@ def settings_violations(settings: SSRBucket) -> list[str]:
     factor_sum = sum(settings.importance_factors.as_tuple())
     if abs(factor_sum - 1.0) > 1e-9:
         violations.append(f"importance factors sum {factor_sum} != 1")
-    if not 0 <= settings.priority_blend <= 1:
-        violations.append(f"priority blend {settings.priority_blend} outside [0, 1]")
-    if not (math.isfinite(settings.distance_cap) and settings.distance_cap > 0):
-        violations.append(f"distance cap {settings.distance_cap} must be finite and > 0")
+    if settings.fog.link_latency != 0:  # the costs read only the cloud's link
+        violations.append(f"fog link latency {settings.fog.link_latency} must be 0")
     fog_cap = settings.fog.per_function_cap.as_tuple()
     cloud_cap = settings.cloud.per_function_cap.as_tuple()
     if not all(f <= c for f, c in zip(fog_cap, cloud_cap)):
@@ -212,33 +206,25 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
         violations.append(
             f"{len(bucket.ssrs)} SSRs exceed {len(bucket.users)} users"
         )
+    user_ids: set[int] = set()
+    for i, u in enumerate(bucket.users):
+        if u.id in user_ids:  # the costs look each SSR's user up by id
+            violations.append(f"user index {i} repeats user id {u.id}")
+        user_ids.add(u.id)
+        if not (math.isfinite(u.latency) and u.latency > 0):
+            violations.append(f"user {u.id} latency {u.latency} must be finite and > 0")
+        if not 0 <= u.priority <= 1:
+            violations.append(f"user {u.id} priority {u.priority} outside [0, 1]")
     seen_users: set[int] = set()
     for i, ssr in enumerate(bucket.ssrs):
         if ssr.user_id in seen_users:
             violations.append(f"duplicate user id {ssr.user_id} at SSR index {i}")
         seen_users.add(ssr.user_id)
-        if not any(u.id == ssr.user_id for u in bucket.users):
+        if ssr.user_id not in user_ids:
             violations.append(f"SSR index {i} references unknown user {ssr.user_id}")
-
-    for u in bucket.users:
-        if not (math.isfinite(u.latency) and u.latency > 0):
-            violations.append(f"user {u.id} latency {u.latency} must be finite and > 0")
-        d = math.hypot(u.position[0], u.position[1])
-        if not math.isfinite(d):
-            violations.append(f"user {u.id} position {u.position} is not finite")
-        elif d > bucket.distance_cap + 1e-12:
-            violations.append(
-                f"user {u.id} distance {d:.6g} outside coverage radius {bucket.distance_cap}"
-            )
-        if not 0 <= u.priority <= 1:
-            violations.append(f"user {u.id} priority {u.priority} outside [0, 1]")
 
     for i, ssr in enumerate(bucket.ssrs):
         for j, fn in enumerate(ssr.functions):
-            if (fn.ssr_index, fn.index) != (i, j):
-                violations.append(
-                    f"function at ({i}, {j}) is labelled ({fn.ssr_index}, {fn.index})"
-                )
             # from_bucket divides by the SSR's top priority
             if not 0 < fn.priority < math.inf:
                 violations.append(

@@ -1,8 +1,8 @@
 """Priority scoring: user priorities and per-function placement priorities.
 
-All functions are pure. The fog node sits at the origin of the bucket's
+All functions are pure. The fog node sits at the origin of the generator's
 coordinate frame; ``user_distance`` takes explicit positions for callers
-that use another frame.
+that use another frame. A bucket stores the priorities, not their inputs.
 """
 from __future__ import annotations
 

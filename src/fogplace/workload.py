@@ -78,6 +78,10 @@ class GeneratorConfig:
                 raise ValueError(f"{name} range has min {getattr(self, name)[0]} <= 0")
         if not (self.delta > 0 and 1 / self.delta < math.inf):  # the top function priority
             raise ValueError(f"delta must be > 0 with a finite 1/delta, got {self.delta}")
+        if not 0 <= self.priority_blend <= 1:
+            raise ValueError(f"priority blend {self.priority_blend} outside [0, 1]")
+        if not (math.isfinite(self.distance_cap) and self.distance_cap > 0):
+            raise ValueError(f"distance cap {self.distance_cap} must be finite and > 0")
         problems = settings_violations(self)
         if problems:
             raise ValueError("; ".join(problems))
@@ -106,8 +110,8 @@ def _build_bucket(
         positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
         latencies.append(float(rng.uniform(*cfg.latency)))
     users = tuple(
-        User(id=i, position=pos, latency=latency, priority=p)
-        for i, (pos, latency, p) in enumerate(zip(positions, latencies, user_priorities(
+        User(id=i, latency=latency, priority=p)
+        for i, (latency, p) in enumerate(zip(latencies, user_priorities(
             positions, latencies, cfg.distance_cap, cfg.priority_blend)))
     )
 
@@ -140,8 +144,6 @@ def _build_bucket(
                                     input_size[start:stop], cfg.delta)
         ssrs.append(SSR(user_id=i, functions=tuple(
             ServerlessFunction(
-                ssr_index=i,
-                index=j,
                 code_size=code[k],
                 input_size=input_size[k],
                 critical_value=critical[k],
@@ -149,7 +151,7 @@ def _build_bucket(
                 supplementary_demand=ResourceVector(*supplementary_rows[k]),
                 priority=p,
             )
-            for j, (k, p) in enumerate(zip(range(start, stop), priorities))
+            for k, p in zip(range(start, stop), priorities)
         )))
         start = stop
 
@@ -159,8 +161,6 @@ def _build_bucket(
         fog=cfg.fog,
         cloud=cfg.cloud,
         importance_factors=cfg.importance_factors,
-        distance_cap=cfg.distance_cap,
-        priority_blend=cfg.priority_blend,
     )
 
 

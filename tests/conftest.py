@@ -37,11 +37,8 @@ def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
     )
 
 
-def make_fn(ssr_index=0, index=0, code=100.0, input_size=500.0, critical=3,
-            base=None, suppl=None, priority=5.0):
+def make_fn(code=100.0, input_size=500.0, critical=3, base=None, suppl=None, priority=5.0):
     return ServerlessFunction(
-        ssr_index=ssr_index,
-        index=index,
         code_size=code,
         input_size=input_size,
         critical_value=critical,
@@ -51,8 +48,7 @@ def make_fn(ssr_index=0, index=0, code=100.0, input_size=500.0, critical=3,
     )
 
 
-def make_bucket(ssrs, users, fog=None, cloud=None, weights=None,
-                distance_cap=100.0, priority_blend=0.5):
+def make_bucket(ssrs, users, fog=None, cloud=None, weights=None):
     return SSRBucket(
         ssrs=tuple(ssrs),
         users=tuple(users),
@@ -60,13 +56,11 @@ def make_bucket(ssrs, users, fog=None, cloud=None, weights=None,
                                code=300.0, input_size=1500.0),
         cloud=cloud or make_limits(link=40.0),
         importance_factors=weights or ResourceVector(0.25, 0.25, 0.25, 0.25),
-        distance_cap=distance_cap,
-        priority_blend=priority_blend,
     )
 
 
-def make_user(uid=0, position=(3.0, 4.0), latency=50.0, priority=0.5):
-    return User(id=uid, position=position, latency=latency, priority=priority)
+def make_user(uid=0, latency=50.0, priority=0.5):
+    return User(id=uid, latency=latency, priority=priority)
 
 
 def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
@@ -99,9 +93,9 @@ def simple_bucket():
     ]
     ssrs = [
         SSR(user_id=0, functions=(
-            make_fn(0, 0, priority=5.0),
-            make_fn(0, 1, priority=2.5),
+            make_fn(priority=5.0),
+            make_fn(priority=2.5),
         )),
-        SSR(user_id=1, functions=(make_fn(1, 0, priority=5.0),)),
+        SSR(user_id=1, functions=(make_fn(priority=5.0),)),
     ]
     return make_bucket(ssrs, users, cloud=make_limits(link=10.0))

@@ -221,26 +221,27 @@ def function_priority(fn, ssr, delta):
     return 1.0 / (delta + critical_term * code_term * input_term)
 
 
-def with_priorities(bucket, delta):
-    """A copy of the bucket with every user and function priority filled."""
+def with_priorities(bucket, positions, cfg):
+    """A copy of the bucket with every user and function priority filled; user i
+    stands at ``positions[i]``."""
     latencies = [u.latency for u in bucket.users]
     users = []
-    for u in bucket.users:
-        pd = distance_priority(user_distance((0.0, 0.0), u.position), bucket.distance_cap)
+    for u, position in zip(bucket.users, positions):
+        pd = distance_priority(user_distance((0.0, 0.0), position), cfg.distance_cap)
         pl = latency_priority(u.latency, latencies)
-        users.append(replace(u, priority=user_priority(pd, pl, bucket.priority_blend)))
+        users.append(replace(u, priority=user_priority(pd, pl, cfg.priority_blend)))
 
     ssrs = []
     for ssr in bucket.ssrs:
         fns = tuple(
-            replace(fn, priority=function_priority(fn, ssr, delta)) for fn in ssr.functions
+            replace(fn, priority=function_priority(fn, ssr, cfg.delta)) for fn in ssr.functions
         )
         ssrs.append(replace(ssr, functions=fns))
 
     return replace(bucket, users=tuple(users), ssrs=tuple(ssrs))
 
 
-def _sample_function(cfg, rng, ssr_index, index):
+def _sample_function(cfg, rng):
     """Eleven scalar draws: code, input, critical, then (total, split) per resource kind."""
     code = rng.uniform(*cfg.code_size)
     input_size = rng.uniform(*cfg.input_size)
@@ -253,8 +254,6 @@ def _sample_function(cfg, rng, ssr_index, index):
         base[kind] = total * split
         supplementary[kind] = total - total * split
     return ServerlessFunction(
-        ssr_index=ssr_index,
-        index=index,
         code_size=code,
         input_size=input_size,
         critical_value=critical,
@@ -265,15 +264,15 @@ def _sample_function(cfg, rng, ssr_index, index):
 
 
 def _build_bucket(cfg, rng, fn_counts):
-    users = []
+    users, positions = [], []
     for i in range(len(fn_counts)):
         # uniform over the disc of radius D around the fog node
         radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, 2.0 * np.pi)
+        positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
         users.append(
             User(
                 id=i,
-                position=(float(radius * np.cos(theta)), float(radius * np.sin(theta))),
                 latency=float(rng.uniform(*cfg.latency)),
                 priority=0.0,  # placeholder: with_priorities scores the bucket afterwards
             )
@@ -281,7 +280,7 @@ def _build_bucket(cfg, rng, fn_counts):
 
     ssrs = []
     for i, count in enumerate(fn_counts):
-        fns = tuple(_sample_function(cfg, rng, i, j) for j in range(count))
+        fns = tuple(_sample_function(cfg, rng) for _ in range(count))
         ssrs.append(SSR(user_id=i, functions=fns))
 
     bucket = SSRBucket(
@@ -290,10 +289,8 @@ def _build_bucket(cfg, rng, fn_counts):
         fog=cfg.fog,
         cloud=cfg.cloud,
         importance_factors=cfg.importance_factors,
-        distance_cap=cfg.distance_cap,
-        priority_blend=cfg.priority_blend,
     )
-    return with_priorities(bucket, cfg.delta)
+    return with_priorities(bucket, positions, cfg)
 
 
 def generate_bucket(cfg, seed=None):

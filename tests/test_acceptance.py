@@ -70,8 +70,8 @@ def test_criterion_1_formula_suite():
     fn_priorities = scoring.ssr_priorities([1, 5], [100.0, 500.0], [500.0, 2500.0], 0.2)
     users = [make_user(0, latency=50, priority=0.5), make_user(1, latency=50, priority=0.5)]
     two_ssrs = make_bucket(
-        [SSR(user_id=0, functions=tuple(make_fn(0, j, priority=5.0) for j in range(2))),
-         SSR(user_id=1, functions=tuple(make_fn(1, j, priority=5.0) for j in range(6)))],
+        [SSR(user_id=0, functions=tuple(make_fn(priority=5.0) for _ in range(2))),
+         SSR(user_id=1, functions=tuple(make_fn(priority=5.0) for _ in range(6)))],
         users,
     )
     all_fog = (True,) * 8

@@ -169,11 +169,12 @@ def within_limit(draw, limit):
 
 @st.composite
 def generator_configs(draw):
-    """Generator configs that can generate: fog caps at most the cloud caps, every range
-    inside the cloud limits with minima > 0, normalised importance factors, delta > 0."""
+    """Generator configs that can generate: fog caps at most the cloud caps, a fog link
+    of 0, every range inside the cloud limits with minima > 0, normalised importance
+    factors, delta > 0."""
     cloud = draw(limits)
     cap = cloud.per_function_cap
-    fog = dataclasses.replace(draw(limits), per_function_cap=ResourceVector(
+    fog = dataclasses.replace(draw(limits), link_latency=0.0, per_function_cap=ResourceVector(
         *(c * share for c, share in zip(cap.as_tuple(), draw(shares)))))
     weights = draw(st.tuples(*[finite(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 1e-3))
     return GeneratorConfig(
@@ -357,15 +358,16 @@ def invalid_buckets(draw, doc):
     ssr = doc["ssrs"][ssr_index]
     fn_index = draw(st.integers(0, len(ssr["functions"]) - 1))
     fn = ssr["functions"][fn_index]
-    flaw = draw(st.sampled_from(["latency", "distance", "unknown user", "duplicate user",
-                                 "priority", "function priority", "function label", "factors",
-                                 "empty SSR"]))
+    flaw = draw(st.sampled_from(["latency", "repeated user id", "unknown user",
+                                 "duplicate user", "priority", "function priority", "factors",
+                                 "fog link", "empty SSR"]))
     if flaw == "latency":
         user["latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
         return doc, f"user {user['id']} latency"
-    if flaw == "distance":
-        user["position"] = [0.0, doc["distance_cap"] * draw(st.sampled_from([1.01, 2.0]))]
-        return doc, f"user {user['id']} distance"
+    if flaw == "repeated user id":
+        first, second = sorted(draw(st.permutations(range(len(doc["users"]))))[:2])
+        doc["users"][second]["id"] = doc["users"][first]["id"]
+        return doc, f"user index {second} repeats user id"
     if flaw == "unknown user":
         ssr["user_id"] = 1 + max(u["id"] for u in doc["users"])
         return doc, f"SSR index {ssr_index} references unknown user"
@@ -378,12 +380,12 @@ def invalid_buckets(draw, doc):
     if flaw == "function priority":
         fn["priority"] = draw(st.sampled_from([0.0, -1.0]))
         return doc, f"function ({ssr_index}, {fn_index}) priority"
-    if flaw == "function label":
-        fn[draw(st.sampled_from(["ssr_index", "index"]))] += draw(st.sampled_from([1, -1]))
-        return doc, f"function at ({ssr_index}, {fn_index}) is labelled"
     if flaw == "factors":
         doc["importance_factors"]["cpu"] += draw(st.sampled_from([-0.2, 0.5]))
         return doc, "importance factors sum"
+    if flaw == "fog link":
+        doc["fog"]["link_latency"] = draw(st.sampled_from([1e-9, 25.0]))
+        return doc, "fog link latency"
     ssr["functions"] = []
     return doc, f"empty SSR at index {ssr_index}"
 

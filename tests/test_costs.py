@@ -81,8 +81,8 @@ def test_every_consumer_rejects_an_invalid_bucket(bucket, consumer):
 def test_total_demand():
     ctx = kernel_for([
         make_fn(base=ResourceVector(1, 100, 10, 10)),
-        make_fn(index=1, base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
-        make_fn(index=2),
+        make_fn(base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
+        make_fn(),
     ], cloud=make_limits())
     assert ctx.demand.tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
 
@@ -93,8 +93,8 @@ def test_ssr_demand_sums():
     bucket = make_bucket(ssrs=[
         SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
         SSR(user_id=1, functions=(
-            make_fn(1, 0, base=ResourceVector(1, 100, 10, 10), priority=1.0),
-            make_fn(1, 1, base=ResourceVector(2, 200, 20, 20), priority=1.0),
+            make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
+            make_fn(base=ResourceVector(2, 200, 20, 20), priority=1.0),
         )),
     ], users=users)
     ctx = bucket.costs
@@ -128,7 +128,7 @@ def test_comp_latency_fn_hand_value_cloud():
 
 
 def test_step_cost_fog():
-    ctx = kernel_for([make_fn(), make_fn(index=1, base=ONES)], latency=40.0, priority=0.6)
+    ctx = kernel_for([make_fn(), make_fn(base=ONES)], latency=40.0, priority=0.6)
     assert ctx.fog_step[0] == pytest.approx(0.6)
     # 0.375 + 0.05 + 0.6 = 1.025
     assert ctx.fog_step[1] == pytest.approx(1.025, abs=1e-9)
@@ -136,7 +136,7 @@ def test_step_cost_fog():
 
 
 def test_step_cost_cloud():
-    ctx = kernel_for([make_fn(), make_fn(index=1, base=ONES)],
+    ctx = kernel_for([make_fn(), make_fn(base=ONES)],
                      latency=40.0, link=10.0, priority=0.6)
     assert ctx.cloud_step[0] == pytest.approx(0.7)
     # 0.375 + 0.125 * 0.5 + 0.6 + 0.1 = 1.1375
@@ -164,8 +164,8 @@ def test_ssr_comp_latency_priority_weighting(simple_bucket):
     # functions with priorities 5.0 and 2.5: weights 1.0 and 0.5
     ssr = simple_bucket.ssrs[0]
     fns = (
-        make_fn(0, 0, base=ONES, priority=5.0),
-        make_fn(0, 1, base=ONES, priority=2.5),
+        make_fn(base=ONES, priority=5.0),
+        make_fn(base=ONES, priority=2.5),
     )
     weighted = dataclasses.replace(ssr, functions=fns)
     bucket = dataclasses.replace(
@@ -199,8 +199,8 @@ def test_bucket_step_cost_is_mean_of_ssrs():
     # SSR 1: six zero-demand fog functions with P=0.5 -> cost 3.0
     users = [make_user(0, latency=50, priority=0.5), make_user(1, latency=50, priority=0.5)]
     ssrs = [
-        SSR(user_id=0, functions=tuple(make_fn(0, j, priority=5.0) for j in range(2))),
-        SSR(user_id=1, functions=tuple(make_fn(1, j, priority=5.0) for j in range(6))),
+        SSR(user_id=0, functions=tuple(make_fn(priority=5.0) for _ in range(2))),
+        SSR(user_id=1, functions=tuple(make_fn(priority=5.0) for _ in range(6))),
     ]
     bucket = make_bucket(ssrs, users)
     placement = (True,) * 8
@@ -211,23 +211,23 @@ def test_bucket_step_cost_is_mean_of_ssrs():
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
     bucket = dataclasses.replace(
         simple_bucket,
-        ssrs=(SSR(user_id=1, functions=(make_fn(0, 0),)),),
+        ssrs=(SSR(user_id=1, functions=(make_fn(),)),),
         users=(simple_bucket.users[1],),
     )
     ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]
     assert costs.bucket_step_cost(bucket, (False,)) == pytest.approx(ssr_cost)
 
 
-def _random_fn(rng, ssr_index=0, index=0):
+def _random_fn(rng):
     demand = ResourceVector(*rng.uniform(0.01, 2.0, size=4))
-    return make_fn(ssr_index, index, base=demand, priority=1.0)
+    return make_fn(base=demand, priority=1.0)
 
 
 def test_cloud_dominance_under_equal_ratios_fuzz():
     rng = np.random.default_rng(21)
     caps = make_limits(cpu=3, ram=3, storage=3, net_io=3)
     for _ in range(100):
-        fns = [_random_fn(rng, index=j) for j in range(5)]
+        fns = [_random_fn(rng) for _ in range(5)]
         ctx = kernel_for(fns, fog=caps, cloud=caps,
                          latency=float(rng.uniform(1, 100)), link=float(rng.uniform(0, 100)),
                          priority=float(rng.uniform(0, 1)))
@@ -243,7 +243,7 @@ def test_step_cost_monotone_in_demand_fuzz():
         bump = [0.0] * 4
         bump[kind] = float(rng.uniform(0.01, 1.0))
         grown = [d + b for d, b in zip(fn.base_demand.as_tuple(), bump)]
-        bigger = dataclasses.replace(fn, index=1, base_demand=ResourceVector(*grown))
+        bigger = dataclasses.replace(fn, base_demand=ResourceVector(*grown))
         ctx = kernel_for([fn, bigger], fog=caps, cloud=caps,
                          latency=float(rng.uniform(1, 100)), link=float(rng.uniform(1, 100)),
                          priority=0.5)

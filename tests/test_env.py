@@ -173,7 +173,7 @@ def test_encoding_in_unit_interval_fuzz():
 
 
 def test_encoding_locality_on_critical_value():
-    fns = [make_fn(0, j, code=100 + j, input_size=500, critical=3, priority=1.0)
+    fns = [make_fn(code=100 + j, input_size=500, critical=3, priority=1.0)
            for j in range(3)]
     bucket = make_bucket(
         ssrs=[SSR(user_id=0, functions=tuple(fns))],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import fogplace
 from fogplace.agent import AgentConfig, train
 from fogplace.baselines import greedy_cost
 from fogplace.cli import main
+from fogplace.codec import encode
 from fogplace.costs import placement_step_cost_sum
 from fogplace.experiment import (
     ExperimentConfig,
@@ -24,7 +26,7 @@ from fogplace.env import PlacementEnv
 from fogplace.model import SSR, ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_user
+from conftest import make_bucket, make_fn, make_limits, make_user
 
 
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
@@ -263,11 +265,11 @@ def test_cli_oracle_stdout_is_pinned(tmp_path, capsys):
     bucket = make_bucket(
         ssrs=[
             SSR(user_id=0, functions=(
-                make_fn(0, 0, base=demand, priority=2.0),
-                make_fn(0, 1, code=480.0, base=demand, priority=4.0),
+                make_fn(base=demand, priority=2.0),
+                make_fn(code=480.0, base=demand, priority=4.0),
             )),
             SSR(user_id=1, functions=(
-                make_fn(1, 0, base=ResourceVector(2, 512, 128, 256), priority=3.0),
+                make_fn(base=ResourceVector(2, 512, 128, 256), priority=3.0),
             )),
         ],
         users=[make_user(0, latency=20.0, priority=0.75),
@@ -335,7 +337,7 @@ def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["distance_cap"] = -1.0
+    doc["importance_factors"]["cpu"] = 0.5
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["validate", str(out)]) == 1
@@ -343,7 +345,7 @@ def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
     assert main(["oracle", str(out)]) == 1
     printed = capsys.readouterr().out
     assert printed == expected
-    assert "VIOLATION: distance cap -1.0 must be finite and > 0" in printed
+    assert "VIOLATION: importance factors sum 1.25 != 1" in printed
 
 
 def test_cli_oracle_validates_a_valid_bucket_once(tmp_path, monkeypatch, capsys):
@@ -420,9 +422,12 @@ def test_cli_compare_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
 
 
 def set_at(doc, keys, value):
+    """Set the value at ``keys``; True when the document had no such key before."""
     for key in keys[:-1]:
         doc = doc[key]
+    added = keys[-1] not in doc
     doc[keys[-1]] = value
+    return added
 
 
 NAN = float("nan")
@@ -435,8 +440,10 @@ NAN = float("nan")
     ("validate", ("ssrs", 0, "functions", 0, "code_size"), "12.5",
      "ssrs[0].functions[0].code_size"),
     ("validate", ("extra",), 1, "extra"),
-    ("validate", ("users", 0, "position"), [1.0, 2.0, 3.0], "users[0].position"),
+    # position and ssr_index: keys of the older bucket format, which no computation read
+    ("validate", ("users", 0, "position"), [30.0, 40.0], "users[0].position"),
     ("oracle", ("ssrs", 0, "functions", 0, "priority"), NAN, "ssrs[0].functions[0].priority"),
+    ("oracle", ("ssrs", 1, "functions", 0, "ssr_index"), 1, "ssrs[1].functions[0].ssr_index"),
 ])
 def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
     cfg_path = tmp_path / "config.json"
@@ -445,13 +452,15 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
     out = tmp_path / "bucket.json"
     assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    set_at(doc, keys, value)
+    unknown = set_at(doc, keys, value)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed bucket {out}: {path}: ")
+    if unknown:
+        assert captured.err == f"error: malformed bucket {out}: {path}: unknown key\n"
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -500,7 +509,10 @@ FOG_CPU_ABOVE_CLOUD = {
     ({"importance_factors": {"cpu": 0.5, "ram": 0.5, "storage": 0.5, "net_io": 0.5}},
      "importance factors sum 2.0 != 1"),
     ({"fog": FOG_CPU_ABOVE_CLOUD}, "fog per-function cap exceeds cloud cap in some component"),
-], ids=["cpu-demand", "distance-cap", "latency", "blend", "delta", "factors", "fog-cap"])
+    ({"fog": {**encode(GeneratorConfig().fog), "link_latency": 25.0}},
+     "fog link latency 25.0 must be 0"),
+], ids=["cpu-demand", "distance-cap", "latency", "blend", "delta", "factors", "fog-cap",
+        "fog-link"])
 def test_cli_rejects_config_that_cannot_generate(tmp_path, capsys, command, generator, message):
     cfg_path = tmp_path / "config.json"
     # without defdrel, compare needs no checkpoint and goes straight to generation
@@ -549,10 +561,50 @@ def test_cli_compare_rejects_malformed_checkpoint(tmp_path, capsys, doc, path):
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
-def test_cli_bucket_that_is_not_json_is_runtime_error(tmp_path, command):
+def test_cli_bucket_that_is_not_json_is_usage_error(tmp_path, command):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main([command, str(bad)]) == 1
+    assert main([command, str(bad)]) == 2
+
+
+# a config that is not JSON, and a bucket that is not JSON, have tests of their own
+@pytest.mark.parametrize("kind, content", [
+    ("config", None), ("bucket", None), ("checkpoint", None), ("checkpoint", "{not json"),
+], ids=["missing-config", "missing-bucket", "missing-checkpoint", "checkpoint-not-json"])
+def test_cli_input_file_that_cannot_be_read_is_usage_error(tmp_path, capsys, kind, content):
+    path = tmp_path / f"{kind}.json"
+    if content is not None:
+        path.write_text(content)
+    cfg_path = tmp_path / "small.json"
+    save_config(small_experiment(algorithms=("defdrel",), sweep=(10,), runs_per_point=1),
+                cfg_path)
+    argv = {
+        "config": ["generate", "--config", str(path), "--out", str(tmp_path / "out.json")],
+        "bucket": ["oracle", str(path)],
+        "checkpoint": ["compare", "--config", str(cfg_path), "--checkpoint", str(path),
+                       "--out", str(tmp_path / "res")],
+    }[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load {kind} {path}: ")
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+@pytest.mark.parametrize("change, violation", [
+    # the costs look each SSR's user up by id, and read only the cloud's link
+    ({"users": (make_user(0, latency=10.0), make_user(0, latency=100.0))},
+     "user index 1 repeats user id 0"),
+    ({"fog": make_limits(cpu=2, ram=1024, storage=1024, net_io=2048, code=300.0,
+                         input_size=1500.0, link=25.0)},
+     "fog link latency 25.0 must be 0"),
+], ids=["repeated-user-id", "fog-link"])
+def test_cli_reports_bucket_data_the_costs_would_ignore(tmp_path, capsys, command, change,
+                                                         violation):
+    bucket = make_bucket(ssrs=[SSR(user_id=0, functions=(make_fn(),))], users=[make_user(0)])
+    path = tmp_path / "bucket.json"
+    save_bucket(dataclasses.replace(bucket, **change), path)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().out == f"VIOLATION: {violation}\n"
 
 
 def test_output_digests_tool_prints_one_line_per_output():

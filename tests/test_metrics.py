@@ -27,7 +27,7 @@ def flags_for(fns, fog_indices):
 
 
 def test_fog_fraction_three_of_ten():
-    fns = [make_fn(index=i, priority=1.0) for i in range(10)]
+    fns = [make_fn(priority=1.0) for _ in range(10)]
     rep = report(bucket_with(fns), flags_for(fns, {0, 1, 2}))
     assert rep["fog_fraction"] == pytest.approx(30.0, abs=1e-12)
     assert rep["cloud_fraction"] == pytest.approx(70.0, abs=1e-12)
@@ -51,8 +51,8 @@ def test_all_cloud_report():
 def test_demand_percentage_hand_value():
     # fog CPU share: 6 of 30 total -> 20%; the fog takes 6 cores, the cloud 24
     fns = [
-        make_fn(index=0, base=ResourceVector(cpu=6), priority=1.0),
-        make_fn(index=1, base=ResourceVector(cpu=24), priority=1.0),
+        make_fn(base=ResourceVector(cpu=6), priority=1.0),
+        make_fn(base=ResourceVector(cpu=24), priority=1.0),
     ]
     bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24, link=40.0))
     rep = report(bucket, flags_for(fns, {0}))
@@ -62,14 +62,14 @@ def test_demand_percentage_hand_value():
 
 def test_critical_histogram_hand_values():
     # 15 functions with critical value 5, three of them on the fog: 20% / 80%
-    fns = [make_fn(index=i, critical=5, priority=1.0) for i in range(15)]
+    fns = [make_fn(critical=5, priority=1.0) for _ in range(15)]
     rep = report(bucket_with(fns), flags_for(fns, {0, 1, 2}))
     assert critical_counts(rep, 5) == (3, 12)
     assert critical_counts(rep, 1) == (0, 0)
 
 
 def test_critical_histogram_split_counts():
-    fns = [make_fn(index=i, critical=1, priority=1.0) for i in range(28)]
+    fns = [make_fn(critical=1, priority=1.0) for _ in range(28)]
     rep = report(bucket_with(fns), flags_for(fns, set(range(12))))
     assert critical_counts(rep, 1) == (12, 16)
 

@@ -91,7 +91,7 @@ def test_user_priority_range_error():
 def test_function_priority_max_critical():
     ssr = SSR(user_id=0, functions=(
         make_fn(critical=5, code=100, input_size=500),
-        make_fn(index=1, critical=2, code=500, input_size=2500),
+        make_fn(critical=2, code=500, input_size=2500),
     ))
     assert priorities(ssr, delta=0.2)[0] == pytest.approx(5.0)
 
@@ -99,7 +99,7 @@ def test_function_priority_max_critical():
 def test_function_priority_max_code_size():
     ssr = SSR(user_id=0, functions=(
         make_fn(critical=1, code=500, input_size=100),
-        make_fn(index=1, critical=1, code=100, input_size=2500),
+        make_fn(critical=1, code=100, input_size=2500),
     ))
     assert priorities(ssr, delta=0.2)[0] == pytest.approx(5.0)
 
@@ -108,7 +108,7 @@ def test_function_priority_hand_value():
     # 1 / (0.2 + 0.8 * 0.8 * 0.8) = 1 / 0.712
     ssr = SSR(user_id=0, functions=(
         make_fn(critical=1, code=100, input_size=500),
-        make_fn(index=1, critical=5, code=500, input_size=2500),
+        make_fn(critical=5, code=500, input_size=2500),
     ))
     value = priorities(ssr, delta=0.2)[0]
     assert value == pytest.approx(1 / 0.712, abs=1e-9)
@@ -126,9 +126,9 @@ def test_function_priority_bounds_fuzz():
     delta = 0.2
     for _ in range(500):
         fns = tuple(
-            make_fn(index=j, critical=int(rng.integers(1, 6)),
+            make_fn(critical=int(rng.integers(1, 6)),
                     code=float(rng.uniform(1, 500)), input_size=float(rng.uniform(1, 2500)))
-            for j in range(int(rng.integers(1, 6)))
+            for _ in range(int(rng.integers(1, 6)))
         )
         for p in priorities(SSR(user_id=0, functions=fns), delta):
             assert 1 / (delta + 1) - 1e-12 <= p <= 1 / delta + 1e-12
@@ -138,7 +138,7 @@ def test_function_priority_monotone_in_critical():
     for low, high in [(1, 2), (2, 5), (3, 4)]:
         base = make_fn(critical=low, code=100, input_size=500)
         bumped = make_fn(critical=high, code=100, input_size=500)
-        other = make_fn(index=1, critical=1, code=500, input_size=2500)
+        other = make_fn(critical=1, code=500, input_size=2500)
         ssr_a = SSR(user_id=0, functions=(base, other))
         ssr_b = SSR(user_id=0, functions=(bumped, other))
         assert priorities(ssr_b)[0] >= priorities(ssr_a)[0]
