@@ -14,20 +14,17 @@ from fogplace.model import (
     SSR,
     SSRBucket,
     ServerlessFunction,
-    User,
 )
 
 fog = EnvironmentLimits(
     per_function_cap=ResourceVector(2, 1024, 1024, 2048),
     code_size_limit=300.0,
     input_size_limit=1500.0,
-    link_latency=0.0,
 )
 cloud = EnvironmentLimits(
     per_function_cap=ResourceVector(6, 5120, 10240, 10240),
     code_size_limit=500.0,
     input_size_limit=2500.0,
-    link_latency=40.0,
 )
 
 DISTANCE_CAP, BLEND = 100.0, 0.5  # coverage radius (km), distance vs latency weight
@@ -36,9 +33,9 @@ user_scores = scoring.user_priorities(positions, latencies, DISTANCE_CAP, BLEND)
 
 
 def ssr(i, *rows):
-    """SSR i of user i; a row is (code MB, input MB, critical, cpu, ram, storage, net_io)."""
+    """The SSR of user i; a row is (code MB, input MB, critical, cpu, ram, storage, net_io)."""
     code, inp, critical = ([row[k] for row in rows] for k in range(3))
-    return SSR(user_id=i, functions=tuple(
+    return SSR(user_latency=latencies[i], user_priority=user_scores[i], functions=tuple(
         ServerlessFunction(code_size=row[0], input_size=row[1], critical_value=row[2],
                            base_demand=ResourceVector(*row[3:]),
                            supplementary_demand=ResourceVector(), priority=p)
@@ -47,22 +44,21 @@ def ssr(i, *rows):
 
 
 bucket = SSRBucket(
-    users=tuple(User(id=i, latency=latency, priority=p)
-                for i, (latency, p) in enumerate(zip(latencies, user_scores))),
     ssrs=(
         ssr(0, (120, 400, 2, 1, 256, 64, 128), (480, 2000, 5, 3, 2048, 512, 512)),
         ssr(1, (200, 900, 3, 2, 512, 128, 256)),
     ),
+    link_latency=40.0,  # ms, the fog-cloud round trip
     fog=fog,
     cloud=cloud,
     importance_factors=ResourceVector(0.25, 0.25, 0.25, 0.25),
 )
 
 print("== user priorities ==")
-for user, position in zip(bucket.users, positions):
+for i, (ssr, position) in enumerate(zip(bucket.ssrs, positions)):
     d = scoring.user_distance((0.0, 0.0), position)
-    print(f"user {user.id}: distance {d:5.1f} km, latency {user.latency:5.1f} ms"
-          f" -> priority {user.priority:.3f}")
+    print(f"user {i}: distance {d:5.1f} km, latency {ssr.user_latency:5.1f} ms"
+          f" -> priority {ssr.user_priority:.3f}")
 
 print("\n== function priorities (within each SSR) ==")
 for i, ssr in enumerate(bucket.ssrs):

@@ -20,7 +20,6 @@ from .model import (
     SSR,
     SSRBucket,
     ServerlessFunction,
-    User,
     load_bucket,
     save_bucket,
     validate_bucket,
@@ -43,7 +42,6 @@ __all__ = [
     "SSRBucket",
     "ServerlessFunction",
     "SweepSettings",
-    "User",
     "ValueNetwork",
     "generate_bucket",
     "generate_sweep",

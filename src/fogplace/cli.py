@@ -82,10 +82,14 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    try:
+        factory = training_env_factory(cfg)
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        result = train(training_env_factory(cfg), cfg.agent)
+        result = train(factory, cfg.agent)
     except TrainingFault as fault:
         print(f"training fault: {fault}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Latency cost model: per-function step costs and per-SSR objectives.
 
-Latencies enter every formula in normalized form: the user latency as its
-unit-interval latency priority and the fog-cloud link latency divided by
-the bucket's maximum user latency. This keeps each cost term dimensionless
-and commensurate with the unit-interval user priority; it preserves all
-argmin decisions relative to any fixed positive latency scaling.
+Latencies enter every formula in normalized form: each SSR's user latency
+and the bucket's one fog-cloud link latency, both divided by the largest
+user latency of the bucket. This keeps each cost term dimensionless and
+commensurate with the unit-interval user priority; it preserves all argmin
+decisions relative to any fixed positive latency scaling.
 
 ``CostContext.from_bucket`` is the one place that turns a bucket into
 per-function arrays, in the bucket's flattened insertion order. It runs once
@@ -19,9 +19,9 @@ Each vector keeps the operation order of the per-function formula, and every
 total adds left to right, per SSR and then over SSRs, so results do not depend
 on how many placements are evaluated at once.
 
-Per function i of an SSR whose user has latency share ``l`` and priority
-``p``, with ``r_k = demand_k / cap_k * weight_k`` on the chosen platform and
-``lf`` the normalized link latency:
+Per function i of an SSR with normalized user latency ``l`` and user
+priority ``p``, with ``r_k = demand_k / cap_k * weight_k`` on the chosen
+platform and ``lf`` the normalized link latency:
 
 * fog step cost:    ``r_cpu + r_ram + r_storage + r_net_io * l + p``
 * cloud step cost:  ``r_cpu + r_ram + r_storage + r_net_io * (l + lf) + p + lf``
@@ -55,8 +55,8 @@ class CostContext:
 
     demand: np.ndarray  # n x 4 total (base + supplementary) demand, RESOURCE_KINDS order
     fog_ok: np.ndarray  # bool: the function fits the fog limits (every one fits the cloud)
-    latency: np.ndarray  # l_i: the owning user's latency / max user latency
-    priority: np.ndarray  # p_i: the owning user's priority
+    latency: np.ndarray  # l_i: the SSR's user latency / max user latency
+    priority: np.ndarray  # p_i: the SSR's user priority
     weight: np.ndarray  # function priority / highest function priority of its SSR
     ssr_slots: np.ndarray  # n_ssrs x longest SSR: function indices, n where an SSR is shorter
     norm_link: float  # fog-cloud link latency / max user latency
@@ -75,11 +75,10 @@ class CostContext:
         violations = validate_bucket(bucket)
         if violations:
             raise InvalidBucket(violations)
-        max_latency = max(u.latency for u in bucket.users)
-        by_user = {u.id: (u.latency / max_latency, u.priority) for u in bucket.users}
+        max_latency = max(ssr.user_latency for ssr in bucket.ssrs)
         fns, latency, priority, weight, slots = [], [], [], [], []
         for ssr in bucket.ssrs:
-            l_i, p_i = by_user[ssr.user_id]
+            l_i, p_i = ssr.user_latency / max_latency, ssr.user_priority
             top = max(fn.priority for fn in ssr.functions)
             slots.append(range(len(fns), len(fns) + len(ssr.functions)))
             for fn in ssr.functions:
@@ -103,7 +102,7 @@ class CostContext:
         priority_v = np.array(priority, dtype=float)
         weight_v = np.array(weight, dtype=float)
         factors = np.array(bucket.importance_factors.as_tuple())
-        lf = bucket.cloud.link_latency / max_latency
+        lf = bucket.link_latency / max_latency
 
         def ratios(limits):
             ratio = demand / np.array(limits.per_function_cap.as_tuple()) * factors

@@ -70,7 +70,15 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 
 def training_env_factory(cfg: ExperimentConfig):
-    """Fresh default-config bucket per episode, seeded from the generator seed."""
+    """Fresh default-config bucket per episode, seeded from the generator seed.
+
+    ``ValueError`` if the generator can draw more functions than ``MAX_FUNCTIONS``.
+    """
+    largest = cfg.generator.n_ssrs[1] * cfg.generator.functions_per_ssr[1]
+    if largest > MAX_FUNCTIONS:
+        raise ValueError(f"the generator draws buckets of up to {largest} functions, "
+                         f"but training encodes at most {MAX_FUNCTIONS}")
+
     def factory(episode: int) -> PlacementEnv:
         bucket = generate_bucket(cfg.generator, seed=cfg.generator.seed + episode)
         return PlacementEnv(bucket, max_functions=MAX_FUNCTIONS)

@@ -1,12 +1,13 @@
 """Domain entities for fog/cloud serverless placement.
 
-Everything here is an immutable dataclass. Every user and function carries
-its priority as required data: the generator gives it the value that
-``scoring.user_priorities`` or ``scoring.ssr_priorities`` computes, and a
-bucket file's priorities are used as given, never recomputed: user positions,
-the coverage radius, the blend and delta are not stored in a bucket, and a
-function's place is its position in its SSR. ``validate_bucket`` checks
-their ranges.
+Everything here is an immutable dataclass. Each SSR carries its user's
+latency and priority, and every function its own priority, as required data:
+the generator gives each priority the value that ``scoring.user_priorities``
+or ``scoring.ssr_priorities`` computes, and a bucket file's priorities are
+used as given, never recomputed: user positions, the coverage radius, the
+blend and delta are not stored in a bucket, and a function's place is its
+position in its SSR. The bucket holds the one fog-cloud link latency.
+``validate_bucket`` checks the ranges of all of these.
 """
 from __future__ import annotations
 
@@ -54,31 +55,17 @@ class ResourceVector:
 
 @dataclass(frozen=True)
 class EnvironmentLimits:
-    """Per-function caps of one serverless platform (fog or cloud).
-
-    ``link_latency`` is the fog-to-platform round trip in ms; it must be
-    zero for the fog platform itself (``settings_violations``).
-    """
+    """Per-function caps of one serverless platform (fog or cloud)."""
 
     per_function_cap: ResourceVector
     code_size_limit: float  # MB
     input_size_limit: float  # MB
-    link_latency: float = 0.0  # ms
 
     def __post_init__(self) -> None:
         if any(v <= 0 for v in self.per_function_cap.as_tuple()):
             raise ValueError("per-function caps must be > 0")
         if self.code_size_limit <= 0 or self.input_size_limit <= 0:
             raise ValueError("size limits must be > 0")
-        if self.link_latency < 0 or not math.isfinite(self.link_latency):
-            raise ValueError("link latency must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class User:
-    id: int
-    latency: float  # ms, round trip to the fog node
-    priority: float  # blended distance and latency priority, in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -103,14 +90,15 @@ class ServerlessFunction:
 class SSR:
     """One user's serverless application: an ordered list of functions."""
 
-    user_id: int
+    user_latency: float  # ms, the user's round trip to the fog node
+    user_priority: float  # blended distance and latency priority, in [0, 1]
     functions: tuple[ServerlessFunction, ...]
 
 
 @dataclass(frozen=True)
 class SSRBucket:
     ssrs: tuple[SSR, ...]
-    users: tuple[User, ...]
+    link_latency: float  # ms, the fog-cloud round trip
     fog: EnvironmentLimits
     cloud: EnvironmentLimits
     importance_factors: ResourceVector  # per-kind weights, sum to 1
@@ -170,13 +158,22 @@ def settings_violations(settings: SSRBucket) -> list[str]:
     factor_sum = sum(settings.importance_factors.as_tuple())
     if abs(factor_sum - 1.0) > 1e-9:
         violations.append(f"importance factors sum {factor_sum} != 1")
-    if settings.fog.link_latency != 0:  # the costs read only the cloud's link
-        violations.append(f"fog link latency {settings.fog.link_latency} must be 0")
+    if not 0 <= settings.link_latency < math.inf:
+        violations.append(f"link latency {settings.link_latency} must be finite and >= 0")
     fog_cap = settings.fog.per_function_cap.as_tuple()
     cloud_cap = settings.cloud.per_function_cap.as_tuple()
     if not all(f <= c for f, c in zip(fog_cap, cloud_cap)):
         violations.append("fog per-function cap exceeds cloud cap in some component")
     return violations
+
+
+def link_overflows(link_latency: float, top_latency: float, n_functions: int) -> bool:
+    """Whether the cost totals of n functions may overflow to infinity.
+
+    The costs divide the link latency by the largest user latency, and every
+    cost total stays below ``3 * n * (1 + that share)``.
+    """
+    return not math.isfinite(3 * n_functions * (1 + link_latency / top_latency))
 
 
 class InvalidBucket(ValueError):
@@ -196,34 +193,15 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
 
     if bucket.n_functions == 0:
         violations.append("bucket has no functions")
+    violations += settings_violations(bucket)
+
     for i, ssr in enumerate(bucket.ssrs):
         if len(ssr.functions) == 0:
             violations.append(f"empty SSR at index {i}")
-
-    violations += settings_violations(bucket)
-
-    if len(bucket.ssrs) > len(bucket.users):
-        violations.append(
-            f"{len(bucket.ssrs)} SSRs exceed {len(bucket.users)} users"
-        )
-    user_ids: set[int] = set()
-    for i, u in enumerate(bucket.users):
-        if u.id in user_ids:  # the costs look each SSR's user up by id
-            violations.append(f"user index {i} repeats user id {u.id}")
-        user_ids.add(u.id)
-        if not (math.isfinite(u.latency) and u.latency > 0):
-            violations.append(f"user {u.id} latency {u.latency} must be finite and > 0")
-        if not 0 <= u.priority <= 1:
-            violations.append(f"user {u.id} priority {u.priority} outside [0, 1]")
-    seen_users: set[int] = set()
-    for i, ssr in enumerate(bucket.ssrs):
-        if ssr.user_id in seen_users:
-            violations.append(f"duplicate user id {ssr.user_id} at SSR index {i}")
-        seen_users.add(ssr.user_id)
-        if ssr.user_id not in user_ids:
-            violations.append(f"SSR index {i} references unknown user {ssr.user_id}")
-
-    for i, ssr in enumerate(bucket.ssrs):
+        if not 0 < ssr.user_latency < math.inf:
+            violations.append(f"SSR {i} user latency {ssr.user_latency} must be finite and > 0")
+        if not 0 <= ssr.user_priority <= 1:
+            violations.append(f"SSR {i} user priority {ssr.user_priority} outside [0, 1]")
         for j, fn in enumerate(ssr.functions):
             # from_bucket divides by the SSR's top priority
             if not 0 < fn.priority < math.inf:
@@ -232,6 +210,11 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
                 )
             if not cloud_feasible(fn, bucket.cloud):
                 violations.append(f"function ({i}, {j}) does not fit the cloud limits")
+
+    top = max((ssr.user_latency for ssr in bucket.ssrs), default=0.0)
+    if top > 0 and link_overflows(bucket.link_latency, top, bucket.n_functions):
+        violations.append(f"link latency {bucket.link_latency} over the largest user "
+                          f"latency {top} overflows the costs")
 
     return violations
 

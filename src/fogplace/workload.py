@@ -2,10 +2,11 @@
 
 Default ranges mirror the standard simulation parameter table: uniform
 sampling for every range, user positions uniform over the coverage disc,
-and latencies independent of distance. ``GeneratorConfig`` refuses, on
-construction, every config that could generate an invalid bucket: generated
-functions always fit the cloud limits, so a cloud assignment is feasible by
-construction.
+and latencies independent of distance. Each SSR carries its user's latency
+and priority, and the bucket the config's one fog-cloud link latency.
+``GeneratorConfig`` refuses, on construction, every config that could
+generate an invalid bucket: generated functions always fit the cloud limits,
+so a cloud assignment is feasible by construction.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .model import (
     SSR,
     SSRBucket,
     ServerlessFunction,
-    User,
+    link_overflows,
     settings_violations,
 )
 from .scoring import DEFAULT_DELTA, ssr_priorities, user_priorities
@@ -43,10 +44,11 @@ class GeneratorConfig:
     critical_value: tuple[int, int] = (1, 5)
     fog: EnvironmentLimits = EnvironmentLimits(
         ResourceVector(cpu=2, ram=1024, storage=1024, net_io=2048),
-        code_size_limit=300.0, input_size_limit=1500.0, link_latency=0.0)
+        code_size_limit=300.0, input_size_limit=1500.0)
     cloud: EnvironmentLimits = EnvironmentLimits(
         ResourceVector(cpu=6, ram=5120, storage=10240, net_io=10240),
-        code_size_limit=500.0, input_size_limit=2500.0, link_latency=40.0)
+        code_size_limit=500.0, input_size_limit=2500.0)
+    link_latency: float = 40.0  # ms, the fog-cloud round trip
     distance_cap: float = 100.0  # km
     latency: Range = (5.0, 100.0)  # ms
     priority_blend: float = 0.5
@@ -85,6 +87,11 @@ class GeneratorConfig:
         problems = settings_violations(self)
         if problems:
             raise ValueError("; ".join(problems))
+        # a bucket's largest user latency is at least the range min; a sweep has 100 functions
+        most = max(100, self.n_ssrs[1] * self.functions_per_ssr[1])
+        if link_overflows(self.link_latency, self.latency[0], most):
+            raise ValueError(f"link latency {self.link_latency} over the latency range "
+                             f"min {self.latency[0]} overflows the costs")
 
     def demand_ranges(self) -> dict[str, Range]:
         return {kind: getattr(self, f"{kind}_demand") for kind in RESOURCE_KINDS}
@@ -109,11 +116,7 @@ def _build_bucket(
         theta = rng.uniform(0.0, 2.0 * np.pi)
         positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
         latencies.append(float(rng.uniform(*cfg.latency)))
-    users = tuple(
-        User(id=i, latency=latency, priority=p)
-        for i, (latency, p) in enumerate(zip(latencies, user_priorities(
-            positions, latencies, cfg.distance_cap, cfg.priority_blend)))
-    )
+    user_scores = user_priorities(positions, latencies, cfg.distance_cap, cfg.priority_blend)
 
     size_lo = np.array([cfg.code_size[0], cfg.input_size[0]], dtype=float)
     size_span = np.array([cfg.code_size[1], cfg.input_size[1]], dtype=float) - size_lo
@@ -138,11 +141,11 @@ def _build_bucket(
     base_rows, supplementary_rows = base.tolist(), (total - base).tolist()
 
     ssrs, start = [], 0
-    for i, count in enumerate(fn_counts):
+    for count, latency, user_score in zip(fn_counts, latencies, user_scores):
         stop = start + count
         priorities = ssr_priorities(critical[start:stop], code[start:stop],
                                     input_size[start:stop], cfg.delta)
-        ssrs.append(SSR(user_id=i, functions=tuple(
+        ssrs.append(SSR(user_latency=latency, user_priority=user_score, functions=tuple(
             ServerlessFunction(
                 code_size=code[k],
                 input_size=input_size[k],
@@ -157,7 +160,7 @@ def _build_bucket(
 
     return SSRBucket(
         ssrs=tuple(ssrs),
-        users=users,
+        link_latency=cfg.link_latency,
         fog=cfg.fog,
         cloud=cfg.cloud,
         importance_factors=cfg.importance_factors,

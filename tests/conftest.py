@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from fogplace.model import (
     SSR,
     SSRBucket,
     ServerlessFunction,
-    User,
 )
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
@@ -28,12 +25,11 @@ generated_buckets = st.one_of(
 
 
 def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
-                code=500.0, input_size=2500.0, link=0.0):
+                code=500.0, input_size=2500.0):
     return EnvironmentLimits(
         per_function_cap=ResourceVector(cpu=cpu, ram=ram, storage=storage, net_io=net_io),
         code_size_limit=code,
         input_size_limit=input_size,
-        link_latency=link,
     )
 
 
@@ -48,33 +44,34 @@ def make_fn(code=100.0, input_size=500.0, critical=3, base=None, suppl=None, pri
     )
 
 
-def make_bucket(ssrs, users, fog=None, cloud=None, weights=None):
+def make_bucket(ssrs, fog=None, cloud=None, weights=None, link=40.0):
     return SSRBucket(
         ssrs=tuple(ssrs),
-        users=tuple(users),
+        link_latency=link,
         fog=fog or make_limits(cpu=2, ram=1024, storage=1024, net_io=2048,
                                code=300.0, input_size=1500.0),
-        cloud=cloud or make_limits(link=40.0),
+        cloud=cloud or make_limits(),
         importance_factors=weights or ResourceVector(0.25, 0.25, 0.25, 0.25),
     )
 
 
-def make_user(uid=0, latency=50.0, priority=0.5):
-    return User(id=uid, latency=latency, priority=priority)
+def make_ssr(fns, latency=50.0, priority=0.5):
+    """An SSR of the given functions, whose user has this latency and priority."""
+    return SSR(user_latency=latency, user_priority=priority, functions=tuple(fns))
 
 
 def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
                     weights=ResourceVector(0.25, 0.25, 0.25, 0.25)):
     """Cost context of one SSR holding fns, whose user has latency share latency / 100.
 
-    A second user without functions has latency 100, so l_i = latency / 100
-    and lf = link / 100.
+    A second SSR, of one zero-demand function, has user latency 100, so
+    l_i = latency / 100 and lf = link / 100. Its function comes last in the
+    context's arrays.
     """
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=tuple(fns))],
-        users=[make_user(0, latency=latency, priority=priority),
-               make_user(1, latency=100.0, priority=0.5)],
-        fog=fog, cloud=dataclasses.replace(cloud, link_latency=link), weights=weights,
+        ssrs=[make_ssr(fns, latency=latency, priority=priority),
+              make_ssr([make_fn()], latency=100.0)],
+        fog=fog, cloud=cloud, weights=weights, link=link,
     )
     return bucket.costs
 
@@ -83,19 +80,12 @@ def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
 def simple_bucket():
     """Two SSRs, zero-demand functions, exact normalized latencies.
 
-    User 0: latency 40 of max 100 -> normalized 0.4; priority 0.6.
-    User 1: latency 100 -> normalized 1.0; priority 0.5.
-    Cloud link latency 10 of max 100 -> normalized 0.1.
+    SSR 0: user latency 40 of max 100 -> normalized 0.4; priority 0.6.
+    SSR 1: user latency 100 -> normalized 1.0; priority 0.5.
+    Link latency 10 of max 100 -> normalized 0.1.
     """
-    users = [
-        make_user(0, latency=40.0, priority=0.6),
-        make_user(1, latency=100.0, priority=0.5),
-    ]
     ssrs = [
-        SSR(user_id=0, functions=(
-            make_fn(priority=5.0),
-            make_fn(priority=2.5),
-        )),
-        SSR(user_id=1, functions=(make_fn(priority=5.0),)),
+        make_ssr([make_fn(priority=5.0), make_fn(priority=2.5)], latency=40.0, priority=0.6),
+        make_ssr([make_fn(priority=5.0)], latency=100.0),
     ]
-    return make_bucket(ssrs, users, cloud=make_limits(link=10.0))
+    return make_bucket(ssrs, link=10.0)

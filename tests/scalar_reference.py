@@ -23,7 +23,6 @@ from fogplace.model import (
     SSRBucket,
     ServerlessFunction,
     StateError,
-    User,
     cloud_feasible,
     fog_feasible,
 )
@@ -82,18 +81,17 @@ def step_cost_cloud(fn, cloud, weights, l_i, lf, user_priority):
 
 
 def user_terms(bucket):
-    """user id -> (normalized latency l_i, priority p_i), and the normalized link lf."""
-    max_latency = max(u.latency for u in bucket.users)
-    terms = {u.id: (u.latency / max_latency, u.priority) for u in bucket.users}
-    return terms, bucket.cloud.link_latency / max_latency
+    """(normalized latency l_i, priority p_i) of each SSR's user, and the normalized link lf."""
+    max_latency = max(ssr.user_latency for ssr in bucket.ssrs)
+    terms = [(ssr.user_latency / max_latency, ssr.user_priority) for ssr in bucket.ssrs]
+    return terms, bucket.link_latency / max_latency
 
 
 def function_step_costs(bucket):
     """(fog, cloud) step cost of every function, in flattened order."""
     terms, lf = user_terms(bucket)
     out = []
-    for ssr in bucket.ssrs:
-        l_i, p_i = terms[ssr.user_id]
+    for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
         for fn in ssr.functions:
             out.append((
                 step_cost_fog(fn, bucket.fog, bucket.importance_factors, l_i, p_i),
@@ -121,8 +119,7 @@ def ssr_objectives(bucket, on_fog):
     flag per function), and their summed total."""
     terms, lf = user_terms(bucket)
     parts, total, k = [], 0.0, 0
-    for ssr in bucket.ssrs:
-        l_i, p_i = terms[ssr.user_id]
+    for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
         max_p = max(fn.priority for fn in ssr.functions)
         comm = comp = 0.0
         for fn in ssr.functions:
@@ -145,7 +142,6 @@ def encode(bucket, order, flags, cursor, max_functions):
     row = [0.0] * (max_functions * SLOT_WIDTH + 1)
     for pos, idx in enumerate(order):
         ssr_idx, fn = flat[idx]
-        user = next(u for u in bucket.users if u.id == bucket.ssrs[ssr_idx].user_id)
         demand = total_demand(fn)
         base = pos * SLOT_WIDTH
         row[base] = float(flags[idx][0])
@@ -155,7 +151,7 @@ def encode(bucket, order, flags, cursor, max_functions):
         row[base + 4] = fn.critical_value / 5
         for k, kind in enumerate(RESOURCE_KINDS):
             row[base + 5 + k] = getattr(demand, kind) / getattr(cap, kind)
-        row[base + 9] = user.priority
+        row[base + 9] = bucket.ssrs[ssr_idx].user_priority
         row[base + 10] = 1.0 if fog_feasible(fn, bucket.fog) else 0.0
     row[-1] = cursor / len(flat)
     return row
@@ -222,23 +218,20 @@ def function_priority(fn, ssr, delta):
 
 
 def with_priorities(bucket, positions, cfg):
-    """A copy of the bucket with every user and function priority filled; user i
-    stands at ``positions[i]``."""
-    latencies = [u.latency for u in bucket.users]
-    users = []
-    for u, position in zip(bucket.users, positions):
-        pd = distance_priority(user_distance((0.0, 0.0), position), cfg.distance_cap)
-        pl = latency_priority(u.latency, latencies)
-        users.append(replace(u, priority=user_priority(pd, pl, cfg.priority_blend)))
-
+    """A copy of the bucket with every user and function priority filled; the
+    user of SSR i stands at ``positions[i]``."""
+    latencies = [ssr.user_latency for ssr in bucket.ssrs]
     ssrs = []
-    for ssr in bucket.ssrs:
+    for ssr, position in zip(bucket.ssrs, positions):
+        pd = distance_priority(user_distance((0.0, 0.0), position), cfg.distance_cap)
+        pl = latency_priority(ssr.user_latency, latencies)
         fns = tuple(
             replace(fn, priority=function_priority(fn, ssr, cfg.delta)) for fn in ssr.functions
         )
-        ssrs.append(replace(ssr, functions=fns))
+        ssrs.append(replace(ssr, user_priority=user_priority(pd, pl, cfg.priority_blend),
+                            functions=fns))
 
-    return replace(bucket, users=tuple(users), ssrs=tuple(ssrs))
+    return replace(bucket, ssrs=tuple(ssrs))
 
 
 def _sample_function(cfg, rng):
@@ -264,28 +257,23 @@ def _sample_function(cfg, rng):
 
 
 def _build_bucket(cfg, rng, fn_counts):
-    users, positions = [], []
-    for i in range(len(fn_counts)):
+    latencies, positions = [], []
+    for _ in fn_counts:
         # uniform over the disc of radius D around the fog node
         radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, 2.0 * np.pi)
         positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
-        users.append(
-            User(
-                id=i,
-                latency=float(rng.uniform(*cfg.latency)),
-                priority=0.0,  # placeholder: with_priorities scores the bucket afterwards
-            )
-        )
+        latencies.append(float(rng.uniform(*cfg.latency)))
 
     ssrs = []
-    for i, count in enumerate(fn_counts):
+    for latency, count in zip(latencies, fn_counts):
         fns = tuple(_sample_function(cfg, rng) for _ in range(count))
-        ssrs.append(SSR(user_id=i, functions=fns))
+        # placeholder priority: with_priorities scores the bucket afterwards
+        ssrs.append(SSR(user_latency=latency, user_priority=0.0, functions=fns))
 
     bucket = SSRBucket(
         ssrs=tuple(ssrs),
-        users=tuple(users),
+        link_latency=cfg.link_latency,
         fog=cfg.fog,
         cloud=cfg.cloud,
         importance_factors=cfg.importance_factors,

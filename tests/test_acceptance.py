@@ -20,10 +20,10 @@ from fogplace.experiment import (
     write_detail_csv,
     write_mean_csv,
 )
-from fogplace.model import ResourceVector, SSR, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user, one_ssr_context
+from conftest import make_bucket, make_fn, make_limits, make_ssr, one_ssr_context
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -68,17 +68,15 @@ def test_criterion_1_formula_suite():
     ones = make_fn(base=ResourceVector(1, 1, 1, 1))
     # function priorities of an SSR with (critical, code, input) (1, 100, 500), (5, 500, 2500)
     fn_priorities = scoring.ssr_priorities([1, 5], [100.0, 500.0], [500.0, 2500.0], 0.2)
-    users = [make_user(0, latency=50, priority=0.5), make_user(1, latency=50, priority=0.5)]
     two_ssrs = make_bucket(
-        [SSR(user_id=0, functions=tuple(make_fn(priority=5.0) for _ in range(2))),
-         SSR(user_id=1, functions=tuple(make_fn(priority=5.0) for _ in range(6)))],
-        users,
+        [make_ssr(tuple(make_fn(priority=5.0) for _ in range(2)), latency=50, priority=0.5),
+         make_ssr(tuple(make_fn(priority=5.0) for _ in range(6)), latency=50, priority=0.5)],
     )
     all_fog = (True,) * 8
     on_fog, on_cloud = np.array([True]), np.array([False])
     # one function of demand 1 everywhere; l_i = 0.4, lf = 0.1, user priority 0.6
     kernel = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=10.0, priority=0.6)
-    # zero-demand function: the objective's communication term alone
+    # zero-demand function: the objective's communication term alone, of SSR 0
     comm = one_ssr_context([make_fn()], half_cap, half_cap, link=10.0, priority=0.6)
     fog_comp = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=0.0)
     cloud_comp = one_ssr_context([ones], half_cap, half_cap, latency=10.0, link=40.0)
@@ -90,8 +88,8 @@ def test_criterion_1_formula_suite():
         abs(scoring.user_priority(0.4, 0.8, 0.5) - 0.6) < tol,
         abs(fn_priorities[0] - 1 / 0.712) < tol,
         abs(fn_priorities[1] - 5.0) < tol,
-        abs(comm.objective_total(on_fog) - 0.6) < tol,
-        abs(comm.objective_total(on_cloud) - 0.7) < tol,
+        abs(comm.objective(on_fog)[0][0] - 0.6) < tol,
+        abs(comm.objective(on_cloud)[0][0] - 0.7) < tol,
         abs(fog_comp.fog_comp[0] - 0.425) < tol,
         abs(cloud_comp.cloud_comp[0] - 0.425) < tol,
         abs(kernel.fog_step[0] - 1.025) < tol,

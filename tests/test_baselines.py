@@ -13,11 +13,11 @@ from fogplace.baselines import (
     greedy_cost,
     random_feasible,
 )
-from fogplace.model import SSR, ResourceVector, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import (
-    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, seeds,
+    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_ssr, seeds,
 )
 from scalar_reference import brute_force_optimum
 
@@ -55,8 +55,7 @@ def test_fog_first_uses_fog_when_possible():
     fn_small = make_fn(priority=5.0)  # zero demand, fits the fog
     fn_big = make_fn(base=ResourceVector(3, 100, 10, 10), priority=2.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn_small, fn_big))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn_small, fn_big))],
     )
     assert fog_first(bucket) == (True, False)
 
@@ -66,8 +65,7 @@ def test_greedy_cost_prefers_fog_for_zero_demand():
     # link latency, so the greedy policy keeps the function on the fog
     fn = make_fn(priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn,))],
     )
     assert greedy_cost(bucket) == (True,)
 
@@ -166,8 +164,7 @@ def test_brute_force_size_limit():
 def test_brute_force_single_function():
     fn = make_fn(priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn,))],
     )
     result = exact_optimum(bucket)
     fog_step, cloud_step = bucket.costs.fog_step[0], bucket.costs.cloud_step[0]
@@ -178,8 +175,7 @@ def test_brute_force_single_function():
 def test_exact_optimum_rejects_function_with_no_feasible_platform():
     tiny = make_limits(code=1.0)  # below the function's code size
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(priority=5.0),))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((make_fn(priority=5.0),))],
         fog=tiny, cloud=tiny,
     )
     with pytest.raises(ValueError, match="does not fit the cloud limits"):
@@ -211,9 +207,8 @@ def small_buckets(draw):
     if draw(st.booleans()):
         # equal limits and no link latency: every feasible function's step
         # costs tie, and without net I/O demand so do its objective terms
-        same = dataclasses.replace(cfg.cloud, link_latency=0.0)
         io = (0.0, 0.0) if draw(st.booleans()) else cfg.net_io_demand
-        cfg = dataclasses.replace(cfg, fog=same, cloud=same, net_io_demand=io)
+        cfg = dataclasses.replace(cfg, fog=cfg.cloud, link_latency=0.0, net_io_demand=io)
     return generate_bucket(cfg, seed=draw(seeds))
 
 

@@ -156,8 +156,7 @@ def ordered(elements):
 
 
 positive_vectors = st.builds(ResourceVector, *[finite(1e-3, 1e5)] * 4)
-limits = st.builds(EnvironmentLimits, positive_vectors, finite(1e-3, 1e4),
-                   finite(1e-3, 1e4), finite(0.0, 1e3))
+limits = st.builds(EnvironmentLimits, positive_vectors, finite(1e-3, 1e4), finite(1e-3, 1e4))
 shares = st.tuples(*[finite(1e-3, 1.0)] * 4)
 
 
@@ -169,12 +168,12 @@ def within_limit(draw, limit):
 
 @st.composite
 def generator_configs(draw):
-    """Generator configs that can generate: fog caps at most the cloud caps, a fog link
-    of 0, every range inside the cloud limits with minima > 0, normalised importance
-    factors, delta > 0."""
+    """Generator configs that can generate: fog caps at most the cloud caps, a link
+    latency of at most 1000, every range inside the cloud limits with minima > 0,
+    normalised importance factors, delta > 0."""
     cloud = draw(limits)
     cap = cloud.per_function_cap
-    fog = dataclasses.replace(draw(limits), link_latency=0.0, per_function_cap=ResourceVector(
+    fog = dataclasses.replace(draw(limits), per_function_cap=ResourceVector(
         *(c * share for c, share in zip(cap.as_tuple(), draw(shares)))))
     weights = draw(st.tuples(*[finite(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 1e-3))
     return GeneratorConfig(
@@ -187,6 +186,7 @@ def generator_configs(draw):
         critical_value=draw(ordered(st.integers(1, 5))),
         fog=fog,
         cloud=cloud,
+        link_latency=draw(finite(0.0, 1e3)),
         distance_cap=draw(finite(1e-3, 1e3)),
         latency=draw(ordered(finite(1e-3, 1e3))),
         priority_blend=draw(finite(0.0, 1.0)),
@@ -202,6 +202,7 @@ RISKY_VALUES = {
     "cpu_demand": ordered(finite(-1e5, 1e5)),
     "net_io_demand": ordered(finite(-1e5, 1e5)),
     "fog": limits,
+    "link_latency": finite(-1.0, 1e308),
     "distance_cap": finite(-1.0, 1e3),
     "latency": ordered(finite(-1e3, 1e3)),
     "priority_blend": finite(-1.0, 2.0),
@@ -353,39 +354,29 @@ def invalid_buckets(draw, doc):
     """A copy of ``doc`` that decodes but breaks one bucket invariant, and the
     text of the violation that ``validate_bucket`` must report for it."""
     doc = json.loads(json.dumps(doc))
-    user = doc["users"][draw(st.integers(0, len(doc["users"]) - 1))]
     ssr_index = draw(st.integers(0, len(doc["ssrs"]) - 1))
     ssr = doc["ssrs"][ssr_index]
     fn_index = draw(st.integers(0, len(ssr["functions"]) - 1))
     fn = ssr["functions"][fn_index]
-    flaw = draw(st.sampled_from(["latency", "repeated user id", "unknown user",
-                                 "duplicate user", "priority", "function priority", "factors",
-                                 "fog link", "empty SSR"]))
+    flaw = draw(st.sampled_from(["latency", "priority", "function priority", "factors",
+                                 "link overflow", "empty SSR"]))
     if flaw == "latency":
-        user["latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
-        return doc, f"user {user['id']} latency"
-    if flaw == "repeated user id":
-        first, second = sorted(draw(st.permutations(range(len(doc["users"]))))[:2])
-        doc["users"][second]["id"] = doc["users"][first]["id"]
-        return doc, f"user index {second} repeats user id"
-    if flaw == "unknown user":
-        ssr["user_id"] = 1 + max(u["id"] for u in doc["users"])
-        return doc, f"SSR index {ssr_index} references unknown user"
-    if flaw == "duplicate user":
-        ssr["user_id"] = doc["ssrs"][ssr_index - 1]["user_id"]  # index -1: the last SSR
-        return doc, "duplicate user id"
+        ssr["user_latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
+        return doc, f"SSR {ssr_index} user latency"
     if flaw == "priority":
-        user["priority"] = draw(st.sampled_from([-0.5, 1.5]))
-        return doc, f"user {user['id']} priority"
+        ssr["user_priority"] = draw(st.sampled_from([-0.5, 1.5]))
+        return doc, f"SSR {ssr_index} user priority"
     if flaw == "function priority":
         fn["priority"] = draw(st.sampled_from([0.0, -1.0]))
         return doc, f"function ({ssr_index}, {fn_index}) priority"
     if flaw == "factors":
         doc["importance_factors"]["cpu"] += draw(st.sampled_from([-0.2, 0.5]))
         return doc, "importance factors sum"
-    if flaw == "fog link":
-        doc["fog"]["link_latency"] = draw(st.sampled_from([1e-9, 25.0]))
-        return doc, "fog link latency"
+    if flaw == "link overflow":
+        doc["link_latency"] = draw(st.sampled_from([1e308, 1.7e308]))
+        for each in doc["ssrs"]:
+            each["user_latency"] = draw(st.sampled_from([1e-10, 1.0]))
+        return doc, "overflows the costs"
     ssr["functions"] = []
     return doc, f"empty SSR at index {ssr_index}"
 
@@ -417,4 +408,4 @@ def test_load_config_is_total(tmp_path, data):
 def test_mutated_paths_are_named_as_decode_names_them():
     assert path_of(("ssrs", 2, "functions", 0, "code_size")) == "ssrs[2].functions[0].code_size"
     assert within("ssrs[2]", "ssrs[2].functions[0].code_size")
-    assert not within("ssrs[2]", "ssrs[22].user_id")
+    assert not within("ssrs[2]", "ssrs[22].user_latency")

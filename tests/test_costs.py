@@ -7,11 +7,11 @@ from hypothesis import given
 import scalar_reference as ref
 from fogplace import baselines, costs, metrics
 from fogplace.env import Action, PlacementEnv
-from fogplace.model import ResourceVector, SSR, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import (
-    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, one_ssr_context,
+    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_ssr, one_ssr_context,
 )
 
 UNIFORM = ResourceVector(0.25, 0.25, 0.25, 0.25)
@@ -44,18 +44,16 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
                                       metrics.report], ids=lambda f: f.__name__)
 def test_fog_flag_on_a_function_the_fog_cannot_take_is_rejected(consumer):
     # 6 cores: beyond the fog cap of 2, within the cloud cap of 6
-    bucket = make_bucket(ssrs=[SSR(user_id=0, functions=(make_fn(base=ResourceVector(cpu=6)),))],
-                         users=[make_user(0)])
+    bucket = make_bucket(ssrs=[make_ssr((make_fn(base=ResourceVector(cpu=6)),))])
     assert bucket.costs.fog_ok.tolist() == [False]
     with pytest.raises(ValueError, match=r"puts function 0 \(flattened order\) on the fog"):
         consumer(bucket, (True,))
 
 
 INVALID_BUCKETS = {
-    "empty": lambda: make_bucket(ssrs=[], users=[make_user(0)]),
+    "empty": lambda: make_bucket(ssrs=[]),
     "code-above-cloud-limit": lambda: make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(code=600.0, priority=5.0),))],
-        users=[make_user(0)]),
+        ssrs=[make_ssr((make_fn(code=600.0, priority=5.0),))]),
 }
 BUCKET_CONSUMERS = {
     "report": lambda b: metrics.report(b, (False,) * b.n_functions),
@@ -84,19 +82,18 @@ def test_total_demand():
         make_fn(base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
         make_fn(),
     ], cloud=make_limits())
-    assert ctx.demand.tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
+    assert ctx.demand[:3].tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
 
 
 def test_ssr_demand_sums():
     # SSR 0 is shorter than SSR 1, so its padded slot is summed too
-    users = [make_user(0), make_user(1), make_user(2)]
     bucket = make_bucket(ssrs=[
-        SSR(user_id=0, functions=(make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
-        SSR(user_id=1, functions=(
+        make_ssr((make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
+        make_ssr((
             make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
             make_fn(base=ResourceVector(2, 200, 20, 20), priority=1.0),
         )),
-    ], users=users)
+    ])
     ctx = bucket.costs
     per_ssr = ctx.ssr_sums(ctx.demand.T)  # one row per resource kind
     assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30]]
@@ -171,7 +168,7 @@ def test_ssr_comp_latency_priority_weighting(simple_bucket):
     bucket = dataclasses.replace(
         simple_bucket,
         ssrs=(weighted, simple_bucket.ssrs[1]),
-        fog=HALF_CAP, cloud=dataclasses.replace(HALF_CAP, link_latency=10.0),
+        fog=HALF_CAP, cloud=HALF_CAP,
     )
     # fog placement, user 0: l_i = 0.4 -> per-function comp 0.425
     _, comp = objective_parts(bucket, (True,) * 3)[0]
@@ -197,12 +194,11 @@ def test_ssr_objective_total(simple_bucket):
 def test_bucket_step_cost_is_mean_of_ssrs():
     # SSR 0: two zero-demand fog functions with P=0.5 -> cost 1.0
     # SSR 1: six zero-demand fog functions with P=0.5 -> cost 3.0
-    users = [make_user(0, latency=50, priority=0.5), make_user(1, latency=50, priority=0.5)]
     ssrs = [
-        SSR(user_id=0, functions=tuple(make_fn(priority=5.0) for _ in range(2))),
-        SSR(user_id=1, functions=tuple(make_fn(priority=5.0) for _ in range(6))),
+        make_ssr(tuple(make_fn(priority=5.0) for _ in range(2)), latency=50, priority=0.5),
+        make_ssr(tuple(make_fn(priority=5.0) for _ in range(6)), latency=50, priority=0.5),
     ]
-    bucket = make_bucket(ssrs, users)
+    bucket = make_bucket(ssrs)
     placement = (True,) * 8
     assert costs.bucket_step_cost(bucket, placement) == pytest.approx(2.0, abs=1e-9)
     assert costs.placement_step_cost_sum(bucket, placement) == pytest.approx(4.0, abs=1e-9)
@@ -211,8 +207,7 @@ def test_bucket_step_cost_is_mean_of_ssrs():
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
     bucket = dataclasses.replace(
         simple_bucket,
-        ssrs=(SSR(user_id=1, functions=(make_fn(),)),),
-        users=(simple_bucket.users[1],),
+        ssrs=(make_ssr((make_fn(),), latency=100.0),),
     )
     ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]
     assert costs.bucket_step_cost(bucket, (False,)) == pytest.approx(ssr_cost)
@@ -308,8 +303,7 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
         ctx = bucket.costs
         terms, lf = ref.user_terms(bucket)
         k = 0
-        for ssr in bucket.ssrs:
-            l_i, p_i = terms[ssr.user_id]
+        for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
             max_p = max(fn.priority for fn in ssr.functions)
             for fn in ssr.functions:
                 w = fn.priority / max_p

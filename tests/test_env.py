@@ -9,7 +9,6 @@ from fogplace import costs, model
 from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
 from fogplace.model import (
     ResourceVector,
-    SSR,
     StateError,
     cloud_feasible,
     fog_feasible,
@@ -17,7 +16,7 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_user, seeds
+from conftest import PROPERTY, generated_buckets, make_bucket, make_fn, make_ssr, seeds
 
 
 def small_bucket(seed=1):
@@ -68,8 +67,7 @@ def test_reset_respects_max_functions():
 def test_mask_fog_cpu_cap():
     fn = make_fn(base=ResourceVector(3, 100, 10, 10))
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(dataclasses.replace(fn, priority=5.0),))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((dataclasses.replace(fn, priority=5.0),))],
     )
     env = PlacementEnv(bucket)
     assert env.reset().mask == (False, True)
@@ -78,8 +76,7 @@ def test_mask_fog_cpu_cap():
 def test_mask_fog_input_limit():
     fn = make_fn(input_size=2000.0, priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn,))],
     )
     env = PlacementEnv(bucket)
     assert env.reset().mask[0] is False
@@ -88,8 +85,7 @@ def test_mask_fog_input_limit():
 def test_mask_both_feasible():
     fn = make_fn(base=ResourceVector(1, 100, 10, 10), priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn,))],
     )
     env = PlacementEnv(bucket)
     assert env.reset().mask == (True, True)
@@ -98,8 +94,7 @@ def test_mask_both_feasible():
 def test_step_zero_demand_fog_cost():
     fn = make_fn(priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0, priority=0.6)],
+        ssrs=[make_ssr((fn,), priority=0.6)],
     )
     env = PlacementEnv(bucket)
     outcome = env.step(env.reset(), Action.FOG)
@@ -111,8 +106,7 @@ def test_step_zero_demand_fog_cost():
 def test_step_rejects_masked_action():
     fn = make_fn(base=ResourceVector(3, 100, 10, 10), priority=5.0)
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(fn,))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((fn,))],
     )
     env = PlacementEnv(bucket)
     with pytest.raises(StateError):
@@ -176,13 +170,12 @@ def test_encoding_locality_on_critical_value():
     fns = [make_fn(code=100 + j, input_size=500, critical=3, priority=1.0)
            for j in range(3)]
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=tuple(fns))],
-        users=[make_user(0)],
+        ssrs=[make_ssr(tuple(fns))],
     )
     bumped_fns = list(fns)
     bumped_fns[1] = dataclasses.replace(fns[1], critical_value=4)
     bucket2 = dataclasses.replace(
-        bucket, ssrs=(SSR(user_id=0, functions=tuple(bumped_fns)),)
+        bucket, ssrs=(make_ssr(tuple(bumped_fns)),)
     )
     # equal function priorities: the processing order is the insertion order
     env = PlacementEnv(bucket)
@@ -199,8 +192,7 @@ def test_processing_order_priority_vs_insertion():
     assert sorted(pri.order) == list(range(bucket.n_functions))
     # SSR-major: user priorities along the visit order are non-increasing
     flat = bucket.functions()
-    visited_users = [bucket.users[bucket.ssrs[flat[i][0]].user_id].priority
-                     for i in pri.order]
+    visited_users = [bucket.ssrs[flat[i][0]].user_priority for i in pri.order]
     blocks = []
     for p in visited_users:
         if not blocks or blocks[-1] != p:
@@ -223,14 +215,13 @@ def test_step_rejects_stale_state():
 
 
 def test_invalid_bucket_rejected():
-    bucket = make_bucket(ssrs=[SSR(user_id=0, functions=())], users=[make_user(0)])
+    bucket = make_bucket(ssrs=[make_ssr(())])
     with pytest.raises(ValueError):
         PlacementEnv(bucket)
 
 
-@pytest.mark.parametrize("ssrs, users", [([], []), ([], [make_user(0)])])
-def test_empty_bucket_rejected(ssrs, users):
-    bucket = make_bucket(ssrs=ssrs, users=users)
+def test_empty_bucket_rejected():
+    bucket = make_bucket(ssrs=[])
     assert validate_bucket(bucket) == ["bucket has no functions"]
     with pytest.raises(ValueError, match="invalid bucket: bucket has no functions"):
         PlacementEnv(bucket)

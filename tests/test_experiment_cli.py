@@ -21,12 +21,13 @@ from fogplace.experiment import (
     load_config,
     run_compare,
     save_config,
+    training_env_factory,
 )
 from fogplace.env import PlacementEnv
-from fogplace.model import SSR, ResourceVector, load_bucket, save_bucket
+from fogplace.model import ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import make_bucket, make_fn, make_ssr
 
 
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
@@ -264,16 +265,14 @@ def test_cli_oracle_stdout_is_pinned(tmp_path, capsys):
     demand = ResourceVector(1, 256, 64, 128)
     bucket = make_bucket(
         ssrs=[
-            SSR(user_id=0, functions=(
+            make_ssr((
                 make_fn(base=demand, priority=2.0),
                 make_fn(code=480.0, base=demand, priority=4.0),
-            )),
-            SSR(user_id=1, functions=(
+            ), latency=20.0, priority=0.75),
+            make_ssr((
                 make_fn(base=ResourceVector(2, 512, 128, 256), priority=3.0),
-            )),
+            ), latency=80.0, priority=0.25),
         ],
-        users=[make_user(0, latency=20.0, priority=0.75),
-               make_user(1, latency=80.0, priority=0.25)],
     )
     path = tmp_path / "bucket.json"
     save_bucket(bucket, path)
@@ -374,8 +373,8 @@ def negative_priority(doc):
 
 
 def drop_user_priorities(doc):
-    for user in doc["users"]:
-        del user["priority"]
+    for ssr in doc["ssrs"]:
+        del ssr["user_priority"]
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
@@ -383,7 +382,7 @@ def drop_user_priorities(doc):
     (zero_ssr_0_priorities, 1, "".join(
         f"VIOLATION: function (0, {j}) priority 0.0 must be finite and > 0\n" for j in range(4))),
     (negative_priority, 1, "VIOLATION: function (2, 1) priority -3.0 must be finite and > 0\n"),
-    (drop_user_priorities, 2, "users[0].priority: missing"),
+    (drop_user_priorities, 2, "ssrs[0].user_priority: missing"),
 ], ids=["zero-priorities", "negative-priority", "no-user-priorities"])
 def test_cli_validate_and_oracle_agree_on_bucket_priorities(tmp_path, capsys, command, edit,
                                                              code, expected):
@@ -440,10 +439,12 @@ NAN = float("nan")
     ("validate", ("ssrs", 0, "functions", 0, "code_size"), "12.5",
      "ssrs[0].functions[0].code_size"),
     ("validate", ("extra",), 1, "extra"),
-    # position and ssr_index: keys of the older bucket format, which no computation read
-    ("validate", ("users", 0, "position"), [30.0, 40.0], "users[0].position"),
+    # users, user_id, ssr_index and the fog's link_latency: keys of older bucket formats
+    ("validate", ("users",), [{"id": 0, "latency": 20.0, "priority": 0.5}], "users"),
     ("oracle", ("ssrs", 0, "functions", 0, "priority"), NAN, "ssrs[0].functions[0].priority"),
     ("oracle", ("ssrs", 1, "functions", 0, "ssr_index"), 1, "ssrs[1].functions[0].ssr_index"),
+    ("oracle", ("ssrs", 0, "user_id"), 0, "ssrs[0].user_id"),
+    ("validate", ("fog", "link_latency"), 0.0, "fog.link_latency"),
 ])
 def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
     cfg_path = tmp_path / "config.json"
@@ -482,6 +483,9 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
     ({"generator": {"seed": -1}}, "generator"),
     ({"experiment": {"algorithms": ["fog_first", "fog_first"], "sweep": [10, 10],
                      "runs_per_point": 1}}, "experiment"),
+    # the one link latency is the generator's; the fog's of the older format is unknown
+    ({"generator": {"fog": {**encode(GeneratorConfig().fog), "link_latency": 0.0}}},
+     "generator.fog.link_latency"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -494,7 +498,7 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
 
 FOG_CPU_ABOVE_CLOUD = {
     "per_function_cap": {"cpu": 8, "ram": 1024, "storage": 1024, "net_io": 2048},
-    "code_size_limit": 300.0, "input_size_limit": 1500.0, "link_latency": 0.0,
+    "code_size_limit": 300.0, "input_size_limit": 1500.0,
 }
 
 
@@ -509,10 +513,11 @@ FOG_CPU_ABOVE_CLOUD = {
     ({"importance_factors": {"cpu": 0.5, "ram": 0.5, "storage": 0.5, "net_io": 0.5}},
      "importance factors sum 2.0 != 1"),
     ({"fog": FOG_CPU_ABOVE_CLOUD}, "fog per-function cap exceeds cloud cap in some component"),
-    ({"fog": {**encode(GeneratorConfig().fog), "link_latency": 25.0}},
-     "fog link latency 25.0 must be 0"),
+    ({"link_latency": -1.0}, "link latency -1.0 must be finite and >= 0"),
+    ({"link_latency": 1e308, "latency": [1e-10, 1.0]},
+     "link latency 1e+308 over the latency range min 1e-10 overflows the costs"),
 ], ids=["cpu-demand", "distance-cap", "latency", "blend", "delta", "factors", "fog-cap",
-        "fog-link"])
+        "fog-link", "link-overflow"])
 def test_cli_rejects_config_that_cannot_generate(tmp_path, capsys, command, generator, message):
     cfg_path = tmp_path / "config.json"
     # without defdrel, compare needs no checkpoint and goes straight to generation
@@ -524,6 +529,25 @@ def test_cli_rejects_config_that_cannot_generate(tmp_path, capsys, command, gene
     assert captured.err == f"error: malformed config {cfg_path}: generator: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_train_refuses_buckets_wider_than_the_encoder(tmp_path, capsys):
+    # 20 SSRs of 10 functions: 200 functions, but a training state encodes 100
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "generator": {"n_ssrs": [20, 20], "functions_per_ssr": [10, 10]},
+        "agent": {"episodes": 2}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: invalid config: the generator draws buckets of up to 200 "
+                            "functions, but training encodes at most 100\n")
+    assert not out.exists()
+    # generate draws from both ranges, and compare's sweep from neither
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "b.json")]) == 0
+    assert load_bucket(tmp_path / "b.json").n_functions == 200
+    widest = ExperimentConfig(GeneratorConfig(n_ssrs=(10, 10), functions_per_ssr=(10, 10)))
+    assert training_env_factory(widest)(0).max_functions == 100
 
 
 def test_config_sections_may_be_partial(tmp_path):
@@ -591,16 +615,14 @@ def test_cli_input_file_that_cannot_be_read_is_usage_error(tmp_path, capsys, kin
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
 @pytest.mark.parametrize("change, violation", [
-    # the costs look each SSR's user up by id, and read only the cloud's link
-    ({"users": (make_user(0, latency=10.0), make_user(0, latency=100.0))},
-     "user index 1 repeats user id 0"),
-    ({"fog": make_limits(cpu=2, ram=1024, storage=1024, net_io=2048, code=300.0,
-                         input_size=1500.0, link=25.0)},
-     "fog link latency 25.0 must be 0"),
-], ids=["repeated-user-id", "fog-link"])
+    # the costs divide the fog-cloud link by the largest user latency: 1e318 overflows
+    ({"link_latency": 1e308},
+     "link latency 1e+308 over the largest user latency 1e-10 overflows the costs"),
+], ids=["fog-link"])
 def test_cli_reports_bucket_data_the_costs_would_ignore(tmp_path, capsys, command, change,
                                                          violation):
-    bucket = make_bucket(ssrs=[SSR(user_id=0, functions=(make_fn(),))], users=[make_user(0)])
+    bucket = make_bucket(ssrs=[make_ssr((make_fn(),), latency=1e-10),
+                               make_ssr((make_fn(), make_fn()), latency=1e-10)])
     path = tmp_path / "bucket.json"
     save_bucket(dataclasses.replace(bucket, **change), path)
     assert main([command, str(path)]) == 1

@@ -3,16 +3,15 @@ import pytest
 
 from fogplace.baselines import cloud_only, random_feasible
 from fogplace.metrics import PLACEMENT_COLUMNS, REPORT_COLUMNS, report
-from fogplace.model import RESOURCE_KINDS, SSR, ResourceVector
+from fogplace.model import RESOURCE_KINDS, ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import make_bucket, make_fn, make_limits, make_ssr
 
 
 def bucket_with(fns, fog=None, cloud=None):
     return make_bucket(
-        ssrs=[SSR(user_id=0, functions=tuple(fns))],
-        users=[make_user(0)],
+        ssrs=[make_ssr(tuple(fns))],
         fog=fog,
         cloud=cloud,
     )
@@ -54,7 +53,7 @@ def test_demand_percentage_hand_value():
         make_fn(base=ResourceVector(cpu=6), priority=1.0),
         make_fn(base=ResourceVector(cpu=24), priority=1.0),
     ]
-    bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24, link=40.0))
+    bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24))
     rep = report(bucket, flags_for(fns, {0}))
     assert rep["cpu_fog_pct"] == pytest.approx(20.0, abs=1e-12)
     assert rep["cpu_cloud_pct"] == pytest.approx(80.0, abs=1e-12)

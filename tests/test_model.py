@@ -3,18 +3,18 @@ import math
 
 import pytest
 
+from fogplace import costs
 from fogplace.codec import encode
 from fogplace.model import (
     ResourceVector,
     RESOURCE_KINDS,
-    SSR,
     load_bucket,
     save_bucket,
     validate_bucket,
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_user
+from conftest import make_bucket, make_fn, make_limits, make_ssr
 
 
 def test_resource_kinds_fixed_order():
@@ -33,7 +33,7 @@ def test_resource_vector_rejects_negative_and_nonfinite():
 def test_validate_fog_cap_above_cloud_cap_reported():
     def violations(fog_cap):
         bucket = make_bucket(
-            ssrs=[SSR(user_id=0, functions=(make_fn(),))], users=[make_user(0)],
+            ssrs=[make_ssr((make_fn(),))],
             fog=make_limits(*fog_cap), cloud=make_limits(1, 100, 10, 10),
         )
         return [v for v in validate_bucket(bucket) if "fog per-function cap" in v]
@@ -47,8 +47,7 @@ def test_validate_fog_cap_above_cloud_cap_reported():
 
 def test_validate_empty_ssr_reported():
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=())],
-        users=[make_user(0)],
+        ssrs=[make_ssr(())],
     )
     report = validate_bucket(bucket)
     assert any("empty SSR at index 0" in v for v in report)
@@ -56,8 +55,7 @@ def test_validate_empty_ssr_reported():
 
 def test_validate_uniform_importance_factors_pass():
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((make_fn(),))],
         weights=ResourceVector(0.25, 0.25, 0.25, 0.25),
     )
     assert not any("importance" in v for v in validate_bucket(bucket))
@@ -65,22 +63,10 @@ def test_validate_uniform_importance_factors_pass():
 
 def test_validate_importance_factor_sum_violation():
     bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
-        users=[make_user(0)],
+        ssrs=[make_ssr((make_fn(),))],
         weights=ResourceVector(0.5, 0.5, 0.5, 0.5),
     )
     assert any("importance factors sum 2.0 != 1" in v for v in validate_bucket(bucket))
-
-
-def test_validate_duplicate_user_and_excess_ssrs():
-    bucket = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(),)),
-              SSR(user_id=0, functions=(make_fn(),))],
-        users=[make_user(0)],
-    )
-    report = validate_bucket(bucket)
-    assert any("duplicate user id 0" in v for v in report)
-    assert any("exceed" in v for v in report)
 
 
 def test_generated_bucket_is_valid():
@@ -114,20 +100,38 @@ def test_bucket_costs_is_built_once_per_bucket():
     assert copy == bucket and hash(copy) == hash(bucket) and encode(bucket) == doc
     assert copy.costs is not ctx
     assert copy.costs.fog_step.tolist() == ctx.fog_step.tolist()
-    slower = dataclasses.replace(
-        bucket, cloud=dataclasses.replace(bucket.cloud, link_latency=2 * bucket.cloud.link_latency))
+    slower = dataclasses.replace(bucket, link_latency=2 * bucket.link_latency)
     assert slower.costs.norm_link == 2 * ctx.norm_link
 
 
 def test_validate_reports_non_finite_latency():
-    nan = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
-        users=[make_user(0, latency=math.nan)],
-    )
-    assert any("user 0 latency nan" in v for v in validate_bucket(nan))
-    infinite = make_bucket(
-        ssrs=[SSR(user_id=0, functions=(make_fn(),))],
-        users=[make_user(0, latency=math.inf)],
-    )
-    assert any("user 0 latency inf" in v for v in validate_bucket(infinite))
+    nan = make_bucket(ssrs=[make_ssr((make_fn(),), latency=math.nan)])
+    assert any("SSR 0 user latency nan" in v for v in validate_bucket(nan))
+    infinite = make_bucket(ssrs=[make_ssr((make_fn(),)), make_ssr((make_fn(),), latency=math.inf)])
+    assert any("SSR 1 user latency inf" in v for v in validate_bucket(infinite))
+
+
+@pytest.mark.parametrize("link, latency, n_functions, overflows", [
+    (1e308, 1e-10, 1, True),  # the link's share of the largest user latency overflows
+    (1e308, 1.0, 2, True),  # the share is finite, but a total of two cloud steps is not
+    (1e300, 1.0, 2, False),
+    (0.0, 1e-300, 2, False),
+])
+def test_validate_reports_a_link_that_overflows_the_costs(link, latency, n_functions, overflows):
+    bucket = make_bucket(ssrs=[make_ssr([make_fn()] * n_functions, latency=latency)], link=link)
+    if overflows:
+        assert validate_bucket(bucket) == [
+            f"link latency {link} over the largest user latency {latency} overflows the costs"]
+        with pytest.raises(ValueError, match="overflows the costs"):
+            bucket.costs
+    else:
+        assert validate_bucket(bucket) == []
+        all_cloud = (False,) * n_functions
+        assert math.isfinite(costs.placement_step_cost_sum(bucket, all_cloud))
+        assert math.isfinite(costs.bucket_objective(bucket, all_cloud))
+
+
+def test_validate_reports_a_negative_link():
+    bucket = make_bucket(ssrs=[make_ssr((make_fn(),))], link=-1.0)
+    assert validate_bucket(bucket) == ["link latency -1.0 must be finite and >= 0"]
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fogplace import scoring
-from fogplace.model import SSR
 
-from conftest import make_fn
+from conftest import make_fn, make_ssr
 
 
 def priorities(ssr, delta=scoring.DEFAULT_DELTA):
@@ -89,7 +88,7 @@ def test_user_priority_range_error():
 
 
 def test_function_priority_max_critical():
-    ssr = SSR(user_id=0, functions=(
+    ssr = make_ssr((
         make_fn(critical=5, code=100, input_size=500),
         make_fn(critical=2, code=500, input_size=2500),
     ))
@@ -97,7 +96,7 @@ def test_function_priority_max_critical():
 
 
 def test_function_priority_max_code_size():
-    ssr = SSR(user_id=0, functions=(
+    ssr = make_ssr((
         make_fn(critical=1, code=500, input_size=100),
         make_fn(critical=1, code=100, input_size=2500),
     ))
@@ -106,7 +105,7 @@ def test_function_priority_max_code_size():
 
 def test_function_priority_hand_value():
     # 1 / (0.2 + 0.8 * 0.8 * 0.8) = 1 / 0.712
-    ssr = SSR(user_id=0, functions=(
+    ssr = make_ssr((
         make_fn(critical=1, code=100, input_size=500),
         make_fn(critical=5, code=500, input_size=2500),
     ))
@@ -116,7 +115,7 @@ def test_function_priority_hand_value():
 
 
 def test_function_priority_degenerate_ssr():
-    ssr = SSR(user_id=0, functions=(make_fn(code=1.0, input_size=0.0),))
+    ssr = make_ssr((make_fn(code=1.0, input_size=0.0),))
     with pytest.raises(ValueError):
         priorities(ssr)
 
@@ -130,7 +129,7 @@ def test_function_priority_bounds_fuzz():
                     code=float(rng.uniform(1, 500)), input_size=float(rng.uniform(1, 2500)))
             for _ in range(int(rng.integers(1, 6)))
         )
-        for p in priorities(SSR(user_id=0, functions=fns), delta):
+        for p in priorities(make_ssr(fns), delta):
             assert 1 / (delta + 1) - 1e-12 <= p <= 1 / delta + 1e-12
 
 
@@ -139,8 +138,8 @@ def test_function_priority_monotone_in_critical():
         base = make_fn(critical=low, code=100, input_size=500)
         bumped = make_fn(critical=high, code=100, input_size=500)
         other = make_fn(critical=1, code=500, input_size=2500)
-        ssr_a = SSR(user_id=0, functions=(base, other))
-        ssr_b = SSR(user_id=0, functions=(bumped, other))
+        ssr_a = make_ssr((base, other))
+        ssr_b = make_ssr((bumped, other))
         assert priorities(ssr_b)[0] >= priorities(ssr_a)[0]
 
 

@@ -102,7 +102,7 @@ def test_fog_infeasible_functions_exist_on_average():
 
 def test_priorities_are_cached():
     bucket = generate_bucket(GeneratorConfig(seed=12))
-    assert all(u.priority is not None and 0 <= u.priority <= 1 for u in bucket.users)
+    assert all(0 <= ssr.user_priority <= 1 for ssr in bucket.ssrs)
     for ssr in bucket.ssrs:
         for fn in ssr.functions:
             assert fn.priority is not None and fn.priority > 0
