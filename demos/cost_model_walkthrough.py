@@ -37,8 +37,7 @@ def ssr(i, *rows):
     code, inp, critical = ([row[k] for row in rows] for k in range(3))
     return SSR(user_latency=latencies[i], user_priority=user_scores[i], functions=tuple(
         ServerlessFunction(code_size=row[0], input_size=row[1], critical_value=row[2],
-                           base_demand=ResourceVector(*row[3:]),
-                           supplementary_demand=ResourceVector(), priority=p)
+                           demand=ResourceVector(*row[3:]), priority=p)
         for row, p in zip(rows, scoring.ssr_priorities(critical, code, inp))
     ))
 

@@ -7,7 +7,6 @@ cloud, matching the goal of keeping the fog as free as possible.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ from .env import Action, PlacementEnv
 from .model import Placement
 
 CHECKPOINT_VERSION = 1
+TRAINING_LOG_COLUMNS = ["episode", "total_cost", "epsilon", "loss"]  # one row per episode
 
 
 class TrainingFault(RuntimeError):
@@ -52,6 +52,9 @@ class AgentConfig:
         for name in ("batch_size", "replay_capacity", "target_sync_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                             f"{self.replay_capacity}: the replay never holds a batch")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if any(h < 1 for h in self.hidden_sizes):
@@ -156,8 +159,9 @@ class ValueNetwork:
             raise DecodeError("version", f"unsupported checkpoint version {doc.version}")
         net = cls.__new__(cls)
         net.sizes = sizes = list(doc.sizes)
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, got {sizes}")
+        if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != len(Action):
+            raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, the "
+                                       f"last {len(Action)} (one per action), got {sizes}")
         net.weights = _layers(doc.weights, "weights", list(zip(sizes[:-1], sizes[1:])))
         net.biases = _layers(doc.biases, "biases", [(n,) for n in sizes[1:]])
         return net
@@ -283,7 +287,7 @@ def select_action(
 @dataclass
 class TrainResult:
     net: ValueNetwork
-    log: list[dict] = field(default_factory=list)  # episode, total_cost, epsilon, loss
+    log: list[dict] = field(default_factory=list)  # keyed by TRAINING_LOG_COLUMNS
 
 
 def _batch_targets(
@@ -351,14 +355,6 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
         epsilon = max(cfg.epsilon_end, epsilon * cfg.epsilon_decay)
 
     return TrainResult(net=net, log=log)
-
-
-def write_training_log(log: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["episode", "total_cost", "epsilon", "loss"])
-        writer.writeheader()
-        for row in log:
-            writer.writerow(row)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import baselines
-from .agent import TrainingFault, ValueNetwork, train, write_training_log
+from .agent import TRAINING_LOG_COLUMNS, TrainingFault, ValueNetwork, train
 from .codec import DecodeError
 from .experiment import (
     MAX_FUNCTIONS,
@@ -23,6 +23,7 @@ from .experiment import (
     load_config,
     run_compare,
     training_env_factory,
+    write_csv,
     write_detail_csv,
     write_mean_csv,
     aggregate_rows,
@@ -95,7 +96,7 @@ def cmd_train(args) -> int:
         return 1
     checkpoint = out_dir / "checkpoint.json"
     result.net.save(checkpoint)
-    write_training_log(result.log, out_dir / "training_log.csv")
+    write_csv(result.log, TRAINING_LOG_COLUMNS, out_dir / "training_log.csv")
     print(f"trained {cfg.agent.episodes} episodes; checkpoint at {checkpoint}")
     return 0
 

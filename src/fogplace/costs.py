@@ -53,11 +53,9 @@ def _running_total(values: np.ndarray) -> np.ndarray:
 class CostContext:
     """Per-function arrays of one bucket, in its flattened insertion order."""
 
-    demand: np.ndarray  # n x 4 total (base + supplementary) demand, RESOURCE_KINDS order
+    demand: np.ndarray  # n x 4 demand, RESOURCE_KINDS order
     fog_ok: np.ndarray  # bool: the function fits the fog limits (every one fits the cloud)
-    latency: np.ndarray  # l_i: the SSR's user latency / max user latency
     priority: np.ndarray  # p_i: the SSR's user priority
-    weight: np.ndarray  # function priority / highest function priority of its SSR
     ssr_slots: np.ndarray  # n_ssrs x longest SSR: function indices, n where an SSR is shorter
     norm_link: float  # fog-cloud link latency / max user latency
     fog_step: np.ndarray  # step cost of placing each function on the fog
@@ -92,10 +90,7 @@ class CostContext:
         for k, s in enumerate(slots):
             ssr_slots[k, :len(s)] = s
 
-        demand = (
-            np.array([fn.base_demand.as_tuple() for fn in fns], dtype=float).reshape(n, 4)
-            + np.array([fn.supplementary_demand.as_tuple() for fn in fns], dtype=float).reshape(n, 4)
-        )
+        demand = np.array([fn.demand.as_tuple() for fn in fns], dtype=float)
         code_size = np.array([fn.code_size for fn in fns], dtype=float)
         input_size = np.array([fn.input_size for fn in fns], dtype=float)
         latency_v = np.array(latency, dtype=float)
@@ -117,9 +112,7 @@ class CostContext:
         return cls(
             demand=demand,
             fog_ok=fog_ok,
-            latency=latency_v,
             priority=priority_v,
-            weight=weight_v,
             ssr_slots=ssr_slots,
             norm_link=lf,
             fog_step=fog_comp + priority_v,

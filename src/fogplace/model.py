@@ -1,13 +1,14 @@
 """Domain entities for fog/cloud serverless placement.
 
 Everything here is an immutable dataclass. Each SSR carries its user's
-latency and priority, and every function its own priority, as required data:
-the generator gives each priority the value that ``scoring.user_priorities``
-or ``scoring.ssr_priorities`` computes, and a bucket file's priorities are
-used as given, never recomputed: user positions, the coverage radius, the
-blend and delta are not stored in a bucket, and a function's place is its
-position in its SSR. The bucket holds the one fog-cloud link latency.
-``validate_bucket`` checks the ranges of all of these.
+latency and priority, and every function its one demand vector and its own
+priority, as required data: the generator gives each priority the value that
+``scoring.user_priorities`` or ``scoring.ssr_priorities`` computes, and a
+bucket file's priorities are used as given, never recomputed: user
+positions, the coverage radius, the blend and delta are not stored in a
+bucket, and a function's place is its position in its SSR. The bucket holds
+the one fog-cloud link latency. ``validate_bucket`` checks the ranges of all
+of these.
 """
 from __future__ import annotations
 
@@ -73,8 +74,7 @@ class ServerlessFunction:
     code_size: float  # MB
     input_size: float  # MB
     critical_value: int  # 1 (low) .. 5 (high)
-    base_demand: ResourceVector
-    supplementary_demand: ResourceVector
+    demand: ResourceVector
     priority: float  # placement priority within its SSR, > 0
 
     def __post_init__(self) -> None:
@@ -133,18 +133,15 @@ Placement = tuple[bool, ...]
 
 
 def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
-    """Per-function platform constraints: code size, input size, total demand.
-
-    A total demand that overflows to infinity fits no platform.
-    """
-    base, extra, cap = fn.base_demand, fn.supplementary_demand, limits.per_function_cap
+    """Per-function platform constraints: code size, input size, demand."""
+    demand, cap = fn.demand, limits.per_function_cap
     return (
         fn.code_size <= limits.code_size_limit
         and fn.input_size <= limits.input_size_limit
-        and base.cpu + extra.cpu <= cap.cpu
-        and base.ram + extra.ram <= cap.ram
-        and base.storage + extra.storage <= cap.storage
-        and base.net_io + extra.net_io <= cap.net_io
+        and demand.cpu <= cap.cpu
+        and demand.ram <= cap.ram
+        and demand.storage <= cap.storage
+        and demand.net_io <= cap.net_io
     )
 
 

@@ -104,6 +104,8 @@ def _build_bucket(
 
     Per function the draws are code and input size, the critical value, then
     (total demand, base share) for each resource kind in RESOURCE_KINDS order.
+    The stored demand is ``base + (total - base)``, which can differ from ``total``
+    in the last bit: a bucket's costs equal those of the format that stored both parts.
     ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so raw
     ``rng.random(k)`` draws scaled afterwards give the same values. A bounded
     integer draw uses half of a buffered 64-bit word, so the critical value
@@ -135,10 +137,10 @@ def _build_bucket(
         demand_draws[k] = rng.random(8)
 
     code, input_size = (size_lo + size_span * size_draws).T.tolist()
-    demand = demand_lo + demand_span * demand_draws
-    total, share = demand[:, 0::2], demand[:, 1::2]
+    drawn = demand_lo + demand_span * demand_draws
+    total, share = drawn[:, 0::2], drawn[:, 1::2]
     base = total * share
-    base_rows, supplementary_rows = base.tolist(), (total - base).tolist()
+    demand_rows = (base + (total - base)).tolist()
 
     ssrs, start = [], 0
     for count, latency, user_score in zip(fn_counts, latencies, user_scores):
@@ -150,8 +152,7 @@ def _build_bucket(
                 code_size=code[k],
                 input_size=input_size[k],
                 critical_value=critical[k],
-                base_demand=ResourceVector(*base_rows[k]),
-                supplementary_demand=ResourceVector(*supplementary_rows[k]),
+                demand=ResourceVector(*demand_rows[k]),
                 priority=p,
             )
             for k, p in zip(range(start, stop), priorities)

@@ -33,13 +33,12 @@ def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
     )
 
 
-def make_fn(code=100.0, input_size=500.0, critical=3, base=None, suppl=None, priority=5.0):
+def make_fn(code=100.0, input_size=500.0, critical=3, demand=None, priority=5.0):
     return ServerlessFunction(
         code_size=code,
         input_size=input_size,
         critical_value=critical,
-        base_demand=base or ResourceVector(),
-        supplementary_demand=suppl or ResourceVector(),
+        demand=demand or ResourceVector(),
         priority=priority,
     )
 

@@ -31,11 +31,6 @@ from fogplace.scoring import distance_priority, latency_priority, user_distance,
 _COMPUTE_KINDS = ("cpu", "ram", "storage")
 
 
-def total_demand(fn):
-    base, extra = fn.base_demand.as_tuple(), fn.supplementary_demand.as_tuple()
-    return ResourceVector(*(b + e for b, e in zip(base, extra)))
-
-
 def per_function_cap(f_flag, c_flag, fog, cloud):
     """Resource cap of the platform the function is assigned to."""
     if f_flag + c_flag != 1:
@@ -59,13 +54,13 @@ def comm_latency_fn(f_flag, c_flag, user_priority, lf):
 def comp_latency_fn(fn, f_flag, c_flag, fog, cloud, weights, l_i, lf):
     """Weighted demand-to-cap ratios; the net I/O term scales with latency."""
     cap = per_function_cap(f_flag, c_flag, fog, cloud)
-    demand = total_demand(fn)
+    demand = fn.demand
     out = _compute_ratios(demand, cap, weights)
     return out + demand.net_io / cap.net_io * weights.net_io * (f_flag * l_i + c_flag * lf)
 
 
 def step_cost_fog(fn, fog, weights, l_i, user_priority):
-    demand = total_demand(fn)
+    demand = fn.demand
     cap = fog.per_function_cap
     out = _compute_ratios(demand, cap, weights)
     out = out + demand.net_io / cap.net_io * weights.net_io * l_i
@@ -73,7 +68,7 @@ def step_cost_fog(fn, fog, weights, l_i, user_priority):
 
 
 def step_cost_cloud(fn, cloud, weights, l_i, lf, user_priority):
-    demand = total_demand(fn)
+    demand = fn.demand
     cap = cloud.per_function_cap
     out = _compute_ratios(demand, cap, weights)
     out = out + demand.net_io / cap.net_io * weights.net_io * (l_i + lf)
@@ -142,7 +137,7 @@ def encode(bucket, order, flags, cursor, max_functions):
     row = [0.0] * (max_functions * SLOT_WIDTH + 1)
     for pos, idx in enumerate(order):
         ssr_idx, fn = flat[idx]
-        demand = total_demand(fn)
+        demand = fn.demand
         base = pos * SLOT_WIDTH
         row[base] = float(flags[idx][0])
         row[base + 1] = float(flags[idx][1])
@@ -239,19 +234,16 @@ def _sample_function(cfg, rng):
     code = rng.uniform(*cfg.code_size)
     input_size = rng.uniform(*cfg.input_size)
     critical = int(rng.integers(cfg.critical_value[0], cfg.critical_value[1] + 1))
-    base = {}
-    supplementary = {}
+    demand = {}
     for kind, (lo, hi) in cfg.demand_ranges().items():
         total = rng.uniform(lo, hi)
         split = rng.uniform(0.0, 1.0)
-        base[kind] = total * split
-        supplementary[kind] = total - total * split
+        demand[kind] = total * split + (total - total * split)  # base share plus the rest
     return ServerlessFunction(
         code_size=code,
         input_size=input_size,
         critical_value=critical,
-        base_demand=ResourceVector(**base),
-        supplementary_demand=ResourceVector(**supplementary),
+        demand=ResourceVector(**demand),
         priority=1.0,  # placeholder: with_priorities scores the bucket afterwards
     )
 

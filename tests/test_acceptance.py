@@ -65,7 +65,7 @@ def mean_of(means, algorithm, total, column):
 def test_criterion_1_formula_suite():
     tol = 1e-9
     half_cap = make_limits(cpu=2, ram=2, storage=2, net_io=2, code=500, input_size=2500)
-    ones = make_fn(base=ResourceVector(1, 1, 1, 1))
+    ones = make_fn(demand=ResourceVector(1, 1, 1, 1))
     # function priorities of an SSR with (critical, code, input) (1, 100, 500), (5, 500, 2500)
     fn_priorities = scoring.ssr_priorities([1, 5], [100.0, 500.0], [500.0, 2500.0], 0.2)
     two_ssrs = make_bucket(

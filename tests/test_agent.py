@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fogplace.agent import (
+    TRAINING_LOG_COLUMNS,
     AgentConfig,
     ReplayBuffer,
     TrainingFault,
@@ -12,10 +13,10 @@ from fogplace.agent import (
     greedy_rollout,
     select_action,
     train,
-    write_training_log,
 )
 from fogplace.codec import DecodeError, decode, encode
 from fogplace.env import Action, PlacementEnv
+from fogplace.experiment import write_csv
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 
@@ -249,7 +250,7 @@ def test_train_log_schema(tmp_path):
     assert result.log[0]["epsilon"] == 1.0
     assert result.log[1]["epsilon"] == pytest.approx(0.995)
     path = tmp_path / "log.csv"
-    write_training_log(result.log, path)
+    write_csv(result.log, TRAINING_LOG_COLUMNS, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "episode,total_cost,epsilon,loss"
     assert len(lines) == 6
@@ -332,6 +333,11 @@ def test_checkpoint_load_accepts_integral_values(tmp_path):
     (lambda d: d.update(sizes=[2, 0, 2]), "sizes"),
     (lambda d: d.update(sizes=[2, 3.5, 2]), "sizes[1]"),
     (lambda d: d.update(sizes="2,3,2"), "sizes"),
+    # one Q-value per action: an output width of 1 or 3 is not a placement network
+    (lambda d: d.update(sizes=[2, 3, 1], weights=[d["weights"][0], [[1.0], [0.0], [0.5]]],
+                        biases=[d["biases"][0], [0.0]]), "sizes"),
+    (lambda d: d.update(sizes=[2, 3, 3], weights=[d["weights"][0], [[1.0, 0.0, 0.0]] * 3],
+                        biases=[d["biases"][0], [0.0, 0.0, 0.0]]), "sizes"),
     (lambda d: d.update(weights=d["weights"][:1]), "weights"),
     (lambda d: d["weights"].__setitem__(0, list(zip(*d["weights"][0]))), "weights[0]"),  # transposed
     (lambda d: d["weights"][1].__setitem__(0, [1.0]), "weights[1]"),  # ragged
@@ -368,6 +374,7 @@ def test_agent_config_validation():
     {"episodes": -1},
     {"hidden_sizes": (0,)},
     {"hidden_sizes": (8, -2)},
+    {"batch_size": 65, "replay_capacity": 64},  # the replay never holds a batch
 ])
 def test_agent_config_rejects(bad):
     with pytest.raises(ValueError):

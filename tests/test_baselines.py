@@ -53,7 +53,7 @@ def test_cloud_only_places_everything_on_cloud():
 
 def test_fog_first_uses_fog_when_possible():
     fn_small = make_fn(priority=5.0)  # zero demand, fits the fog
-    fn_big = make_fn(base=ResourceVector(3, 100, 10, 10), priority=2.0)
+    fn_big = make_fn(demand=ResourceVector(3, 100, 10, 10), priority=2.0)
     bucket = make_bucket(
         ssrs=[make_ssr((fn_small, fn_big))],
     )

@@ -229,14 +229,15 @@ def test_every_config_that_constructs_generates_valid_buckets(cfg, total, change
 @st.composite
 def agent_configs(draw):
     epsilon_end, epsilon_start = draw(ordered(finite(0.0, 1.0)))
+    batch_size = draw(st.integers(1, 4096))
     return AgentConfig(
         learning_rate=draw(finite(1e-9, 1.0)),
         gamma=draw(finite(0.0, 1.0)),
         epsilon_start=epsilon_start,
         epsilon_end=epsilon_end,
         epsilon_decay=draw(finite(1e-6, 1.0)),
-        batch_size=draw(st.integers(1, 4096)),
-        replay_capacity=draw(st.integers(1, 10**7)),
+        batch_size=batch_size,
+        replay_capacity=draw(st.integers(batch_size, 10**7)),  # the replay holds a batch
         target_sync_interval=draw(st.integers(1, 10**6)),
         episodes=draw(st.integers(0, 10**6)),
         hidden_sizes=tuple(draw(st.lists(st.integers(1, 1024), max_size=4))),

@@ -28,7 +28,7 @@ def test_per_function_cap_selects_platform():
     # the fog vectors divide by the fog caps, the cloud vectors by the cloud caps
     fog = make_limits(cpu=2, ram=2, storage=2, net_io=2)
     cloud = make_limits(cpu=4, ram=4, storage=4, net_io=4)
-    ctx = kernel_for([make_fn(base=ONES)], fog=fog, cloud=cloud, link=40.0)
+    ctx = kernel_for([make_fn(demand=ONES)], fog=fog, cloud=cloud, link=40.0)
     # fog: 3 * 0.5 * 0.25 + 0.5 * 0.25 * 0.4; cloud: 3 * 0.25 * 0.25 + 0.25 * 0.25 * 0.4
     assert ctx.fog_comp[0] == pytest.approx(0.425, abs=1e-9)
     assert ctx.cloud_comp[0] == pytest.approx(0.2125, abs=1e-9)
@@ -44,7 +44,7 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
                                       metrics.report], ids=lambda f: f.__name__)
 def test_fog_flag_on_a_function_the_fog_cannot_take_is_rejected(consumer):
     # 6 cores: beyond the fog cap of 2, within the cloud cap of 6
-    bucket = make_bucket(ssrs=[make_ssr((make_fn(base=ResourceVector(cpu=6)),))])
+    bucket = make_bucket(ssrs=[make_ssr((make_fn(demand=ResourceVector(cpu=6)),))])
     assert bucket.costs.fog_ok.tolist() == [False]
     with pytest.raises(ValueError, match=r"puts function 0 \(flattened order\) on the fog"):
         consumer(bucket, (True,))
@@ -78,8 +78,8 @@ def test_every_consumer_rejects_an_invalid_bucket(bucket, consumer):
 
 def test_total_demand():
     ctx = kernel_for([
-        make_fn(base=ResourceVector(1, 100, 10, 10)),
-        make_fn(base=ResourceVector(1, 100, 10, 10), suppl=ResourceVector(1, 50, 20, 30)),
+        make_fn(demand=ResourceVector(1, 100, 10, 10)),
+        make_fn(demand=ResourceVector(2, 150, 30, 40)),
         make_fn(),
     ], cloud=make_limits())
     assert ctx.demand[:3].tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
@@ -88,10 +88,10 @@ def test_total_demand():
 def test_ssr_demand_sums():
     # SSR 0 is shorter than SSR 1, so its padded slot is summed too
     bucket = make_bucket(ssrs=[
-        make_ssr((make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),)),
+        make_ssr((make_fn(demand=ResourceVector(1, 100, 10, 10), priority=1.0),)),
         make_ssr((
-            make_fn(base=ResourceVector(1, 100, 10, 10), priority=1.0),
-            make_fn(base=ResourceVector(2, 200, 20, 20), priority=1.0),
+            make_fn(demand=ResourceVector(1, 100, 10, 10), priority=1.0),
+            make_fn(demand=ResourceVector(2, 200, 20, 20), priority=1.0),
         )),
     ])
     ctx = bucket.costs
@@ -115,17 +115,17 @@ def test_comp_latency_fn_zero_demand():
 
 def test_comp_latency_fn_hand_value_fog():
     # 3 * 0.5 * 0.25 + 0.5 * 0.25 * 0.4 = 0.425
-    ctx = kernel_for([make_fn(base=ONES)], latency=40.0, link=0.0)
+    ctx = kernel_for([make_fn(demand=ONES)], latency=40.0, link=0.0)
     assert ctx.fog_comp[0] == pytest.approx(0.425, abs=1e-9)
 
 
 def test_comp_latency_fn_hand_value_cloud():
-    ctx = kernel_for([make_fn(base=ONES)], latency=10.0, link=40.0)
+    ctx = kernel_for([make_fn(demand=ONES)], latency=10.0, link=40.0)
     assert ctx.cloud_comp[0] == pytest.approx(0.425, abs=1e-9)
 
 
 def test_step_cost_fog():
-    ctx = kernel_for([make_fn(), make_fn(base=ONES)], latency=40.0, priority=0.6)
+    ctx = kernel_for([make_fn(), make_fn(demand=ONES)], latency=40.0, priority=0.6)
     assert ctx.fog_step[0] == pytest.approx(0.6)
     # 0.375 + 0.05 + 0.6 = 1.025
     assert ctx.fog_step[1] == pytest.approx(1.025, abs=1e-9)
@@ -133,7 +133,7 @@ def test_step_cost_fog():
 
 
 def test_step_cost_cloud():
-    ctx = kernel_for([make_fn(), make_fn(base=ONES)],
+    ctx = kernel_for([make_fn(), make_fn(demand=ONES)],
                      latency=40.0, link=10.0, priority=0.6)
     assert ctx.cloud_step[0] == pytest.approx(0.7)
     # 0.375 + 0.125 * 0.5 + 0.6 + 0.1 = 1.1375
@@ -161,8 +161,8 @@ def test_ssr_comp_latency_priority_weighting(simple_bucket):
     # functions with priorities 5.0 and 2.5: weights 1.0 and 0.5
     ssr = simple_bucket.ssrs[0]
     fns = (
-        make_fn(base=ONES, priority=5.0),
-        make_fn(base=ONES, priority=2.5),
+        make_fn(demand=ONES, priority=5.0),
+        make_fn(demand=ONES, priority=2.5),
     )
     weighted = dataclasses.replace(ssr, functions=fns)
     bucket = dataclasses.replace(
@@ -215,7 +215,7 @@ def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
 
 def _random_fn(rng):
     demand = ResourceVector(*rng.uniform(0.01, 2.0, size=4))
-    return make_fn(base=demand, priority=1.0)
+    return make_fn(demand=demand, priority=1.0)
 
 
 def test_cloud_dominance_under_equal_ratios_fuzz():
@@ -237,8 +237,8 @@ def test_step_cost_monotone_in_demand_fuzz():
         kind = int(rng.integers(0, 4))
         bump = [0.0] * 4
         bump[kind] = float(rng.uniform(0.01, 1.0))
-        grown = [d + b for d, b in zip(fn.base_demand.as_tuple(), bump)]
-        bigger = dataclasses.replace(fn, base_demand=ResourceVector(*grown))
+        grown = [d + b for d, b in zip(fn.demand.as_tuple(), bump)]
+        bigger = dataclasses.replace(fn, demand=ResourceVector(*grown))
         ctx = kernel_for([fn, bigger], fog=caps, cloud=caps,
                          latency=float(rng.uniform(1, 100)), link=float(rng.uniform(1, 100)),
                          priority=0.5)
@@ -360,7 +360,11 @@ def test_cloud_net_io_weights_differ_by_user_latency(bucket):
     # the cloud step cost weights the net I/O ratio by l + lf, the cloud
     # objective by lf alone: their difference is that ratio times l
     ctx = bucket.costs
+    top_latency = max(ssr.user_latency for ssr in bucket.ssrs)
+    l = np.array([ssr.user_latency / top_latency for ssr in bucket.ssrs for _ in ssr.functions])
+    w = np.array([fn.priority / max(f.priority for f in ssr.functions)
+                  for ssr in bucket.ssrs for fn in ssr.functions])
     r_io = (ctx.demand[:, 3] / bucket.cloud.per_function_cap.net_io
             * bucket.importance_factors.net_io)
-    gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / ctx.weight
-    assert np.abs(gap - r_io * ctx.latency).max() <= 1e-12
+    gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / w
+    assert np.abs(gap - r_io * l).max() <= 1e-12

@@ -65,7 +65,7 @@ def test_reset_respects_max_functions():
 
 
 def test_mask_fog_cpu_cap():
-    fn = make_fn(base=ResourceVector(3, 100, 10, 10))
+    fn = make_fn(demand=ResourceVector(3, 100, 10, 10))
     bucket = make_bucket(
         ssrs=[make_ssr((dataclasses.replace(fn, priority=5.0),))],
     )
@@ -83,7 +83,7 @@ def test_mask_fog_input_limit():
 
 
 def test_mask_both_feasible():
-    fn = make_fn(base=ResourceVector(1, 100, 10, 10), priority=5.0)
+    fn = make_fn(demand=ResourceVector(1, 100, 10, 10), priority=5.0)
     bucket = make_bucket(
         ssrs=[make_ssr((fn,))],
     )
@@ -104,7 +104,7 @@ def test_step_zero_demand_fog_cost():
 
 
 def test_step_rejects_masked_action():
-    fn = make_fn(base=ResourceVector(3, 100, 10, 10), priority=5.0)
+    fn = make_fn(demand=ResourceVector(3, 100, 10, 10), priority=5.0)
     bucket = make_bucket(
         ssrs=[make_ssr((fn,))],
     )

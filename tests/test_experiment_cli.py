@@ -266,11 +266,11 @@ def test_cli_oracle_stdout_is_pinned(tmp_path, capsys):
     bucket = make_bucket(
         ssrs=[
             make_ssr((
-                make_fn(base=demand, priority=2.0),
-                make_fn(code=480.0, base=demand, priority=4.0),
+                make_fn(demand=demand, priority=2.0),
+                make_fn(code=480.0, demand=demand, priority=4.0),
             ), latency=20.0, priority=0.75),
             make_ssr((
-                make_fn(base=ResourceVector(2, 512, 128, 256), priority=3.0),
+                make_fn(demand=ResourceVector(2, 512, 128, 256), priority=3.0),
             ), latency=80.0, priority=0.25),
         ],
     )
@@ -316,7 +316,7 @@ def test_cli_overflowing_demand_does_not_fit(tmp_path, capsys, command):
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     fn = doc["ssrs"][1]["functions"][0]
-    fn["base_demand"]["cpu"] = fn["supplementary_demand"]["cpu"] = 1e308  # sum overflows
+    fn["demand"]["cpu"] = 1e308  # far beyond the cloud cap of 6
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == 1
@@ -439,12 +439,16 @@ NAN = float("nan")
     ("validate", ("ssrs", 0, "functions", 0, "code_size"), "12.5",
      "ssrs[0].functions[0].code_size"),
     ("validate", ("extra",), 1, "extra"),
-    # users, user_id, ssr_index and the fog's link_latency: keys of older bucket formats
+    # users, user_id, ssr_index, the fog's link_latency and base_demand: keys of older
+    # bucket formats
     ("validate", ("users",), [{"id": 0, "latency": 20.0, "priority": 0.5}], "users"),
     ("oracle", ("ssrs", 0, "functions", 0, "priority"), NAN, "ssrs[0].functions[0].priority"),
     ("oracle", ("ssrs", 1, "functions", 0, "ssr_index"), 1, "ssrs[1].functions[0].ssr_index"),
     ("oracle", ("ssrs", 0, "user_id"), 0, "ssrs[0].user_id"),
     ("validate", ("fog", "link_latency"), 0.0, "fog.link_latency"),
+    ("validate", ("ssrs", 0, "functions", 0, "base_demand"),
+     {"cpu": 1.0, "ram": 100.0, "storage": 10.0, "net_io": 10.0},
+     "ssrs[0].functions[0].base_demand"),
 ])
 def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
     cfg_path = tmp_path / "config.json"
@@ -486,6 +490,8 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
     # the one link latency is the generator's; the fog's of the older format is unknown
     ({"generator": {"fog": {**encode(GeneratorConfig().fog), "link_latency": 0.0}}},
      "generator.fog.link_latency"),
+    # a replay that never holds a batch would train without a gradient step
+    ({"agent": {"episodes": 3, "batch_size": 64, "replay_capacity": 10}}, "agent"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -569,6 +575,11 @@ def test_config_sections_may_be_partial(tmp_path):
       "biases": [[0.0, 0.0]]}, "weights[0]"),  # one row short
     ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, NAN]] * 1101],
       "biases": [[0.0, 0.0]]}, "weights[0]"),
+    # consistent arrays, but not one Q-value per action
+    ({"version": 1, "sizes": [1101, 1], "weights": [[[0.0]] * 1101],
+      "biases": [[0.0]]}, "sizes"),
+    ({"version": 1, "sizes": [1101, 3], "weights": [[[0.0, 0.0, 0.0]] * 1101],
+      "biases": [[0.0, 0.0, 0.0]]}, "sizes"),
 ])
 def test_cli_compare_rejects_malformed_checkpoint(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"

@@ -50,8 +50,8 @@ def test_all_cloud_report():
 def test_demand_percentage_hand_value():
     # fog CPU share: 6 of 30 total -> 20%; the fog takes 6 cores, the cloud 24
     fns = [
-        make_fn(base=ResourceVector(cpu=6), priority=1.0),
-        make_fn(base=ResourceVector(cpu=24), priority=1.0),
+        make_fn(demand=ResourceVector(cpu=6), priority=1.0),
+        make_fn(demand=ResourceVector(cpu=24), priority=1.0),
     ]
     bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24))
     rep = report(bucket, flags_for(fns, {0}))

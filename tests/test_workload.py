@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import scalar_reference as reference
 from fogplace.codec import decode, encode
 from fogplace.model import fog_feasible, validate_bucket
-from scalar_reference import total_demand
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import PROPERTY, seeds
@@ -21,7 +20,7 @@ def test_default_ranges_respected():
     for seed in range(250):
         bucket = generate_bucket(cfg, seed=seed)
         for _, fn in bucket.functions():
-            demand = total_demand(fn)
+            demand = fn.demand
             assert 1 <= demand.cpu <= 4
             assert 100 <= demand.ram <= 2048
             assert 10 <= demand.storage <= 2048
@@ -49,16 +48,6 @@ def test_generated_buckets_validate():
     cfg = GeneratorConfig(seed=0)
     for seed in range(20):
         assert validate_bucket(generate_bucket(cfg, seed=seed)) == []
-
-
-def test_demand_split_consistency():
-    cfg = GeneratorConfig(seed=5)
-    bucket = generate_bucket(cfg)
-    for _, fn in bucket.functions():
-        for kind_val in ("cpu", "ram", "storage", "net_io"):
-            base = getattr(fn.base_demand, kind_val)
-            suppl = getattr(fn.supplementary_demand, kind_val)
-            assert base >= 0 and suppl >= 0
 
 
 def test_infeasible_demand_range_rejected():
