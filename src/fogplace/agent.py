@@ -7,7 +7,9 @@ cloud, matching the goal of keeping the fog as free as possible.
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -18,7 +20,7 @@ from .codec import DecodeError, decode
 from .env import Action, PlacementEnv
 from .model import Placement
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1, nested lists of numbers, is still read
 TRAINING_LOG_COLUMNS = ["episode", "total_cost", "epsilon", "loss"]  # one row per episode
 
 
@@ -62,24 +64,44 @@ class AgentConfig:
 
 
 class ValueNetwork:
-    """Rectifier MLP mapping an encoded state to one Q-value per action."""
+    """Rectifier MLP mapping an encoded state to one Q-value per action.
+
+    Every weight and bias is a view of one flat vector, ``params``, laid out
+    layer by layer (weights, then biases), so an update is one subtraction.
+    """
 
     def __init__(self, input_size: int, hidden_sizes: tuple[int, ...], rng: np.random.Generator):
-        sizes = [input_size, *hidden_sizes, len(Action)]
-        self.sizes = sizes
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        self._attach([input_size, *hidden_sizes, len(Action)])
+        for w, b in zip(self.weights, self.biases):
+            fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[:] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            b[:] = 0.0
+
+    def _attach(self, sizes: list[int], params: np.ndarray | None = None) -> None:
+        self.sizes = sizes
+        count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.params = np.empty(count) if params is None else params
+        self.weights, self.biases = self.split(self.params)
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like ``params``."""
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        start = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            biases.append(flat[start:start + fan_out])
+            start += fan_out
+        return weights, biases
 
     @property
     def input_size(self) -> int:
         return self.sizes[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a single state (1-d) or a batch (2-d)."""
+        """Q-values for a single state (1-d) or a batch (2-d), in a new array."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         a = x[None, :] if single else x
@@ -98,8 +120,9 @@ class ValueNetwork:
 
     def gradient(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Exact gradients of mean squared error between Q(s, a) and targets."""
+    ) -> tuple[np.ndarray, float]:
+        """Exact gradient of the mean squared error between Q(s, a) and targets, laid
+        out like ``params`` (``split`` gives its per-layer views), and that error."""
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=int)
         targets = np.asarray(targets, dtype=float)
@@ -117,53 +140,65 @@ class ValueNetwork:
         dq = np.zeros_like(q)
         dq[np.arange(batch), actions] = 2.0 * (picked - targets) / batch
 
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
+        grad = np.empty_like(self.params)
+        grads_w, grads_b = self.split(grad)
         delta = dq
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = inputs[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(inputs[layer].T, delta, out=grads_w[layer])
+            delta.sum(axis=0, out=grads_b[layer])
             if layer > 0:  # a ReLU output is > 0 exactly where its pre-activation is
                 delta = (delta @ self.weights[layer].T) * (inputs[layer] > 0)
-        return grads_w, grads_b, loss
+        return grad, loss
 
-    def apply_gradients(self, grads_w, grads_b, lr: float) -> None:
-        for w, gw in zip(self.weights, grads_w):
-            w -= lr * gw
-        for b, gb in zip(self.biases, grads_b):
-            b -= lr * gb
-        if not all(np.isfinite(p).all() for p in (*self.weights, *self.biases)):
+    def apply_gradients(self, grad: np.ndarray, lr: float) -> None:
+        self.params -= lr * grad
+        if not np.isfinite(self.params).all():
             raise TrainingFault("non-finite network parameters after update")
 
     def copy(self) -> "ValueNetwork":
         clone = ValueNetwork.__new__(ValueNetwork)
-        clone.sizes = list(self.sizes)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone._attach(list(self.sizes), self.params.copy())
         return clone
 
     def save(self, path: str | Path) -> None:
+        """Write a version-2 checkpoint: each array as base64 of its float64 bytes."""
         doc = {
             "version": CHECKPOINT_VERSION,
             "sizes": self.sizes,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
+            "weights": [_encode_array(w) for w in self.weights],
+            "biases": [_encode_array(b) for b in self.biases],
         }
         Path(path).write_text(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "ValueNetwork":
-        """A checkpoint file; raises ``DecodeError`` on a document that is not one."""
+        """A checkpoint file, version 1 (nested lists) or 2 (base64); raises
+        ``DecodeError`` on a document that is not one."""
         doc = decode(_Checkpoint, json.loads(Path(path).read_text()))
-        if doc.version != CHECKPOINT_VERSION:
+        if doc.version not in (1, CHECKPOINT_VERSION):
             raise DecodeError("version", f"unsupported checkpoint version {doc.version}")
-        net = cls.__new__(cls)
-        net.sizes = sizes = list(doc.sizes)
+        sizes = list(doc.sizes)
         if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != len(Action):
             raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, the "
                                        f"last {len(Action)} (one per action), got {sizes}")
-        net.weights = _layers(doc.weights, "weights", list(zip(sizes[:-1], sizes[1:])))
-        net.biases = _layers(doc.biases, "biases", [(n,) for n in sizes[1:]])
+        read = _decode_list if doc.version == 1 else _decode_base64
+        # every array is checked against sizes before params is allocated, so
+        # sizes alone cannot make load allocate more than the file holds
+        arrays = []
+        for name, entries, shapes in (("weights", doc.weights, list(zip(sizes[:-1], sizes[1:]))),
+                                      ("biases", doc.biases, [(n,) for n in sizes[1:]])):
+            if not isinstance(entries, list) or len(entries) != len(shapes):
+                raise DecodeError(name, f"expected an array of {len(shapes)} layers")
+            for i, (entry, shape) in enumerate(zip(entries, shapes)):
+                where = f"{name}[{i}]"
+                array = read(entry, shape, where)
+                if not np.isfinite(array).all():
+                    raise DecodeError(where, "not finite")
+                arrays.append(array)
+        net = cls.__new__(cls)
+        net._attach(sizes)
+        for view, array in zip(net.weights + net.biases, arrays):
+            view[...] = array
         return net
 
 
@@ -171,60 +206,79 @@ class ValueNetwork:
 class _Checkpoint:
     version: int
     sizes: tuple[int, ...]
-    weights: Any  # per-layer nested lists, checked as whole arrays by _layers
+    weights: Any  # one entry per layer, checked against sizes by load
     biases: Any
 
 
-def _layers(doc: Any, path: str, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """One finite float array per layer, of the shape ``sizes`` gives it."""
-    if not isinstance(doc, list) or len(doc) != len(shapes):
-        raise DecodeError(path, f"expected an array of {len(shapes)} layers")
-    arrays = []
-    for i, (values, shape) in enumerate(zip(doc, shapes)):
-        try:
-            array = np.asarray(values)
-        except ValueError:  # ragged nesting
-            array = np.empty(0)
-        where = f"{path}[{i}]"
-        if array.shape != shape or array.dtype.kind not in "iuf":
-            raise DecodeError(where, f"expected a {shape} array of numbers, to chain with sizes")
-        if not np.isfinite(array).all():
-            raise DecodeError(where, "not finite")
-        arrays.append(array.astype(float, copy=False))
-    return arrays
+def _encode_array(array: np.ndarray) -> str:
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode_base64(entry: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A version-2 array: base64 of exactly the little-endian float64 bytes of shape."""
+    if not isinstance(entry, str):
+        raise DecodeError(where, "expected a base64 string of little-endian float64 values")
+    try:
+        raw = base64.b64decode(entry, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DecodeError(where, f"not base64: {exc}") from exc
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise DecodeError(where, f"expected {size} bytes, a {shape} array to chain with "
+                                 f"sizes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _decode_list(entry: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A version-1 array: nested lists of numbers of the given shape."""
+    try:
+        array = np.asarray(entry)
+    except ValueError:  # ragged nesting
+        array = np.empty(0)
+    if array.shape != shape or array.dtype.kind not in "iuf":
+        raise DecodeError(where, f"expected a {shape} array of numbers, to chain with sizes")
+    return array
 
 
 class ReplayBuffer:
     """FIFO experience store in ring arrays, one row per transition.
 
-    Once the ring is full, row ``(oldest + i) % capacity`` holds the i-th
-    oldest transition; before that, row i does.
+    Each row keeps its TD target, ``reward + gamma * best_next`` under the
+    target network, which the replay holds: a push computes its row's target,
+    and ``sync`` recomputes every stored row's. Once the ring is full, row
+    ``(oldest + i) % capacity`` holds the i-th oldest transition; before that,
+    row i does.
     """
 
-    def __init__(self, capacity: int, width: int):
+    def __init__(self, capacity: int, target: ValueNetwork, gamma: float):
         if capacity < 1:
             raise ValueError("replay capacity must be >= 1")
         self.capacity = capacity
+        self.target = target
+        self.gamma = gamma
+        width = target.input_size
         # Rows are allocated as they fill, doubling from 1024 (a few episodes of
         # 16-100 functions) up to the capacity, so a short training run does not
         # hold a full ring. A row is written before it can be sampled, so the
         # arrays start uninitialised.
         rows = min(capacity, 1024)
         self.states = np.empty((rows, width))
-        self.next_states = np.empty((rows, width))
+        self.next_states = np.empty((rows, width))  # kept for the targets of a sync
         self.actions = np.empty(rows, dtype=np.intp)
         self.rewards = np.empty(rows)
         self.dones = np.empty(rows, dtype=bool)
         self.next_fog_ok = np.empty(rows, dtype=bool)  # the next state's fog flag
+        self.targets = np.empty(rows)
         self._size = 0
         self._next = 0  # row the next push overwrites
-        # batch-sized state buffers, reused by every sample: a fresh pair of
-        # batch x width arrays per sample cost more in page faults than the copy
-        self._batch = (np.empty((0, width)), np.empty((0, width)))
+        # a batch-sized state buffer, reused by every sample: a fresh batch x
+        # width array per sample cost more in page faults than the copy
+        self._batch = np.empty((0, width))
 
     def _grow(self) -> None:
         rows = min(2 * len(self.rewards), self.capacity)
-        for name in ("states", "next_states", "actions", "rewards", "dones", "next_fog_ok"):
+        for name in ("states", "next_states", "actions", "rewards", "dones", "next_fog_ok",
+                     "targets"):
             old = getattr(self, name)
             new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
             new[: len(old)] = old
@@ -240,31 +294,41 @@ class ReplayBuffer:
         self.next_states[row] = next_state
         self.dones[row] = done
         self.next_fog_ok[row] = next_fog_ok
+        if done:
+            self.targets[row] = reward
+        else:
+            q = self.target.forward(self.next_states[row])
+            # the best feasible continuation: the cloud's alone where the fog cannot take it
+            self.targets[row] = reward + self.gamma * (q.max() if next_fog_ok else q[Action.CLOUD])
         self._next = (row + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
+
+    def sync(self, net: ValueNetwork) -> None:
+        """Make a copy of net the target network, and recompute every stored target."""
+        self.target = net.copy()
+        n = self._size
+        if n:
+            q = self.target.forward(self.next_states[:n])
+            best = np.where(self.next_fog_ok[:n], q.max(axis=1), q[:, Action.CLOUD])
+            self.targets[:n] = self.rewards[:n] + np.where(self.dones[:n], 0.0, self.gamma * best)
 
     def __len__(self) -> int:
         return self._size
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform batch: (states, actions, rewards, next states, dones, next fog flags).
+        """Uniform batch: (states, actions, TD targets).
 
-        The two state arrays are buffers of this replay that the next sample overwrites.
+        The states are a buffer of this replay that the next sample overwrites.
         """
         idx = rng.integers(0, self._size, size=batch_size)
         if self._size == self.capacity:
             idx = (idx + self._next) % self.capacity  # i-th oldest, after wrap-around
-        states, next_states = self._batch
+        states = self._batch
         if len(states) != batch_size:
-            states, next_states = self._batch = (
-                np.empty((batch_size, self.states.shape[1])),
-                np.empty((batch_size, self.states.shape[1])),
-            )
+            states = self._batch = np.empty((batch_size, self.states.shape[1]))
         # every index is in range; "clip" lets take write straight into out
         np.take(self.states, idx, axis=0, out=states, mode="clip")
-        np.take(self.next_states, idx, axis=0, out=next_states, mode="clip")
-        return (states, self.actions[idx], self.rewards[idx],
-                next_states, self.dones[idx], self.next_fog_ok[idx])
+        return states, self.actions[idx], self.targets[idx]
 
 
 def select_action(
@@ -290,17 +354,6 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)  # keyed by TRAINING_LOG_COLUMNS
 
 
-def _batch_targets(
-    batch, target_net: ValueNetwork, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    states, actions, rewards, next_states, dones, next_fog_ok = batch
-    q_next = target_net.forward(next_states)
-    # the best feasible continuation: the cloud's alone where the fog cannot take it
-    best_next = np.where(next_fog_ok, q_next.max(axis=1), q_next[:, Action.CLOUD])
-    targets = rewards + np.where(dones, 0.0, gamma * best_next)
-    return states, actions, targets
-
-
 def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> TrainResult:
     """Run cfg.episodes episodes of DQN training; fully seeded and deterministic.
 
@@ -312,8 +365,7 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
     env = env_factory(0)  # episode 0's env, built first to size the network
     input_size = len(env.reset().encoded)
     net = ValueNetwork(input_size, cfg.hidden_sizes, rng)
-    target = net.copy()
-    replay = ReplayBuffer(cfg.replay_capacity, input_size)
+    replay = ReplayBuffer(cfg.replay_capacity, net.copy(), cfg.gamma)
 
     epsilon = cfg.epsilon_start
     log: list[dict] = []
@@ -336,13 +388,11 @@ def train(env_factory: Callable[[int], PlacementEnv], cfg: AgentConfig) -> Train
                 step_count += 1
 
                 if len(replay) >= cfg.batch_size:
-                    batch = replay.sample(cfg.batch_size, rng)
-                    states, actions, targets = _batch_targets(batch, target, cfg.gamma)
-                    gw, gb, loss = net.gradient(states, actions, targets)
-                    net.apply_gradients(gw, gb, cfg.learning_rate)
+                    grad, loss = net.gradient(*replay.sample(cfg.batch_size, rng))
+                    net.apply_gradients(grad, cfg.learning_rate)
                     losses.append(loss)
                 if step_count % cfg.target_sync_interval == 0:
-                    target = net.copy()
+                    replay.sync(net)
         except TrainingFault as fault:
             raise TrainingFault(f"episode {episode}: {fault}") from fault
 

@@ -41,12 +41,12 @@ class UsageError(Exception):
 
 def _read(kind: str, load, path: str):
     """Load a config, bucket or checkpoint file; a file that cannot be read, is not
-    JSON or has the wrong shape is a usage error."""
+    text or JSON, or has the wrong shape is a usage error."""
     try:
         return load(path)
     except DecodeError as exc:
         raise UsageError(f"malformed {kind} {path}: {exc}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load {kind} {path}: {exc}") from exc
 
 

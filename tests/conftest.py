@@ -1,15 +1,22 @@
-import pytest
-from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
+import os
 
-from fogplace.model import (
+# Pin BLAS to one thread before numpy loads, as perfbench/run.py does: two
+# unpinned suites running side by side on a 2-CPU host slowed one fixture ten-fold.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fogplace.model import (  # noqa: E402
     EnvironmentLimits,
     ResourceVector,
     SSR,
     SSRBucket,
     ServerlessFunction,
 )
-from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep  # noqa: E402
 
 # Few, fixed examples: the properties add seconds, not minutes, to the suite.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25,

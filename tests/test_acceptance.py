@@ -143,7 +143,8 @@ def test_criterion_3_gradient_correctness():
         states = rng.uniform(-1, 1, size=(8, n_in))
         actions = rng.integers(0, 2, size=8)
         targets = rng.uniform(-2, 0, size=8)
-        gw, gb, _ = net.gradient(states, actions, targets)
+        grad, _ = net.gradient(states, actions, targets)
+        gw, gb = net.split(grad)  # per-layer views of the flat gradient
 
         def loss_at():
             picked = net.forward(states)[np.arange(8), actions]

@@ -1,3 +1,4 @@
+import base64
 import json
 from collections import deque
 
@@ -67,6 +68,19 @@ def test_forward_is_pure():
     assert np.array_equal(net.forward(x), net.forward(x))
 
 
+@pytest.mark.parametrize("first, second", [
+    (np.ones(4), np.zeros(4)),
+    (np.ones((3, 4)), np.zeros((3, 4))),
+    (np.ones(4), np.zeros((64, 4))),
+])
+def test_forward_result_survives_a_later_call(first, second):
+    net = ValueNetwork(4, (8, 8), np.random.default_rng(1))
+    q = net.forward(first)
+    kept = q.copy()
+    net.forward(second)
+    assert np.array_equal(q, kept)
+
+
 def test_forward_rejects_wrong_width():
     net = ValueNetwork(4, (8,), np.random.default_rng(1))
     with pytest.raises(ValueError):
@@ -78,10 +92,10 @@ def test_gradient_zero_when_targets_match():
     states = np.random.default_rng(5).uniform(0, 1, size=(4, 3))
     actions = np.array([0, 1, 0, 1])
     targets = net.forward(states)[np.arange(4), actions]
-    gw, gb, loss = net.gradient(states, actions, targets)
+    grad, loss = net.gradient(states, actions, targets)
     assert loss == pytest.approx(0.0, abs=1e-15)
-    assert all(np.allclose(g, 0.0) for g in gw)
-    assert all(np.allclose(g, 0.0) for g in gb)
+    assert grad.shape == net.params.shape
+    assert np.allclose(grad, 0.0)
 
 
 @pytest.mark.parametrize("shape", [(3, ()), (4, (6,)), (5, (7, 6))])
@@ -93,7 +107,8 @@ def test_gradient_matches_finite_differences(shape):
     actions = rng.integers(0, 2, size=6)
     targets = rng.uniform(-2, 0, size=6)
 
-    gw, gb, _ = net.gradient(states, actions, targets)
+    grad, _ = net.gradient(states, actions, targets)
+    gw, gb = net.split(grad)
 
     def loss_at():
         picked = net.forward(states)[np.arange(6), actions]
@@ -126,23 +141,51 @@ def test_gradient_scales_with_duplicated_batch():
     states = rng.uniform(0, 1, size=(3, 3))
     actions = np.array([1, 0, 1])
     targets = rng.uniform(-1, 0, size=3)
-    gw1, gb1, loss1 = net.gradient(states, actions, targets)
-    gw2, gb2, loss2 = net.gradient(
+    grad1, loss1 = net.gradient(states, actions, targets)
+    grad2, loss2 = net.gradient(
         np.vstack([states, states]), np.tile(actions, 2), np.tile(targets, 2)
     )
     assert loss2 == pytest.approx(loss1, abs=1e-12)
-    for a, b in zip(gw1 + gb1, gw2 + gb2):
-        assert np.allclose(a, b)
+    assert np.allclose(grad1, grad2)
+
+
+@pytest.mark.parametrize("states, targets", [
+    (np.array([[0.5, np.nan, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2)),
+    (np.ones((2, 3)), np.array([0.0, np.inf])),
+], ids=["nan-state", "inf-target"])
+def test_gradient_of_non_finite_batch_is_a_fault(states, targets):
+    net = ValueNetwork(3, (4,), np.random.default_rng(0))
+    before = net.params.copy()
+    with pytest.raises(TrainingFault, match="non-finite batch input"):
+        net.gradient(states, np.array([0, 1]), targets)
+    assert np.array_equal(net.params, before)
+
+
+def test_weights_and_biases_are_views_of_params():
+    net = ValueNetwork(3, (4,), np.random.default_rng(0))
+    assert [w.shape for w in net.weights] == [(3, 4), (4, 2)]
+    assert [b.shape for b in net.biases] == [(4,), (2,)]
+    assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+    assert all(np.shares_memory(p, net.params) for p in net.weights + net.biases)
+    net.apply_gradients(np.ones_like(net.params), lr=0.5)
+    assert net.biases[1].tolist() == [-0.5, -0.5]
+    clone = net.copy()
+    assert not np.shares_memory(clone.params, net.params)
+    assert all(np.shares_memory(p, clone.params) for p in clone.weights + clone.biases)
+    assert np.array_equal(clone.params, net.params)
 
 
 def test_update_to_non_finite_biases_is_a_fault():
     # zero states give zero weight gradients, so only the biases overflow
     net = ValueNetwork(3, (), np.random.default_rng(0))
     with np.errstate(over="ignore"):  # the loss and the update both overflow
-        grads_w, grads_b, _ = net.gradient(np.zeros((2, 3)), np.array([0, 1]), np.full(2, 1e300))
+        grad, _ = net.gradient(np.zeros((2, 3)), np.array([0, 1]), np.full(2, 1e300))
+        grads_w, grads_b = net.split(grad)
+        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads_w)
         with pytest.raises(TrainingFault, match="non-finite network parameters"):
-            net.apply_gradients(grads_w, grads_b, lr=1e10)
+            net.apply_gradients(grad, lr=1e10)
     assert all(np.isfinite(w).all() for w in net.weights)
+    assert not all(np.isfinite(b).all() for b in net.biases)
 
 
 def test_select_action_greedy_prefers_higher_q():
@@ -181,7 +224,7 @@ def test_select_action_exploration_is_seeded():
 
 
 def test_replay_buffer_fifo_eviction():
-    buf = ReplayBuffer(capacity=3, width=1)
+    buf = ReplayBuffer(3, ValueNetwork(1, (), np.random.default_rng(0)), gamma=0.9)
     for i in range(5):
         buf.push([float(i)], 0, 0.0, [float(i)], False, True)
     assert len(buf) == 3
@@ -190,30 +233,92 @@ def test_replay_buffer_fifo_eviction():
     assert set(states[:, 0]) <= {2.0, 3.0, 4.0}
 
 
+def td_target(net, gamma, entry):
+    """reward + gamma * best_next of one (state, action, reward, next state, done,
+    next fog flag) transition, from a batch-1 forward of net."""
+    _, _, reward, next_state, done, next_fog_ok = entry
+    if done:
+        return reward
+    q = net.forward(next_state)
+    return reward + gamma * (q.max() if next_fog_ok else q[Action.CLOUD])
+
+
 @pytest.mark.parametrize("capacity, pushes", [
     (3, 2), (3, 3), (3, 5), (3, 7),
     (3000, 2999), (3000, 5000),  # the ring grows its rows before wrapping around
 ])
 def test_replay_ring_samples_like_a_deque(capacity, pushes):
-    """Sample index i is the i-th oldest entry, before and after wrap-around."""
-    width = 4
-    buf = ReplayBuffer(capacity, width)
+    """Row (oldest + i) % capacity holds the i-th oldest entry, and sample index i
+    is that entry, before and after wrap-around."""
+    width, gamma = 4, 0.9
+    target = ValueNetwork(width, (3,), np.random.default_rng(1))
+    buf = ReplayBuffer(capacity, target, gamma)
     reference = deque(maxlen=capacity)
     for i in range(pushes):
         entry = (np.full(width, i + 0.5), i % 2, -float(i), np.full(width, i + 0.25),
                  i % 3 == 0, i % 2 == 0)
         buf.push(*entry)
-        reference.append(entry)
+        reference.append(entry + (td_target(target, gamma, entry),))
     assert len(buf) == len(reference)
+    oldest = pushes % capacity if pushes >= capacity else 0
+    rows = (oldest + np.arange(len(reference))) % capacity
+    fields = ("states", "actions", "rewards", "next_states", "dones", "next_fog_ok", "targets")
+    for k, name in enumerate(fields):
+        assert np.array_equal(getattr(buf, name)[rows], np.array([e[k] for e in reference])), name
     rng_ring, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    states, actions, rewards, next_states, dones, next_fog_ok = buf.sample(16, rng_ring)
+    states, actions, targets = buf.sample(16, rng_ring)
     picked = [reference[i] for i in rng_ref.integers(0, len(reference), size=16)]
     assert np.array_equal(states, np.array([e[0] for e in picked]))
     assert actions.tolist() == [e[1] for e in picked]
-    assert rewards.tolist() == [e[2] for e in picked]
-    assert np.array_equal(next_states, np.array([e[3] for e in picked]))
-    assert dones.tolist() == [e[4] for e in picked]
-    assert next_fog_ok.tolist() == [e[5] for e in picked]
+    assert targets.tolist() == [e[6] for e in picked]
+
+
+def assert_targets_match_target_net(buf):
+    """Every stored target is reward + gamma * best_next under buf.target, from
+    one fresh batched forward of every stored next state."""
+    n = len(buf)
+    q = buf.target.forward(buf.next_states[:n])
+    expected = [
+        reward + (0.0 if done else buf.gamma * (max(row) if fog_ok else row[Action.CLOUD]))
+        for reward, done, fog_ok, row in zip(buf.rewards[:n], buf.dones[:n],
+                                             buf.next_fog_ok[:n], q)
+    ]
+    assert np.allclose(buf.targets[:n], expected, rtol=1e-12, atol=0.0)
+
+
+def test_replay_targets_follow_the_target_network():
+    width, capacity = 5, 40
+    rng = np.random.default_rng(11)
+    buf = ReplayBuffer(capacity, ValueNetwork(width, (8, 6), np.random.default_rng(2)), 0.95)
+
+    def push(count):
+        for _ in range(count):
+            buf.push(rng.uniform(0, 1, width), int(rng.integers(0, 2)), -rng.uniform(1, 2),
+                     rng.uniform(0, 1, width), rng.uniform() < 0.3, rng.uniform() < 0.5)
+
+    push(25)
+    assert_targets_match_target_net(buf)
+    push(30)  # wraps around: 15 rows are overwritten with their new targets
+    assert len(buf) == capacity
+    assert_targets_match_target_net(buf)
+    online = ValueNetwork(width, (8, 6), np.random.default_rng(3))
+    before = buf.targets.copy()
+    buf.sync(online)
+    assert not np.array_equal(buf.targets, before)
+    assert_targets_match_target_net(buf)
+    assert np.array_equal(buf.target.params, online.params)
+    online.params += 1.0  # the target is a copy, frozen until the next sync
+    assert not np.array_equal(buf.target.params, online.params)
+    push(5)
+    assert_targets_match_target_net(buf)
+
+
+def test_replay_sync_of_an_empty_replay_only_copies():
+    buf = ReplayBuffer(4, ValueNetwork(2, (), np.random.default_rng(0)), 0.9)
+    online = ValueNetwork(2, (), np.random.default_rng(1))
+    buf.sync(online)
+    assert len(buf) == 0 and buf.target is not online
+    assert np.array_equal(buf.target.params, online.params)
 
 
 def test_train_zero_episodes_is_noop():
@@ -297,11 +402,35 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(net.forward(x), loaded.forward(x))
 
 
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    net = ValueNetwork(9, (6, 5), np.random.default_rng(14))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    net.save(first)
+    ValueNetwork.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert sorted(doc) == ["biases", "sizes", "version", "weights"]
+    assert doc["version"] == 2 and doc["sizes"] == [9, 6, 5, 2]
+    assert all(isinstance(entry, str) for entry in doc["weights"] + doc["biases"])
+
+
+def test_checkpoint_version_1_loads_to_the_same_bits(tmp_path):
+    net = ValueNetwork(9, (6, 5), np.random.default_rng(15))
+    net.biases[0][:] = np.random.default_rng(16).normal(size=6)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"version": 1, "sizes": net.sizes,
+                                "weights": [w.tolist() for w in net.weights],
+                                "biases": [b.tolist() for b in net.biases]}))
+    loaded = ValueNetwork.load(path)
+    assert loaded.sizes == net.sizes
+    assert loaded.params.tobytes() == net.params.tobytes()
+
+
 def test_checkpoint_version_guard(tmp_path):
     net = ValueNetwork(3, (), np.random.default_rng(0))
     path = tmp_path / "checkpoint.json"
     net.save(path)
-    doc = path.read_text().replace('"version": 1', '"version": 99')
+    doc = path.read_text().replace('"version": 2', '"version": 99')
     path.write_text(doc)
     with pytest.raises(ValueError):
         ValueNetwork.load(path)
@@ -325,7 +454,7 @@ def test_checkpoint_load_accepts_integral_values(tmp_path):
 
 
 @pytest.mark.parametrize("mutate, path", [
-    (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(version=3), "version"),
     (lambda d: d.update(version=True), "version"),
     (lambda d: d.pop("biases"), "biases"),
     (lambda d: d.update(extra=1), "extra"),
@@ -345,9 +474,56 @@ def test_checkpoint_load_accepts_integral_values(tmp_path):
     (lambda d: d["biases"].__setitem__(1, [0.0, 0.0, 0.0]), "biases[1]"),
     (lambda d: d["biases"][0].__setitem__(2, float("nan")), "biases[0]"),
     (lambda d: d["weights"][0][1].__setitem__(0, float("inf")), "weights[0]"),
+    # a layer of 10^12 rows that the file does not hold is refused, not allocated
+    (lambda d: d.update(sizes=[2, 10**12, 2]), "weights[0]"),
 ])
 def test_checkpoint_load_rejects(tmp_path, mutate, path):
     doc = valid_checkpoint_doc()
+    mutate(doc)
+    file = tmp_path / "checkpoint.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DecodeError) as info:
+        ValueNetwork.load(file)
+    assert info.value.path == path
+
+
+def valid_checkpoint_v2_doc():
+    doc = valid_checkpoint_doc()
+    return {"version": 2, "sizes": doc["sizes"],
+            "weights": [base64_array(w) for w in doc["weights"]],
+            "biases": [base64_array(b) for b in doc["biases"]]}
+
+
+def base64_array(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def test_checkpoint_v2_doc_loads(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(valid_checkpoint_v2_doc()))
+    net = ValueNetwork.load(path)
+    v1 = valid_checkpoint_doc()
+    assert [w.tolist() for w in net.weights] == v1["weights"]
+    assert [b.tolist() for b in net.biases] == v1["biases"]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d["weights"].__setitem__(0, base64_array([0.5] * 5)), "weights[0]"),  # short
+    (lambda d: d["biases"].__setitem__(1, base64_array([0.0] * 3)), "biases[1]"),  # long
+    (lambda d: d["weights"].__setitem__(1, d["weights"][1] + "A"), "weights[1]"),  # padding
+    (lambda d: d["weights"].__setitem__(0, "not base64!"), "weights[0]"),
+    (lambda d: d["biases"].__setitem__(0, "\u00e9" * 32), "biases[0]"),  # not ASCII
+    (lambda d: d["biases"].__setitem__(0, [0.0, 0.1, 0.2]), "biases[0]"),  # a version-1 list
+    (lambda d: d["weights"].__setitem__(1, 7), "weights[1]"),
+    (lambda d: d["biases"].__setitem__(1, base64_array([0.0, float("nan")])), "biases[1]"),
+    (lambda d: d["weights"].__setitem__(0, base64_array([0.0] * 5 + [float("-inf")])),
+     "weights[0]"),
+    (lambda d: d.update(biases=d["biases"][:1]), "biases"),
+    (lambda d: d.update(sizes=[2, 10**12, 2]), "weights[0]"),
+    (lambda d: d.update(sizes=[2**40, 2**40, 2]), "weights[0]"),  # 2^80 entries
+])
+def test_checkpoint_v2_load_rejects(tmp_path, mutate, path):
+    doc = valid_checkpoint_v2_doc()
     mutate(doc)
     file = tmp_path / "checkpoint.json"
     file.write_text(json.dumps(doc))

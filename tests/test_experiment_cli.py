@@ -566,7 +566,7 @@ def test_config_sections_may_be_partial(tmp_path):
 
 
 @pytest.mark.parametrize("doc, path", [
-    ({"version": 2, "sizes": [1101, 2], "weights": [], "biases": []}, "version"),
+    ({"version": 3, "sizes": [1101, 2], "weights": [], "biases": []}, "version"),
     ({"version": 1}, "sizes"),
     ([1], "(root)"),
     ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1100 + [[0.0]]],
@@ -602,14 +602,19 @@ def test_cli_bucket_that_is_not_json_is_usage_error(tmp_path, command):
     assert main([command, str(bad)]) == 2
 
 
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+
 # a config that is not JSON, and a bucket that is not JSON, have tests of their own
 @pytest.mark.parametrize("kind, content", [
-    ("config", None), ("bucket", None), ("checkpoint", None), ("checkpoint", "{not json"),
-], ids=["missing-config", "missing-bucket", "missing-checkpoint", "checkpoint-not-json"])
+    ("config", None), ("bucket", None), ("checkpoint", None), ("checkpoint", b"{not json"),
+    ("config", NOT_UTF8), ("bucket", NOT_UTF8), ("checkpoint", NOT_UTF8),
+], ids=["missing-config", "missing-bucket", "missing-checkpoint", "checkpoint-not-json",
+        "config-not-utf8", "bucket-not-utf8", "checkpoint-not-utf8"])
 def test_cli_input_file_that_cannot_be_read_is_usage_error(tmp_path, capsys, kind, content):
     path = tmp_path / f"{kind}.json"
     if content is not None:
-        path.write_text(content)
+        path.write_bytes(content)
     cfg_path = tmp_path / "small.json"
     save_config(small_experiment(algorithms=("defdrel",), sweep=(10,), runs_per_point=1),
                 cfg_path)
