@@ -84,6 +84,6 @@ print("\n== whole-bucket objective for two candidate placements ==")
 all_cloud = (False,) * bucket.n_functions
 mixed = (True, False, True)
 for name, placement in (("all cloud", all_cloud), ("small fns on fog", mixed)):
-    objective = costs.bucket_objective(bucket, placement)
-    step = costs.bucket_step_cost(bucket, placement)
+    objective = float(ctx.objective_total(ctx.on_fog(placement)))
+    step = costs.placement_step_cost_sum(bucket, placement) / len(bucket.ssrs)
     print(f"{name:18s}: objective sum {objective:.4f}, mean step cost {step:.4f}")

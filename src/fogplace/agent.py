@@ -43,8 +43,8 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
@@ -61,6 +61,8 @@ class AgentConfig:
             raise ValueError("episodes must be >= 0")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class ValueNetwork:

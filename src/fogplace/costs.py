@@ -157,25 +157,12 @@ class CostContext:
         return self.ssr_sums(comm), self.ssr_sums(comp)
 
     def objective_total(self, on_fog: np.ndarray) -> np.ndarray:
+        """The unweighted sum of the per-SSR objectives (the evaluation scalar)."""
         comm, comp = self.objective(on_fog)
         return _running_total(comm + comp)
-
-
-def bucket_objective(bucket: SSRBucket, placement: Placement) -> float:
-    """The unweighted sum of the per-SSR objectives (the evaluation scalar).
-
-    ``bucket.costs.objective`` gives the per-SSR communication and computation parts.
-    """
-    ctx = bucket.costs
-    return float(ctx.objective_total(ctx.on_fog(placement)))
 
 
 def placement_step_cost_sum(bucket: SSRBucket, placement: Placement) -> float:
     """Total per-function step cost (the oracle's and the episodes' criterion)."""
     ctx = bucket.costs
     return float(ctx.step_cost_sum(ctx.on_fog(placement)))
-
-
-def bucket_step_cost(bucket: SSRBucket, placement: Placement) -> float:
-    """Mean per-SSR step cost over the bucket."""
-    return placement_step_cost_sum(bucket, placement) / len(bucket.ssrs)

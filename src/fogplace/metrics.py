@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .costs import _running_total
 from .model import RESOURCE_KINDS, Placement, SSRBucket
 
 # the columns ``report`` fills, in CSV order; the mean CSV averages each of them
@@ -22,11 +23,6 @@ PLACEMENT_COLUMNS = (
     + ["total_step_cost", "objective_sum"]
 )
 REPORT_COLUMNS = ["run", "algorithm", "total_functions", "seed"] + PLACEMENT_COLUMNS
-
-
-def _running_totals(values: np.ndarray) -> list[float]:
-    """Column sums of an n x k matrix, each added top to bottom."""
-    return np.cumsum(values, axis=0)[-1].tolist()
 
 
 def report(bucket: SSRBucket, placement: Placement) -> dict:
@@ -46,13 +42,12 @@ def report(bucket: SSRBucket, placement: Placement) -> dict:
         "cloud_fraction": 100.0 * n_cloud / n,
     }
 
-    # the four demand kinds, then code size, input size, critical value, priority
-    table = np.column_stack(
-        [ctx.demand, ctx.code_size, ctx.input_size, ctx.critical, ctx.fn_priority]
-    )
-    totals = _running_totals(table[:, :4])
-    fog_sums = _running_totals(np.where(on_fog[:, None], table, 0.0))
-    cloud_sums = _running_totals(np.where(on_fog[:, None], 0.0, table))
+    # one row per quantity: the four demand kinds, then code size, input size,
+    # critical value, priority
+    table = np.vstack([ctx.demand.T, ctx.code_size, ctx.input_size, ctx.critical, ctx.fn_priority])
+    totals = _running_total(table[:4]).tolist()
+    fog_sums = _running_total(np.where(on_fog, table, 0.0)).tolist()
+    cloud_sums = _running_total(np.where(on_fog, 0.0, table)).tolist()
 
     for k, kind in enumerate(RESOURCE_KINDS):
         fog_pct = 100.0 * fog_sums[k] / totals[k] if totals[k] else 0.0

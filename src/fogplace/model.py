@@ -35,7 +35,10 @@ class StateError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResourceVector:
-    """Per-kind quantities: cpu in cores, ram/storage in MB, net_io in KBps."""
+    """Per-kind quantities: cpu in cores, ram/storage in MB, net_io in Mbps.
+
+    Every cost uses only a demand over its cap, so each unit is a label.
+    """
 
     cpu: float = 0.0
     ram: float = 0.0
@@ -65,8 +68,8 @@ class EnvironmentLimits:
     def __post_init__(self) -> None:
         if any(v <= 0 for v in self.per_function_cap.as_tuple()):
             raise ValueError("per-function caps must be > 0")
-        if self.code_size_limit <= 0 or self.input_size_limit <= 0:
-            raise ValueError("size limits must be > 0")
+        if not (0 < self.code_size_limit < math.inf and 0 < self.input_size_limit < math.inf):
+            raise ValueError("size limits must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,10 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if isinstance(value, tuple) and value[0] > value[1]:  # every tuple is a range
-                raise ValueError(f"{name} range has min {value[0]} > max {value[1]}")
+            # every tuple is a range; the chained comparison is False for NaN
+            if isinstance(value, tuple) and not -math.inf < value[0] <= value[1] < math.inf:
+                raise ValueError(f"{name} range ({value[0]}, {value[1]}) "
+                                 "must have finite ends with min <= max")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_ssrs", "functions_per_ssr"):

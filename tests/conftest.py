@@ -66,6 +66,12 @@ def make_ssr(fns, latency=50.0, priority=0.5):
     return SSR(user_latency=latency, user_priority=priority, functions=tuple(fns))
 
 
+def bucket_objective(bucket, placement):
+    """The unweighted sum of the bucket's per-SSR objectives under the placement."""
+    ctx = bucket.costs
+    return float(ctx.objective_total(ctx.on_fog(placement)))
+
+
 def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,
                     weights=ResourceVector(0.25, 0.25, 0.25, 0.25)):
     """Cost context of one SSR holding fns, whose user has latency share latency / 100.

@@ -72,7 +72,7 @@ def test_criterion_1_formula_suite():
         [make_ssr(tuple(make_fn(priority=5.0) for _ in range(2)), latency=50, priority=0.5),
          make_ssr(tuple(make_fn(priority=5.0) for _ in range(6)), latency=50, priority=0.5)],
     )
-    all_fog = (True,) * 8
+    two_ssrs_step = costs.placement_step_cost_sum(two_ssrs, (True,) * 8)
     on_fog, on_cloud = np.array([True]), np.array([False])
     # one function of demand 1 everywhere; l_i = 0.4, lf = 0.1, user priority 0.6
     kernel = one_ssr_context([ones], half_cap, half_cap, latency=40.0, link=10.0, priority=0.6)
@@ -94,8 +94,8 @@ def test_criterion_1_formula_suite():
         abs(cloud_comp.cloud_comp[0] - 0.425) < tol,
         abs(kernel.fog_step[0] - 1.025) < tol,
         abs(kernel.cloud_step[0] - 1.1375) < tol,
-        abs(costs.bucket_step_cost(two_ssrs, all_fog) - 2.0) < tol,
-        abs(costs.placement_step_cost_sum(two_ssrs, all_fog) - 4.0) < tol,
+        abs(two_ssrs_step / len(two_ssrs.ssrs) - 2.0) < tol,
+        abs(two_ssrs_step - 4.0) < tol,
     ]
     verdict(1, "derived formula examples match hand values within 1e-9",
             all(checks))

@@ -551,6 +551,9 @@ def test_agent_config_validation():
     {"hidden_sizes": (0,)},
     {"hidden_sizes": (8, -2)},
     {"batch_size": 65, "replay_capacity": 64},  # the replay never holds a batch
+    {"seed": -1},  # numpy's generators take no negative seed
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
 ])
 def test_agent_config_rejects(bad):
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import (
-    PROPERTY, generated_buckets, make_bucket, make_fn, make_limits, make_ssr, one_ssr_context,
+    PROPERTY, bucket_objective, generated_buckets, make_bucket, make_fn, make_limits, make_ssr,
+    one_ssr_context,
 )
 
 UNIFORM = ResourceVector(0.25, 0.25, 0.25, 0.25)
@@ -40,7 +41,7 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
             costs.placement_step_cost_sum(simple_bucket, placement)
 
 
-@pytest.mark.parametrize("consumer", [costs.placement_step_cost_sum, costs.bucket_objective,
+@pytest.mark.parametrize("consumer", [costs.placement_step_cost_sum, bucket_objective,
                                       metrics.report], ids=lambda f: f.__name__)
 def test_fog_flag_on_a_function_the_fog_cannot_take_is_rejected(consumer):
     # 6 cores: beyond the fog cap of 2, within the cloud cap of 6
@@ -58,8 +59,7 @@ INVALID_BUCKETS = {
 BUCKET_CONSUMERS = {
     "report": lambda b: metrics.report(b, (False,) * b.n_functions),
     "placement_step_cost_sum": lambda b: costs.placement_step_cost_sum(b, (False,) * b.n_functions),
-    "bucket_step_cost": lambda b: costs.bucket_step_cost(b, (False,) * b.n_functions),
-    "bucket_objective": lambda b: costs.bucket_objective(b, (False,) * b.n_functions),
+    "bucket_objective": lambda b: bucket_objective(b, (False,) * b.n_functions),
     "exact_optimum": baselines.exact_optimum,
     "greedy_cost": baselines.greedy_cost,
     "fog_first": baselines.fog_first,
@@ -187,7 +187,7 @@ def test_ssr_objective_total(simple_bucket):
     # zero-demand functions: comp is 0, the SSR total is the comm latency 1.3
     assert comp == 0.0
     assert comm + comp == pytest.approx(1.3, abs=1e-9)
-    total = costs.bucket_objective(simple_bucket, (True, False, True))
+    total = bucket_objective(simple_bucket, (True, False, True))
     assert total == pytest.approx(1.3 + 0.5, abs=1e-9)
 
 
@@ -200,8 +200,9 @@ def test_bucket_step_cost_is_mean_of_ssrs():
     ]
     bucket = make_bucket(ssrs)
     placement = (True,) * 8
-    assert costs.bucket_step_cost(bucket, placement) == pytest.approx(2.0, abs=1e-9)
-    assert costs.placement_step_cost_sum(bucket, placement) == pytest.approx(4.0, abs=1e-9)
+    total = costs.placement_step_cost_sum(bucket, placement)
+    assert total / len(bucket.ssrs) == pytest.approx(2.0, abs=1e-9)
+    assert total == pytest.approx(4.0, abs=1e-9)
 
 
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
@@ -210,7 +211,8 @@ def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
         ssrs=(make_ssr((make_fn(),), latency=100.0),),
     )
     ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]
-    assert costs.bucket_step_cost(bucket, (False,)) == pytest.approx(ssr_cost)
+    assert costs.placement_step_cost_sum(bucket, (False,)) / len(bucket.ssrs) == pytest.approx(
+        ssr_cost)
 
 
 def _random_fn(rng):
@@ -273,8 +275,6 @@ def test_episode_additivity_recomputation():
     for idx, on_fog in enumerate(placement):
         expected += float(ctx.fog_step[idx] if on_fog else ctx.cloud_step[idx])
     assert total == pytest.approx(expected, abs=1e-9)
-    assert costs.bucket_step_cost(bucket, placement) == pytest.approx(
-        total / len(bucket.ssrs), abs=1e-12)
 
 
 # -- the vector kernel against the scalar reference, bit for bit ------------------
@@ -328,7 +328,7 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
                 bucket, placement)
             ref_parts, ref_total = ref.ssr_objectives(bucket, placement)
             assert objective_parts(bucket, placement) == ref_parts
-            assert costs.bucket_objective(bucket, placement) == ref_total
+            assert bucket_objective(bucket, placement) == ref_total
     assert free > 50 and forced > 50
 
 

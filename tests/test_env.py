@@ -119,8 +119,6 @@ def test_episode_costs_match_ssr_recomputation():
     state, _, step_costs = run_random_episode(env, np.random.default_rng(0))
     expected = costs.placement_step_cost_sum(bucket, state.placement)
     assert sum(step_costs) == pytest.approx(expected, abs=1e-9)
-    assert costs.bucket_step_cost(bucket, state.placement) == pytest.approx(
-        expected / len(bucket.ssrs), abs=1e-9)
 
 
 def test_episode_length_and_constraints_fuzz():

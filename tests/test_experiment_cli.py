@@ -129,6 +129,18 @@ def test_cli_out_of_domain_flag_is_usage_error(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: invalid command line value: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_rejects_a_negative_agent_seed(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"agent": {"seed": -1, "episodes": 1}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: malformed config {cfg_path}: agent: seed must be >= 0, got -1\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -658,4 +670,5 @@ def test_output_digests_tool_prints_one_line_per_output():
         "saved_config.json", "bucket.json", "sweep.json", "run/checkpoint.json",
         "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
         "oracle stdout", "cost_model_walkthrough.py stdout",
+        "wrap/checkpoint.json", "wrap/training_log.csv",
     ]

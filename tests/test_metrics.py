@@ -4,7 +4,7 @@ import pytest
 from fogplace.baselines import cloud_only, random_feasible
 from fogplace.metrics import PLACEMENT_COLUMNS, REPORT_COLUMNS, report
 from fogplace.model import RESOURCE_KINDS, ResourceVector
-from fogplace.workload import GeneratorConfig, generate_bucket
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import make_bucket, make_fn, make_limits, make_ssr
 
@@ -117,3 +117,46 @@ def test_report_step_cost_matches_episode_replay():
         state = outcome.next_state
     rep = report(bucket, state.placement)
     assert rep["total_step_cost"] == pytest.approx(total, abs=1e-9)
+
+
+def test_report_sums_equal_cost_context_and_column_reference_fuzz():
+    # the totals are the cost context's own sums; the demand shares and the
+    # averages add each quantity function by function, first to last
+    rng = np.random.default_rng(41)
+    # paper-default buckets (nearly every function forced to the cloud) and
+    # buckets whose every function fits the fog
+    fits_fog = GeneratorConfig(cpu_demand=(1.0, 2.0), ram_demand=(100.0, 1024.0),
+                               storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                               code_size=(10.0, 300.0), input_size=(100.0, 1500.0))
+    buckets = [generate_sweep(cfg, n, seed=seed) for cfg in (GeneratorConfig(), fits_fog)
+               for seed, n in enumerate((10, 37, 64, 100))]
+    buckets += [generate_bucket(fits_fog, seed=seed) for seed in range(6)]
+    for bucket in buckets:
+        ctx = bucket.costs
+        placement = random_feasible(bucket, rng)
+        on_fog = ctx.on_fog(placement)
+        rep = report(bucket, placement)
+        assert rep["total_step_cost"] == float(ctx.step_cost_sum(on_fog))
+        assert rep["objective_sum"] == float(ctx.objective_total(on_fog))
+
+        fns = [fn for _, fn in bucket.functions()]
+        n_fog = sum(placement)
+        n_cloud = len(fns) - n_fog
+        for k, kind in enumerate(RESOURCE_KINDS):
+            total = fog = 0.0
+            for fn, flag in zip(fns, placement):
+                total += fn.demand.as_tuple()[k]
+                if flag:
+                    fog += fn.demand.as_tuple()[k]
+            assert rep[f"{kind}_fog_pct"] == 100.0 * fog / total
+            assert rep[f"{kind}_cloud_pct"] == 100.0 - 100.0 * fog / total
+        for name, attr in (("code", "code_size"), ("input", "input_size"),
+                           ("critical", "critical_value"), ("priority", "priority")):
+            fog = cloud = 0.0
+            for fn, flag in zip(fns, placement):
+                if flag:
+                    fog += getattr(fn, attr)
+                else:
+                    cloud += getattr(fn, attr)
+            assert rep[f"avg_{name}_fog"] == (fog / n_fog if n_fog else None)
+            assert rep[f"avg_{name}_cloud"] == (cloud / n_cloud if n_cloud else None)

@@ -14,7 +14,7 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_limits, make_ssr
+from conftest import bucket_objective, make_bucket, make_fn, make_limits, make_ssr
 
 
 def test_resource_kinds_fixed_order():
@@ -28,6 +28,13 @@ def test_resource_vector_rejects_negative_and_nonfinite():
         ResourceVector(cpu=-1)
     with pytest.raises(ValueError):
         ResourceVector(ram=math.inf)
+
+
+@pytest.mark.parametrize("limit", ["code", "input_size"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_environment_limits_reject_a_size_limit_not_finite_and_positive(limit, bad):
+    with pytest.raises(ValueError, match="size limits must be finite and > 0"):
+        make_limits(**{limit: bad})
 
 
 def test_validate_fog_cap_above_cloud_cap_reported():
@@ -128,7 +135,7 @@ def test_validate_reports_a_link_that_overflows_the_costs(link, latency, n_funct
         assert validate_bucket(bucket) == []
         all_cloud = (False,) * n_functions
         assert math.isfinite(costs.placement_step_cost_sum(bucket, all_cloud))
-        assert math.isfinite(costs.bucket_objective(bucket, all_cloud))
+        assert math.isfinite(bucket_objective(bucket, all_cloud))
 
 
 def test_validate_reports_a_negative_link():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_config_round_trip():
 def test_bad_range_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(cpu_demand=(4.0, 1.0))
+
+
+@pytest.mark.parametrize("field", ["code_size", "latency", "ram_demand"])
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_non_finite_range_end_rejected(field, end, bad):
+    value = list(getattr(GeneratorConfig(), field))
+    value[end] = bad
+    with pytest.raises(ValueError, match=f"^{field} range .* must have finite ends"):
+        GeneratorConfig(**{field: tuple(value)})
 
 
 @pytest.mark.parametrize("field, value", [

@@ -5,7 +5,9 @@ temporary directory that is removed afterwards:
 
   config     the file that ``save_config`` writes for ``load_config`` of CONFIG
   generate   the default bucket, and a 40-function sweep bucket
-  train      a few episodes at the compare width
+  train      a few episodes at the compare width, and again with a replay
+             and a target sync interval small enough that the replay wraps
+             around and the target network syncs
   compare    all five algorithms, including defdrel, on the sweep [10, 20]
   oracle     on the generated default bucket
 
@@ -38,6 +40,9 @@ CONFIG = {
         "runs_per_point": 2,
     },
 }
+# 680 steps: two wrap-arounds of a 300-row replay and 13 target syncs
+WRAP_CONFIG = {**CONFIG, "agent": {"episodes": 12, "replay_capacity": 300,
+                                   "target_sync_interval": 50}}
 OUTPUT_FILES = (
     "saved_config.json",
     "bucket.json",
@@ -77,6 +82,11 @@ def digests(work: Path) -> list[tuple[str, str]]:
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(demo), run_name="__main__")
     outputs.append((f"{DEMO} stdout", out.getvalue().encode()))
+    wrap_config = work / "wrap_config.json"
+    wrap_config.write_text(json.dumps(WRAP_CONFIG))
+    run("train", "--config", str(wrap_config), "--out", str(work / "wrap"))
+    outputs += [(name, (work / name).read_bytes())
+                for name in ("wrap/checkpoint.json", "wrap/training_log.csv")]
     return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
 
 
