@@ -22,6 +22,7 @@ from .model import Placement
 
 CHECKPOINT_VERSION = 2  # version 1, nested lists of numbers, is still read
 TRAINING_LOG_COLUMNS = ["episode", "total_cost", "epsilon", "loss"]  # one row per episode
+SYNC_ROWS = 1024  # rows per block of a target sync's forward passes
 
 
 class TrainingFault(RuntimeError):
@@ -306,13 +307,21 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sync(self, net: ValueNetwork) -> None:
-        """Make a copy of net the target network, and recompute every stored target."""
+        """Make a copy of net the target network, and recompute every stored target.
+
+        The targets are recomputed SYNC_ROWS rows at a time, a short tail with
+        the block before it, so a sync holds the activations of fewer than
+        2 * SYNC_ROWS rows whatever the capacity.
+        """
         self.target = net.copy()
-        n = self._size
-        if n:
-            q = self.target.forward(self.next_states[:n])
-            best = np.where(self.next_fog_ok[:n], q.max(axis=1), q[:, Action.CLOUD])
-            self.targets[:n] = self.rewards[:n] + np.where(self.dones[:n], 0.0, self.gamma * best)
+        start = 0
+        for stop in [*range(SYNC_ROWS, self._size - SYNC_ROWS + 1, SYNC_ROWS), self._size]:
+            rows = slice(start, stop)
+            q = self.target.forward(self.next_states[rows])
+            best = np.where(self.next_fog_ok[rows], q.max(axis=1), q[:, Action.CLOUD])
+            self.targets[rows] = self.rewards[rows] + np.where(self.dones[rows], 0.0,
+                                                               self.gamma * best)
+            start = stop
 
     def __len__(self) -> int:
         return self._size
@@ -418,15 +427,23 @@ class EpisodeRecord:
 
 
 def greedy_rollout(net: ValueNetwork, env: PlacementEnv) -> tuple[Placement, EpisodeRecord]:
-    """One epsilon=0 episode; returns the final placement and its record."""
+    """One epsilon=0 episode; returns the final placement and its record.
+
+    Each run of functions that do not fit the fog goes to the cloud in one
+    ``skip_forced``, so the network is asked only at free decisions.
+    """
     rng = np.random.default_rng(0)  # drawn on each free decision, but at epsilon 0 never decides
     state = env.reset()
     actions: list[int] = []
     step_costs: list[float] = []
     while not state.done:
-        action = select_action(net, state.encoded, state.mask[0], 0.0, rng)
-        outcome = env.step(state, action)
-        actions.append(int(action))
-        step_costs.append(outcome.cost)
-        state = outcome.next_state
+        state, skipped = env.skip_forced(state)
+        actions += [int(Action.CLOUD)] * len(skipped)
+        step_costs += skipped
+        if not state.done:
+            action = select_action(net, state.encoded, state.mask[0], 0.0, rng)
+            outcome = env.step(state, action)
+            actions.append(int(action))
+            step_costs.append(outcome.cost)
+            state = outcome.next_state
     return state.placement, EpisodeRecord(tuple(actions), tuple(step_costs))

@@ -73,29 +73,27 @@ class CostContext:
         violations = validate_bucket(bucket)
         if violations:
             raise InvalidBucket(violations)
-        max_latency = max(ssr.user_latency for ssr in bucket.ssrs)
-        fns, latency, priority, weight, slots = [], [], [], [], []
+        latency, user_priority, counts, rows = [], [], [], []
         for ssr in bucket.ssrs:
-            l_i, p_i = ssr.user_latency / max_latency, ssr.user_priority
-            top = max(fn.priority for fn in ssr.functions)
-            slots.append(range(len(fns), len(fns) + len(ssr.functions)))
-            for fn in ssr.functions:
-                fns.append(fn)
-                latency.append(l_i)
-                priority.append(p_i)
-                weight.append(fn.priority / top)
-        n = len(fns)
-        longest = max(len(s) for s in slots)
-        ssr_slots = np.full((len(slots), longest), n, dtype=np.intp)
-        for k, s in enumerate(slots):
-            ssr_slots[k, :len(s)] = s
+            latency.append(ssr.user_latency)
+            user_priority.append(ssr.user_priority)
+            counts.append(len(ssr.functions))
+            rows += [(*fn.demand.as_tuple(), fn.code_size, fn.input_size, fn.critical_value,
+                      fn.priority) for fn in ssr.functions]
+        # one row per column: the four demand kinds, code size, input size, critical
+        # value, function priority
+        columns = np.array(rows, dtype=float).T.copy()
+        starts = np.cumsum([0, *counts[:-1]])
+        offsets = np.arange(max(counts))
+        ssr_slots = np.where(offsets < np.array(counts)[:, None], starts[:, None] + offsets,
+                             columns.shape[1])
 
-        demand = np.array([fn.demand.as_tuple() for fn in fns], dtype=float)
-        code_size = np.array([fn.code_size for fn in fns], dtype=float)
-        input_size = np.array([fn.input_size for fn in fns], dtype=float)
-        latency_v = np.array(latency, dtype=float)
-        priority_v = np.array(priority, dtype=float)
-        weight_v = np.array(weight, dtype=float)
+        demand = columns[:4].T
+        code_size, input_size, critical, fn_priority = columns[4:]
+        max_latency = max(latency)
+        latency_v = np.repeat(np.array(latency) / max_latency, counts)
+        priority_v = np.repeat(np.array(user_priority, dtype=float), counts)
+        weight_v = fn_priority / np.repeat(np.maximum.reduceat(fn_priority, starts), counts)
         factors = np.array(bucket.importance_factors.as_tuple())
         lf = bucket.link_latency / max_latency
 
@@ -121,8 +119,8 @@ class CostContext:
             cloud_comp=(cloud_base + cloud_io * lf) * weight_v,
             code_size=code_size,
             input_size=input_size,
-            critical=np.array([fn.critical_value for fn in fns], dtype=int),
-            fn_priority=np.array([fn.priority for fn in fns], dtype=float),
+            critical=critical.astype(int),
+            fn_priority=fn_priority,
         )
 
     def on_fog(self, placement: Placement) -> np.ndarray:

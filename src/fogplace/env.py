@@ -44,7 +44,8 @@ class StepOutcome:
 
 
 class PlacementEnv:
-    """Episodes over one bucket: ``reset`` starts one, ``step`` advances its latest state.
+    """Episodes over one bucket: ``reset`` starts one, ``step`` advances its latest state
+    by one decision, and ``skip_forced`` by a run of forced cloud placements.
 
     Slot ``pos`` of the encoded state describes the function at position ``pos``
     of the processing order; its first two entries are the fog and cloud flags.
@@ -85,23 +86,44 @@ class PlacementEnv:
         return self._latest
 
     def step(self, state: EnvState, action: Action) -> StepOutcome:
+        self._check_latest(state)
+        if not state.mask[action]:
+            raise StateError(f"action {Action(action).name} violates the platform limits")
+        pos = state.cursor
+        return StepOutcome(next_state=self._advance(state, pos + 1, action),
+                           cost=self._costs[action][pos])
+
+    def skip_forced(self, state: EnvState) -> tuple[EnvState, list[float]]:
+        """Take the cloud at every forced position, from the cursor up to the next
+        free decision or the episode's end.
+
+        Returns that state and the cloud step costs of the skipped positions, in
+        processing order; at a free decision it skips none. The state is the one
+        that stepping the cloud position by position would reach.
+        """
+        self._check_latest(state)
+        pos = stop = state.cursor
+        while stop < self.n_functions and not self._masks[stop][0]:
+            stop += 1
+        return self._advance(state, stop, Action.CLOUD), self._costs[Action.CLOUD][pos:stop]
+
+    def _check_latest(self, state: EnvState) -> None:
         if state is not self._latest:
             raise StateError("stale state: only the latest state of the episode can be stepped")
         if state.done:
             raise StateError("episode is complete")
-        if not state.mask[action]:
-            raise StateError(f"action {Action(action).name} violates the platform limits")
 
+    def _advance(self, state: EnvState, stop: int, action: Action) -> EnvState:
+        """The latest state after ``action`` at every position from the cursor up to stop."""
         pos = state.cursor
-        cost = self._costs[action][pos]
         encoded = state.encoded.copy()
-        encoded[pos * SLOT_WIDTH + action] = 1.0
-        cursor = pos + 1
-        encoded[-1] = cursor / self.n_functions
-        self._on_fog[self.order[pos]] = action == Action.FOG
-        placement = tuple(self._on_fog) if cursor == self.n_functions else None
-        self._latest = EnvState(encoded, cursor, self._masks[cursor], placement)
-        return StepOutcome(next_state=self._latest, cost=cost)
+        encoded[pos * SLOT_WIDTH + action:stop * SLOT_WIDTH:SLOT_WIDTH] = 1.0
+        encoded[-1] = stop / self.n_functions
+        for flat_idx in self.order[pos:stop]:
+            self._on_fog[flat_idx] = action == Action.FOG
+        placement = tuple(self._on_fog) if stop == self.n_functions else None
+        self._latest = EnvState(encoded, stop, self._masks[stop], placement)
+        return self._latest
 
     def _static_encoding(self, visit: np.ndarray) -> np.ndarray:
         ctx, cloud = self.bucket.costs, self.bucket.cloud

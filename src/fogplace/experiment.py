@@ -41,6 +41,8 @@ class SweepSettings:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
         for name, values in (("sweep", self.sweep), ("algorithms", self.algorithms)):
+            if not values:
+                raise ValueError(f"{name} is empty: compare would write no rows")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} lists an entry twice: {list(values)}")
 
@@ -93,8 +95,9 @@ def run_placement(
     algorithm: str,
     bucket: SSRBucket,
     net: ValueNetwork | None,
-    rng: np.random.Generator,
+    seed: int,
 ) -> Placement:
+    """The placement one algorithm makes; ``random`` draws from a generator seeded with seed."""
     if algorithm == "defdrel":
         if net is None:
             raise ValueError("defdrel requires a trained network")
@@ -106,7 +109,7 @@ def run_placement(
     if algorithm == "cloud_only":
         return baselines.cloud_only(bucket)
     if algorithm == "random":
-        return baselines.random_feasible(bucket, rng)
+        return baselines.random_feasible(bucket, np.random.default_rng(seed))
     if algorithm == "greedy_cost":
         return baselines.greedy_cost(bucket)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -115,18 +118,19 @@ def run_placement(
 def run_compare(cfg: ExperimentConfig, net: ValueNetwork | None) -> list[dict]:
     """One detail row per (sweep point, algorithm, run), in deterministic order.
 
-    Every algorithm at a given (sweep point, run) sees the identical bucket.
+    Every algorithm at a given (sweep point, run) sees the identical bucket,
+    and one report covers all of that bucket's placements.
     """
     rows, settings = [], cfg.experiment
     for total in settings.sweep:
         for run in range(settings.runs_per_point):
             seed = _sweep_seed(cfg.generator.seed, total, run)
             bucket = generate_sweep(cfg.generator, total, seed=seed)
-            for algorithm in settings.algorithms:
-                rng = np.random.default_rng(seed)
-                placement = run_placement(algorithm, bucket, net, rng)
+            placements = [run_placement(algorithm, bucket, net, seed)
+                          for algorithm in settings.algorithms]
+            for algorithm, row in zip(settings.algorithms, metrics.report(bucket, placements)):
                 rows.append({"run": run, "algorithm": algorithm, "total_functions": total,
-                             "seed": seed, **metrics.report(bucket, placement)})
+                             "seed": seed, **row})
     order = {name: i for i, name in enumerate(settings.algorithms)}
     rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))
     return rows

@@ -6,6 +6,8 @@ and are only rounded by whoever plots them.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .costs import _running_total
@@ -25,44 +27,41 @@ PLACEMENT_COLUMNS = (
 REPORT_COLUMNS = ["run", "algorithm", "total_functions", "seed"] + PLACEMENT_COLUMNS
 
 
-def report(bucket: SSRBucket, placement: Placement) -> dict:
-    """One CSV row dict per placement: a value for each of ``PLACEMENT_COLUMNS``.
+def report(bucket: SSRBucket, placements: Sequence[Placement]) -> list[dict]:
+    """One CSV row dict per placement, in order: a value for each of ``PLACEMENT_COLUMNS``.
 
     Fractions and demand shares are percentages; ``critN_fog``/``critN_cloud``
-    count the functions of critical value N on each side.
+    count the functions of critical value N on each side. The placements are
+    reported in one stacked pass, and each row equals that of its placement alone.
     """
     ctx = bucket.costs
-    on_fog = ctx.on_fog(placement)
-    n = len(on_fog)
-    n_fog = int(on_fog.sum())
-    n_cloud = n - n_fog
-    row: dict = {
-        "n_functions": n,
-        "fog_fraction": 100.0 * n_fog / n,
-        "cloud_fraction": 100.0 * n_cloud / n,
-    }
+    n = len(ctx.fog_ok)
+    on_fog = np.array([ctx.on_fog(p) for p in placements], dtype=bool).reshape(-1, n)
+    sides = np.stack([on_fog, ~on_fog], axis=1)  # placement x (fog, cloud) x function
+    counts = sides.sum(axis=2)
 
     # one row per quantity: the four demand kinds, then code size, input size,
     # critical value, priority
     table = np.vstack([ctx.demand.T, ctx.code_size, ctx.input_size, ctx.critical, ctx.fn_priority])
-    totals = _running_total(table[:4]).tolist()
-    fog_sums = _running_total(np.where(on_fog, table, 0.0)).tolist()
-    cloud_sums = _running_total(np.where(on_fog, 0.0, table)).tolist()
+    totals = _running_total(table[:4])
+    sums = _running_total(np.where(sides[:, :, None, :], table, 0.0))  # placement x side x quantity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fog_pct = np.where(totals != 0, 100.0 * sums[:, 0, :4] / totals, 0.0)
+        means = (sums[:, :, 4:] / counts[:, :, None]).transpose(0, 2, 1).reshape(-1, 8)
+    cloud_pct = np.where(totals != 0, 100.0 - fog_pct, 0.0)
+    # the functions of each critical value per placement and side, in one bincount
+    bins = np.arange(2 * len(on_fog)).reshape(-1, 2, 1) * 6 + ctx.critical
+    critical = np.bincount(bins[sides], minlength=12 * len(on_fog)).reshape(-1, 2, 6)[:, :, 1:]
 
-    for k, kind in enumerate(RESOURCE_KINDS):
-        fog_pct = 100.0 * fog_sums[k] / totals[k] if totals[k] else 0.0
-        row[f"{kind}_fog_pct"] = fog_pct
-        row[f"{kind}_cloud_pct"] = 100.0 - fog_pct if totals[k] else 0.0
-    for k, name in enumerate(("code", "input", "critical", "priority"), start=4):
-        row[f"avg_{name}_fog"] = fog_sums[k] / n_fog if n_fog else None
-        row[f"avg_{name}_cloud"] = cloud_sums[k] / n_cloud if n_cloud else None
-
-    fog_counts = np.bincount(ctx.critical[on_fog], minlength=6).tolist()
-    cloud_counts = np.bincount(ctx.critical[~on_fog], minlength=6).tolist()
-    for v in range(1, 6):
-        row[f"crit{v}_fog"] = fog_counts[v]
-        row[f"crit{v}_cloud"] = cloud_counts[v]
-
-    row["total_step_cost"] = float(ctx.step_cost_sum(on_fog))
-    row["objective_sum"] = float(ctx.objective_total(on_fog))
-    return row
+    rows = []
+    for (n_fog, n_cloud), fog, cloud, mean, crit, step, objective in zip(
+            counts.tolist(), fog_pct.tolist(), cloud_pct.tolist(), means.tolist(),
+            critical.reshape(-1, 10).tolist(), ctx.step_cost_sum(on_fog).tolist(),
+            ctx.objective_total(on_fog).tolist()):
+        # each quantity's fog then cloud average, None for a side that holds no functions
+        averages = [m if side_count else None
+                    for m, side_count in zip(mean, (n_fog, n_cloud) * 4)]
+        rows.append(dict(zip(PLACEMENT_COLUMNS, [
+            n, 100.0 * n_fog / n, 100.0 * n_cloud / n, *fog, *cloud, *averages, *crit,
+            step, objective])))
+    return rows

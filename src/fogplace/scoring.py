@@ -7,6 +7,9 @@ that use another frame. A bucket stores the priorities, not their inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+
+import numpy as np
 
 # Makes the maximum function priority exactly 5, matching the convention
 # that top functions within an SSR carry priority value 5.
@@ -44,28 +47,34 @@ def user_priority(pd: float, pl: float, p_omega: float) -> float:
     return p_omega * pd + pl * (1 - p_omega)
 
 
-def ssr_priorities(critical: list[int], code_sizes: list[float], input_sizes: list[float],
-                   delta: float = DEFAULT_DELTA) -> list[float]:
-    """Preference of each function of one SSR for fog placement, given column by column.
+def ssr_priorities(critical: Sequence[int], code_sizes: Sequence[float],
+                   input_sizes: Sequence[float], delta: float = DEFAULT_DELTA, *,
+                   counts: Sequence[int] | None = None) -> list[float]:
+    """Preference of each function for fog placement, given column by column.
 
-    Every priority lies in [1/(delta+1), 1/delta]. Higher critical value and
-    larger code/input size (relative to the largest in the same SSR) all push
-    it up; the SSR's largest code and input sizes are taken once.
+    The columns hold consecutive SSRs of ``counts`` functions each (by default
+    one SSR), and the priorities come back in the same order. Every priority
+    lies in [1/(delta+1), 1/delta]. Higher critical value and larger code/input
+    size (relative to the largest in the same SSR) all push it up; each SSR's
+    largest code and input sizes are taken once, as segment maxima.
     """
-    if not code_sizes:
+    if len(code_sizes) == 0:
         return []
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    max_code, max_input = max(code_sizes), max(input_sizes)
-    if max_code == 0 or max_input == 0:
+    code = np.asarray(code_sizes, dtype=float)
+    size = np.asarray(input_sizes, dtype=float)
+    counts = [len(code)] if counts is None else counts
+    starts = np.cumsum([0, *counts[:-1]])
+    max_code = np.maximum.reduceat(code, starts)
+    max_input = np.maximum.reduceat(size, starts)
+    if (max_code == 0).any() or (max_input == 0).any():
         raise ValueError("degenerate SSR: zero maximum code or input size")
-    priorities = []
-    for c, code, size in zip(critical, code_sizes, input_sizes):
-        critical_term = (5 - c) / 5
-        code_term = (max_code - code) / max_code
-        input_term = (max_input - size) / max_input
-        priorities.append(1.0 / (delta + critical_term * code_term * input_term))
-    return priorities
+    max_code, max_input = np.repeat(max_code, counts), np.repeat(max_input, counts)
+    critical_term = (5 - np.asarray(critical)) / 5
+    code_term = (max_code - code) / max_code
+    input_term = (max_input - size) / max_input
+    return (1.0 / (delta + critical_term * code_term * input_term)).tolist()
 
 
 def user_priorities(positions: list[tuple[float, float]], latencies: list[float],

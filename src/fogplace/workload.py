@@ -104,22 +104,22 @@ def _build_bucket(
 ) -> SSRBucket:
     """Draw the users, then every function in order, and build each entity once.
 
-    Per function the draws are code and input size, the critical value, then
+    Per user the draws are the radius share, the angle share and the latency.
+    Per function they are code and input size, the critical value, then
     (total demand, base share) for each resource kind in RESOURCE_KINDS order.
     The stored demand is ``base + (total - base)``, which can differ from ``total``
     in the last bit: a bucket's costs equal those of the format that stored both parts.
     ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so raw
-    ``rng.random(k)`` draws scaled afterwards give the same values. A bounded
+    ``rng.random`` draws scaled afterwards give the same values. A bounded
     integer draw uses half of a buffered 64-bit word, so the critical value
     stays one ``rng.integers`` call per function, between its uniforms.
     """
-    positions, latencies = [], []
-    for _ in fn_counts:
-        # uniform over the disc of radius D around the fog node
-        radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
-        latencies.append(float(rng.uniform(*cfg.latency)))
+    users = rng.random((len(fn_counts), 3))
+    # uniform over the disc of radius D around the fog node
+    radius = cfg.distance_cap * np.sqrt(users[:, 0])
+    theta = 2.0 * np.pi * users[:, 1]
+    positions = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]).tolist()
+    latencies = (cfg.latency[0] + (cfg.latency[1] - cfg.latency[0]) * users[:, 2]).tolist()
     user_scores = user_priorities(positions, latencies, cfg.distance_cap, cfg.priority_blend)
 
     size_lo = np.array([cfg.code_size[0], cfg.input_size[0]], dtype=float)
@@ -132,34 +132,29 @@ def _build_bucket(
     n = sum(fn_counts)
     size_draws = np.empty((n, 2))
     demand_draws = np.empty((n, 8))
-    critical = []
+    critical = np.empty(n, dtype=int)
     for k in range(n):
-        size_draws[k] = rng.random(2)
-        critical.append(int(rng.integers(critical_lo, critical_end)))
-        demand_draws[k] = rng.random(8)
+        rng.random(out=size_draws[k])
+        critical[k] = rng.integers(critical_lo, critical_end)
+        rng.random(out=demand_draws[k])
 
-    code, input_size = (size_lo + size_span * size_draws).T.tolist()
+    code, input_size = (size_lo + size_span * size_draws).T
     drawn = demand_lo + demand_span * demand_draws
     total, share = drawn[:, 0::2], drawn[:, 1::2]
     base = total * share
-    demand_rows = (base + (total - base)).tolist()
-
+    fns = [
+        ServerlessFunction(code_size=c, input_size=i, critical_value=v,
+                           demand=ResourceVector(*d), priority=p)
+        for c, i, v, d, p in zip(code.tolist(), input_size.tolist(), critical.tolist(),
+                                 (base + (total - base)).tolist(),
+                                 ssr_priorities(critical, code, input_size, cfg.delta,
+                                                counts=fn_counts))
+    ]
     ssrs, start = [], 0
     for count, latency, user_score in zip(fn_counts, latencies, user_scores):
-        stop = start + count
-        priorities = ssr_priorities(critical[start:stop], code[start:stop],
-                                    input_size[start:stop], cfg.delta)
-        ssrs.append(SSR(user_latency=latency, user_priority=user_score, functions=tuple(
-            ServerlessFunction(
-                code_size=code[k],
-                input_size=input_size[k],
-                critical_value=critical[k],
-                demand=ResourceVector(*demand_rows[k]),
-                priority=p,
-            )
-            for k, p in zip(range(start, stop), priorities)
-        )))
-        start = stop
+        ssrs.append(SSR(user_latency=latency, user_priority=user_score,
+                        functions=tuple(fns[start:start + count])))
+        start += count
 
     return SSRBucket(
         ssrs=tuple(ssrs),

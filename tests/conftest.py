@@ -66,6 +66,14 @@ def make_ssr(fns, latency=50.0, priority=0.5):
     return SSR(user_latency=latency, user_priority=priority, functions=tuple(fns))
 
 
+def forced_and_free_bucket(pattern):
+    """One SSR whose functions, in processing order, are forced to the cloud ("c":
+    6 cores, beyond the fog's 2) or free ("f": 1 core) as pattern spells."""
+    fns = [make_fn(demand=ResourceVector(cpu=6 if kind == "c" else 1), priority=len(pattern) - k)
+           for k, kind in enumerate(pattern)]
+    return make_bucket([make_ssr(fns)])
+
+
 def bucket_objective(bucket, placement):
     """The unweighted sum of the bucket's per-SSR objectives under the placement."""
     ctx = bucket.costs

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fogplace.agent import (
+    SYNC_ROWS,
     TRAINING_LOG_COLUMNS,
     AgentConfig,
+    EpisodeRecord,
     ReplayBuffer,
     TrainingFault,
     ValueNetwork,
@@ -16,9 +18,11 @@ from fogplace.agent import (
     train,
 )
 from fogplace.codec import DecodeError, decode, encode
-from fogplace.env import Action, PlacementEnv
+from fogplace.env import SLOT_WIDTH, Action, PlacementEnv
 from fogplace.experiment import write_csv
-from fogplace.workload import GeneratorConfig, generate_bucket
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
+
+from conftest import forced_and_free_bucket
 
 
 def tiny_env_factory(gen_seed=0):
@@ -287,30 +291,32 @@ def assert_targets_match_target_net(buf):
 
 
 def test_replay_targets_follow_the_target_network():
-    width, capacity = 5, 40
-    rng = np.random.default_rng(11)
-    buf = ReplayBuffer(capacity, ValueNetwork(width, (8, 6), np.random.default_rng(2)), 0.95)
+    # the larger replay holds more than two of a sync's blocks
+    for capacity in (40, 3 * SYNC_ROWS + 100):
+        width = 5
+        rng = np.random.default_rng(11)
+        buf = ReplayBuffer(capacity, ValueNetwork(width, (8, 6), np.random.default_rng(2)), 0.95)
 
-    def push(count):
-        for _ in range(count):
-            buf.push(rng.uniform(0, 1, width), int(rng.integers(0, 2)), -rng.uniform(1, 2),
-                     rng.uniform(0, 1, width), rng.uniform() < 0.3, rng.uniform() < 0.5)
+        def push(count):
+            for _ in range(count):
+                buf.push(rng.uniform(0, 1, width), int(rng.integers(0, 2)), -rng.uniform(1, 2),
+                         rng.uniform(0, 1, width), rng.uniform() < 0.3, rng.uniform() < 0.5)
 
-    push(25)
-    assert_targets_match_target_net(buf)
-    push(30)  # wraps around: 15 rows are overwritten with their new targets
-    assert len(buf) == capacity
-    assert_targets_match_target_net(buf)
-    online = ValueNetwork(width, (8, 6), np.random.default_rng(3))
-    before = buf.targets.copy()
-    buf.sync(online)
-    assert not np.array_equal(buf.targets, before)
-    assert_targets_match_target_net(buf)
-    assert np.array_equal(buf.target.params, online.params)
-    online.params += 1.0  # the target is a copy, frozen until the next sync
-    assert not np.array_equal(buf.target.params, online.params)
-    push(5)
-    assert_targets_match_target_net(buf)
+        push(capacity * 5 // 8)
+        assert_targets_match_target_net(buf)
+        push(capacity * 3 // 4)  # wraps around: the oldest rows are overwritten with new targets
+        assert len(buf) == capacity
+        assert_targets_match_target_net(buf)
+        online = ValueNetwork(width, (8, 6), np.random.default_rng(3))
+        before = buf.targets.copy()
+        buf.sync(online)
+        assert not np.array_equal(buf.targets, before)
+        assert_targets_match_target_net(buf)
+        assert np.array_equal(buf.target.params, online.params)
+        online.params += 1.0  # the target is a copy, frozen until the next sync
+        assert not np.array_equal(buf.target.params, online.params)
+        push(5)
+        assert_targets_match_target_net(buf)
 
 
 def test_replay_sync_of_an_empty_replay_only_copies():
@@ -388,6 +394,55 @@ def test_train_single_function_bandit_converges():
     chosen = Action(record.actions[0])
     expected = Action.FOG if fog_cost < cloud_cost else Action.CLOUD
     assert chosen == expected
+
+
+def stepwise_rollout(net, env):
+    """``greedy_rollout``'s reference: every decision, forced or free, through ``env.step``."""
+    rng = np.random.default_rng(0)
+    state = env.reset()
+    actions, step_costs = [], []
+    while not state.done:
+        action = select_action(net, state.encoded, state.mask[0], 0.0, rng)
+        outcome = env.step(state, action)
+        actions.append(int(action))
+        step_costs.append(outcome.cost)
+        state = outcome.next_state
+    return state.placement, EpisodeRecord(tuple(actions), tuple(step_costs))
+
+
+MIXED_FIT = GeneratorConfig(cpu_demand=(1.0, 3.0), ram_demand=(100.0, 1024.0),
+                            storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                            code_size=(10.0, 300.0), input_size=(100.0, 1500.0))
+
+
+# all forced, all free, and mixed with a forced run at the end; then generated
+# buckets, nearly all forced (the paper defaults) and about half free
+@pytest.mark.parametrize("bucket", [
+    forced_and_free_bucket("ccccc"),
+    forced_and_free_bucket("fffff"),
+    forced_and_free_bucket("cffcfccfcc"),
+    generate_sweep(GeneratorConfig(), 60, seed=3),
+    generate_sweep(MIXED_FIT, 40, seed=4),
+    generate_bucket(MIXED_FIT, seed=5),
+], ids=["forced", "free", "mixed", "default-sweep", "mixed-sweep", "mixed-bucket"])
+def test_greedy_rollout_equals_a_stepwise_reference(bucket):
+    width = bucket.n_functions * SLOT_WIDTH + 1
+    # a net that sends a free decision to the fog unless the fog already holds
+    # more of the free functions than the cloud, so free decisions alternate; and
+    # three random nets
+    n = bucket.n_functions
+    balancing = zeroed(ValueNetwork(width, (2 * n,), np.random.default_rng(0)))
+    w, b, slots, units = balancing.weights, balancing.biases, np.arange(n) * SLOT_WIDTH, np.arange(n)
+    w[0][slots + Action.CLOUD, units] = w[0][slots + 10, units] = 1.0  # cloud flag, fits the fog
+    b[0][:n] = -1.0  # unit k: slot k is a free function in the cloud
+    w[0][slots + Action.FOG, n + units] = 1.0  # unit n + k: slot k is on the fog
+    w[1][:n, Action.FOG], w[1][n:, Action.FOG], b[1][Action.FOG] = 1.0, -1.0, 0.5
+    nets = [balancing] + [ValueNetwork(width, (8,), np.random.default_rng(s)) for s in range(3)]
+    for net in nets:
+        rollout = greedy_rollout(net, PlacementEnv(bucket))
+        assert rollout == stepwise_rollout(net, PlacementEnv(bucket))
+    free = int(bucket.costs.fog_ok.sum())
+    assert sum(greedy_rollout(balancing, PlacementEnv(bucket))[0]) == (free + 1) // 2
 
 
 def test_checkpoint_round_trip(tmp_path):

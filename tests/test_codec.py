@@ -251,8 +251,8 @@ experiment_configs = st.builds(
     agent=agent_configs(),
     experiment=st.builds(
         SweepSettings,
-        sweep=st.lists(st.integers(10, 100), max_size=6, unique=True).map(tuple),
-        algorithms=st.lists(st.sampled_from(ALGORITHMS), unique=True).map(tuple),
+        sweep=st.lists(st.integers(10, 100), min_size=1, max_size=6, unique=True).map(tuple),
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(tuple),
         runs_per_point=st.integers(1, 1000),
     ),
 )

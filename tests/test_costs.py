@@ -41,8 +41,13 @@ def test_placement_needs_one_flag_per_function(simple_bucket):
             costs.placement_step_cost_sum(simple_bucket, placement)
 
 
+def report(bucket, placement):
+    """The ``metrics.report`` row of one placement."""
+    return metrics.report(bucket, [placement])[0]
+
+
 @pytest.mark.parametrize("consumer", [costs.placement_step_cost_sum, bucket_objective,
-                                      metrics.report], ids=lambda f: f.__name__)
+                                      report], ids=lambda f: f.__name__)
 def test_fog_flag_on_a_function_the_fog_cannot_take_is_rejected(consumer):
     # 6 cores: beyond the fog cap of 2, within the cloud cap of 6
     bucket = make_bucket(ssrs=[make_ssr((make_fn(demand=ResourceVector(cpu=6)),))])
@@ -57,7 +62,7 @@ INVALID_BUCKETS = {
         ssrs=[make_ssr((make_fn(code=600.0, priority=5.0),))]),
 }
 BUCKET_CONSUMERS = {
-    "report": lambda b: metrics.report(b, (False,) * b.n_functions),
+    "report": lambda b: metrics.report(b, [(False,) * b.n_functions]),
     "placement_step_cost_sum": lambda b: costs.placement_step_cost_sum(b, (False,) * b.n_functions),
     "bucket_objective": lambda b: bucket_objective(b, (False,) * b.n_functions),
     "exact_optimum": baselines.exact_optimum,

@@ -16,7 +16,15 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import PROPERTY, generated_buckets, make_bucket, make_fn, make_ssr, seeds
+from conftest import (
+    PROPERTY,
+    forced_and_free_bucket,
+    generated_buckets,
+    make_bucket,
+    make_fn,
+    make_ssr,
+    seeds,
+)
 
 
 def small_bucket(seed=1):
@@ -210,6 +218,46 @@ def test_step_rejects_stale_state():
     with pytest.raises(StateError, match="stale"):
         env.step(second, action)  # from an earlier episode
     env.step(fresh, action)
+
+
+@pytest.mark.parametrize("pattern", ["ccc", "fff", "ccffcfcc", "fcc", "cf"])
+def test_skip_forced_reaches_the_state_of_stepping_the_cloud(pattern):
+    env, reference = (PlacementEnv(forced_and_free_bucket(pattern)) for _ in range(2))
+    assert env.order == list(range(len(pattern)))
+    state, ref = env.reset(), reference.reset()
+    while not state.done:
+        state, skipped = env.skip_forced(state)
+        ref_costs = []
+        while not ref.done and not ref.mask[Action.FOG]:
+            outcome = reference.step(ref, Action.CLOUD)
+            ref_costs.append(outcome.cost)
+            ref = outcome.next_state
+        assert skipped == ref_costs
+        assert (state.cursor, state.mask, state.placement) == (ref.cursor, ref.mask, ref.placement)
+        assert np.array_equal(state.encoded, ref.encoded)
+        if not state.done:
+            assert pattern[state.cursor] == "f"
+            state = env.step(state, Action.FOG).next_state
+            ref = reference.step(ref, Action.FOG).next_state
+    assert state.placement == tuple(kind == "f" for kind in pattern)
+
+
+def test_skip_forced_refuses_a_stale_or_finished_state():
+    env = PlacementEnv(forced_and_free_bucket("cfc"))
+    first = env.reset()
+    at_free, skipped = env.skip_forced(first)
+    assert at_free.cursor == 1 and len(skipped) == 1
+    with pytest.raises(StateError, match="stale"):
+        env.skip_forced(first)
+    again, skipped = env.skip_forced(at_free)  # at a free decision it skips none
+    assert again.cursor == 1 and skipped == []
+    with pytest.raises(StateError, match="stale"):
+        env.step(at_free, Action.FOG)
+    done, skipped = env.skip_forced(env.step(again, Action.FOG).next_state)
+    assert done.done and len(skipped) == 1
+    for advance in (env.skip_forced, lambda state: env.step(state, Action.CLOUD)):
+        with pytest.raises(StateError, match="episode is complete"):
+            advance(done)
 
 
 def test_invalid_bucket_rejected():

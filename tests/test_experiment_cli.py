@@ -514,6 +514,20 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "train"])
+@pytest.mark.parametrize("field", ["sweep", "algorithms"])
+def test_cli_refuses_an_empty_sweep_or_algorithm_list(tmp_path, capsys, command, field):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": {
+        "sweep": [10], "algorithms": ["fog_first"], "runs_per_point": 1, field: []}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: malformed config {cfg_path}: experiment: "
+                            f"{field} is empty: compare would write no rows\n")
+    assert not out.exists()
+
+
 FOG_CPU_ABOVE_CLOUD = {
     "per_function_cap": {"cpu": 8, "ram": 1024, "storage": 1024, "net_io": 2048},
     "code_size_limit": 300.0, "input_size_limit": 1500.0,
@@ -671,4 +685,5 @@ def test_output_digests_tool_prints_one_line_per_output():
         "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
         "oracle stdout", "cost_model_walkthrough.py stdout",
         "wrap/checkpoint.json", "wrap/training_log.csv",
+        "mixed/results_detail.csv", "mixed/results_mean.csv",
     ]

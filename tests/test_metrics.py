@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fogplace.baselines import cloud_only, random_feasible
+from fogplace.baselines import cloud_only, fog_first, greedy_cost, random_feasible
 from fogplace.metrics import PLACEMENT_COLUMNS, REPORT_COLUMNS, report
 from fogplace.model import RESOURCE_KINDS, ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
@@ -27,14 +27,14 @@ def flags_for(fns, fog_indices):
 
 def test_fog_fraction_three_of_ten():
     fns = [make_fn(priority=1.0) for _ in range(10)]
-    rep = report(bucket_with(fns), flags_for(fns, {0, 1, 2}))
+    rep = report(bucket_with(fns), [flags_for(fns, {0, 1, 2})])[0]
     assert rep["fog_fraction"] == pytest.approx(30.0, abs=1e-12)
     assert rep["cloud_fraction"] == pytest.approx(70.0, abs=1e-12)
 
 
 def test_all_cloud_report():
     bucket = generate_bucket(GeneratorConfig(seed=6))
-    rep = report(bucket, cloud_only(bucket))
+    rep = report(bucket, [cloud_only(bucket)])[0]
     assert rep["fog_fraction"] == 0.0
     assert rep["avg_code_fog"] is None
     assert rep["avg_critical_fog"] is None
@@ -54,7 +54,7 @@ def test_demand_percentage_hand_value():
         make_fn(demand=ResourceVector(cpu=24), priority=1.0),
     ]
     bucket = bucket_with(fns, fog=make_limits(cpu=6), cloud=make_limits(cpu=24))
-    rep = report(bucket, flags_for(fns, {0}))
+    rep = report(bucket, [flags_for(fns, {0})])[0]
     assert rep["cpu_fog_pct"] == pytest.approx(20.0, abs=1e-12)
     assert rep["cpu_cloud_pct"] == pytest.approx(80.0, abs=1e-12)
 
@@ -62,14 +62,14 @@ def test_demand_percentage_hand_value():
 def test_critical_histogram_hand_values():
     # 15 functions with critical value 5, three of them on the fog: 20% / 80%
     fns = [make_fn(critical=5, priority=1.0) for _ in range(15)]
-    rep = report(bucket_with(fns), flags_for(fns, {0, 1, 2}))
+    rep = report(bucket_with(fns), [flags_for(fns, {0, 1, 2})])[0]
     assert critical_counts(rep, 5) == (3, 12)
     assert critical_counts(rep, 1) == (0, 0)
 
 
 def test_critical_histogram_split_counts():
     fns = [make_fn(critical=1, priority=1.0) for _ in range(28)]
-    rep = report(bucket_with(fns), flags_for(fns, set(range(12))))
+    rep = report(bucket_with(fns), [flags_for(fns, set(range(12)))])[0]
     assert critical_counts(rep, 1) == (12, 16)
 
 
@@ -78,7 +78,7 @@ def test_histogram_counts_sum_to_totals():
     for seed in range(10):
         bucket = generate_bucket(GeneratorConfig(seed=seed))
         placement = random_feasible(bucket, rng)
-        rep = report(bucket, placement)
+        rep = report(bucket, [placement])[0]
         fog_total = sum(critical_counts(rep, v)[0] for v in range(1, 6))
         cloud_total = sum(critical_counts(rep, v)[1] for v in range(1, 6))
         assert fog_total + cloud_total == rep["n_functions"]
@@ -89,12 +89,12 @@ def test_histogram_counts_sum_to_totals():
 def test_placement_of_wrong_length_rejected():
     bucket = generate_bucket(GeneratorConfig(seed=1))
     with pytest.raises(ValueError, match="flags for"):
-        report(bucket, (False,) * (bucket.n_functions + 1))
+        report(bucket, [(False,) * (bucket.n_functions + 1)])
 
 
 def test_report_row_covers_all_columns():
     bucket = generate_bucket(GeneratorConfig(seed=2))
-    row = report(bucket, cloud_only(bucket))
+    row = report(bucket, [cloud_only(bucket)])[0]
     assert sorted(row) == sorted(PLACEMENT_COLUMNS)
     assert REPORT_COLUMNS == ["run", "algorithm", "total_functions", "seed"] + PLACEMENT_COLUMNS
     assert row["fog_fraction"] == 0.0
@@ -115,7 +115,7 @@ def test_report_step_cost_matches_episode_replay():
         outcome = env.step(state, feasible[int(rng.integers(0, len(feasible)))])
         total += outcome.cost
         state = outcome.next_state
-    rep = report(bucket, state.placement)
+    rep = report(bucket, [state.placement])[0]
     assert rep["total_step_cost"] == pytest.approx(total, abs=1e-9)
 
 
@@ -135,7 +135,7 @@ def test_report_sums_equal_cost_context_and_column_reference_fuzz():
         ctx = bucket.costs
         placement = random_feasible(bucket, rng)
         on_fog = ctx.on_fog(placement)
-        rep = report(bucket, placement)
+        rep = report(bucket, [placement])[0]
         assert rep["total_step_cost"] == float(ctx.step_cost_sum(on_fog))
         assert rep["objective_sum"] == float(ctx.objective_total(on_fog))
 
@@ -160,3 +160,34 @@ def test_report_sums_equal_cost_context_and_column_reference_fuzz():
                     cloud += getattr(fn, attr)
             assert rep[f"avg_{name}_fog"] == (fog / n_fog if n_fog else None)
             assert rep[f"avg_{name}_cloud"] == (cloud / n_cloud if n_cloud else None)
+
+
+MIXED_FIT = GeneratorConfig(cpu_demand=(1.0, 3.0), ram_demand=(100.0, 1024.0),
+                            storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                            code_size=(10.0, 300.0), input_size=(100.0, 1500.0))
+
+
+def test_stacked_report_rows_equal_each_placement_reported_alone():
+    rng = np.random.default_rng(23)
+    buckets = [generate_sweep(cfg, n, seed=seed) for cfg in (GeneratorConfig(), MIXED_FIT)
+               for seed, n in enumerate((10, 45, 100))]
+    buckets += [generate_bucket(MIXED_FIT, seed=seed) for seed in range(6)]
+    for k, bucket in enumerate(buckets):
+        # every side empty somewhere: all cloud, and all the fog can take
+        pool = [cloud_only(bucket), fog_first(bucket), greedy_cost(bucket)]
+        pool += [random_feasible(bucket, rng) for _ in range(3)]
+        placements = [pool[i] for i in rng.permutation(6)[:1 + k % 6]]
+        rows = report(bucket, placements)
+        assert rows == [report(bucket, [placement])[0] for placement in placements]
+
+
+def test_stacked_report_refuses_a_fog_flag_on_an_unfit_function():
+    bucket = generate_sweep(MIXED_FIT, 30, seed=2)
+    unfit = int(np.flatnonzero(~bucket.costs.fog_ok)[2])
+    bad = list(fog_first(bucket))
+    bad[unfit] = True
+    for position in range(3):
+        placements = [fog_first(bucket), cloud_only(bucket)]
+        placements.insert(position, tuple(bad))
+        with pytest.raises(ValueError, match=rf"puts function {unfit} \(flattened order\) on the fog"):
+            report(bucket, placements)

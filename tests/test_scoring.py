@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as reference
 from fogplace import scoring
 
 from conftest import make_fn, make_ssr
@@ -131,6 +132,23 @@ def test_function_priority_bounds_fuzz():
         )
         for p in priorities(make_ssr(fns), delta):
             assert 1 / (delta + 1) - 1e-12 <= p <= 1 / delta + 1e-12
+
+
+def test_priorities_of_consecutive_ssrs_equal_the_scalar_formula_fuzz():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ssrs = [make_ssr(tuple(
+            make_fn(critical=int(rng.integers(1, 6)), code=float(rng.uniform(1, 500)),
+                    input_size=float(rng.uniform(1, 2500)))
+            for _ in range(int(rng.integers(1, 11)))))
+            for _ in range(int(rng.integers(1, 11)))]
+        fns = [fn for ssr in ssrs for fn in ssr.functions]
+        delta = float(rng.uniform(0.05, 1.0))
+        got = scoring.ssr_priorities([f.critical_value for f in fns], [f.code_size for f in fns],
+                                     [f.input_size for f in fns], delta,
+                                     counts=[len(ssr.functions) for ssr in ssrs])
+        assert got == [reference.function_priority(fn, ssr, delta)
+                       for ssr in ssrs for fn in ssr.functions]
 
 
 def test_function_priority_monotone_in_critical():

@@ -8,7 +8,9 @@ temporary directory that is removed afterwards:
   train      a few episodes at the compare width, and again with a replay
              and a target sync interval small enough that the replay wraps
              around and the target network syncs
-  compare    all five algorithms, including defdrel, on the sweep [10, 20]
+  compare    all five algorithms, including defdrel, on the sweep [10, 20], and
+             again on buckets where about half the functions fit the fog, so
+             the greedy rollouts alternate forced runs and free decisions
   oracle     on the generated default bucket
 
 and then runs ``demos/cost_model_walkthrough.py`` of the checkout whose
@@ -43,6 +45,12 @@ CONFIG = {
 # 680 steps: two wrap-arounds of a 300-row replay and 13 target syncs
 WRAP_CONFIG = {**CONFIG, "agent": {"episodes": 12, "replay_capacity": 300,
                                    "target_sync_interval": 50}}
+# functions that fit the fog but for a cpu demand drawn in [1, 3] against the
+# fog's 2-core cap: about half of them fit it
+MIXED_CONFIG = {**CONFIG, "generator": {
+    "cpu_demand": [1.0, 3.0], "ram_demand": [100.0, 1024.0], "storage_demand": [10.0, 1024.0],
+    "net_io_demand": [10.0, 2048.0], "code_size": [10.0, 300.0], "input_size": [100.0, 1500.0],
+}}
 OUTPUT_FILES = (
     "saved_config.json",
     "bucket.json",
@@ -87,6 +95,12 @@ def digests(work: Path) -> list[tuple[str, str]]:
     run("train", "--config", str(wrap_config), "--out", str(work / "wrap"))
     outputs += [(name, (work / name).read_bytes())
                 for name in ("wrap/checkpoint.json", "wrap/training_log.csv")]
+    mixed_config = work / "mixed_config.json"
+    mixed_config.write_text(json.dumps(MIXED_CONFIG))
+    run("compare", "--config", str(mixed_config), "--checkpoint",
+        str(work / "run" / "checkpoint.json"), "--out", str(work / "mixed"))
+    outputs += [(name, (work / name).read_bytes())
+                for name in ("mixed/results_detail.csv", "mixed/results_mean.csv")]
     return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
 
 
