@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .codec import DecodeError, decode
 from .env import Action, PlacementEnv
 from .model import Placement
 
-CHECKPOINT_VERSION = 2  # version 1, nested lists of numbers, is still read
+CHECKPOINT_VERSION = 3  # the only version read: 1 and 2 are refused
 TRAINING_LOG_COLUMNS = ["episode", "total_cost", "epsilon", "loss"]  # one row per episode
 SYNC_ROWS = 1024  # rows per block of a target sync's forward passes
 
@@ -83,9 +83,13 @@ class ValueNetwork:
 
     def _attach(self, sizes: list[int], params: np.ndarray | None = None) -> None:
         self.sizes = sizes
-        count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self.params = np.empty(count) if params is None else params
+        self.params = np.empty(self._count(sizes)) if params is None else params
         self.weights, self.biases = self.split(self.params)
+
+    @staticmethod
+    def _count(sizes: list[int]) -> int:
+        """The length of ``params`` for these layer sizes."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like ``params``."""
@@ -164,44 +168,41 @@ class ValueNetwork:
         return clone
 
     def save(self, path: str | Path) -> None:
-        """Write a version-2 checkpoint: each array as base64 of its float64 bytes."""
-        doc = {
-            "version": CHECKPOINT_VERSION,
-            "sizes": self.sizes,
-            "weights": [_encode_array(w) for w in self.weights],
-            "biases": [_encode_array(b) for b in self.biases],
-        }
+        """Write a version-3 checkpoint: ``sizes``, and ``params`` as one string,
+        the base64 of its little-endian float64 bytes."""
+        params = base64.b64encode(self.params.astype("<f8", copy=False).tobytes()).decode("ascii")
+        doc = {"version": CHECKPOINT_VERSION, "sizes": self.sizes, "params": params}
         Path(path).write_text(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "ValueNetwork":
-        """A checkpoint file, version 1 (nested lists) or 2 (base64); raises
-        ``DecodeError`` on a document that is not one."""
-        doc = decode(_Checkpoint, json.loads(Path(path).read_text()))
-        if doc.version not in (1, CHECKPOINT_VERSION):
-            raise DecodeError("version", f"unsupported checkpoint version {doc.version}")
+        """A version-3 checkpoint file; raises ``DecodeError`` on a document that is not one."""
+        doc = json.loads(Path(path).read_text())
+        version = doc.get("version", CHECKPOINT_VERSION) if isinstance(doc, dict) else None
+        # checked before decode, which would name a version-1 or -2 file's weights an unknown key
+        if version not in (None, CHECKPOINT_VERSION):
+            raise DecodeError("version", f"unsupported checkpoint version {json.dumps(version)}, "
+                                         f"expected {CHECKPOINT_VERSION}")
+        doc = decode(_Checkpoint, doc)
         sizes = list(doc.sizes)
         if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != len(Action):
             raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, the "
                                        f"last {len(Action)} (one per action), got {sizes}")
-        read = _decode_list if doc.version == 1 else _decode_base64
-        # every array is checked against sizes before params is allocated, so
-        # sizes alone cannot make load allocate more than the file holds
-        arrays = []
-        for name, entries, shapes in (("weights", doc.weights, list(zip(sizes[:-1], sizes[1:]))),
-                                      ("biases", doc.biases, [(n,) for n in sizes[1:]])):
-            if not isinstance(entries, list) or len(entries) != len(shapes):
-                raise DecodeError(name, f"expected an array of {len(shapes)} layers")
-            for i, (entry, shape) in enumerate(zip(entries, shapes)):
-                where = f"{name}[{i}]"
-                array = read(entry, shape, where)
-                if not np.isfinite(array).all():
-                    raise DecodeError(where, "not finite")
-                arrays.append(array)
+        try:
+            raw = base64.b64decode(doc.params, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise DecodeError("params", f"not base64: {exc}") from exc
+        # checked before params is allocated, so sizes alone cannot make load
+        # allocate more than the file holds
+        count = cls._count(sizes)
+        if len(raw) != 8 * count:
+            raise DecodeError("params", f"expected {8 * count} bytes, the {count} float64 "
+                                        f"values of sizes {sizes}, got {len(raw)}")
+        params = np.frombuffer(raw, dtype="<f8").astype(float)
+        if not np.isfinite(params).all():
+            raise DecodeError("params", "not finite")
         net = cls.__new__(cls)
-        net._attach(sizes)
-        for view, array in zip(net.weights + net.biases, arrays):
-            view[...] = array
+        net._attach(sizes, params)
         return net
 
 
@@ -209,38 +210,7 @@ class ValueNetwork:
 class _Checkpoint:
     version: int
     sizes: tuple[int, ...]
-    weights: Any  # one entry per layer, checked against sizes by load
-    biases: Any
-
-
-def _encode_array(array: np.ndarray) -> str:
-    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
-def _decode_base64(entry: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """A version-2 array: base64 of exactly the little-endian float64 bytes of shape."""
-    if not isinstance(entry, str):
-        raise DecodeError(where, "expected a base64 string of little-endian float64 values")
-    try:
-        raw = base64.b64decode(entry, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise DecodeError(where, f"not base64: {exc}") from exc
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise DecodeError(where, f"expected {size} bytes, a {shape} array to chain with "
-                                 f"sizes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
-
-
-def _decode_list(entry: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """A version-1 array: nested lists of numbers of the given shape."""
-    try:
-        array = np.asarray(entry)
-    except ValueError:  # ragged nesting
-        array = np.empty(0)
-    if array.shape != shape or array.dtype.kind not in "iuf":
-        raise DecodeError(where, f"expected a {shape} array of numbers, to chain with sizes")
-    return array
+    params: str  # base64, checked against sizes by load
 
 
 class ReplayBuffer:

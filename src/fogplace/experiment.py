@@ -156,10 +156,7 @@ def write_csv(rows: list[dict], columns: list[str], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["" if row.get(c) is None else row.get(c) for c in columns]
-            )
+        writer.writerows([row.get(c) for c in columns] for row in rows)  # None writes as ""
 
 
 def write_detail_csv(rows: list[dict], path: str | Path) -> None:

@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogplace.agent import (
     SYNC_ROWS,
@@ -22,7 +24,7 @@ from fogplace.env import SLOT_WIDTH, Action, PlacementEnv
 from fogplace.experiment import write_csv
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
-from conftest import forced_and_free_bucket
+from conftest import PROPERTY, forced_and_free_bucket
 
 
 def tiny_env_factory(gen_seed=0):
@@ -464,73 +466,129 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     ValueNetwork.load(first).save(second)
     assert first.read_bytes() == second.read_bytes()
     doc = json.loads(first.read_text())
-    assert sorted(doc) == ["biases", "sizes", "version", "weights"]
-    assert doc["version"] == 2 and doc["sizes"] == [9, 6, 5, 2]
-    assert all(isinstance(entry, str) for entry in doc["weights"] + doc["biases"])
+    assert sorted(doc) == ["params", "sizes", "version"]
+    assert doc["version"] == 3 and doc["sizes"] == [9, 6, 5, 2]
+    assert isinstance(doc["params"], str)
 
 
-def test_checkpoint_version_1_loads_to_the_same_bits(tmp_path):
-    net = ValueNetwork(9, (6, 5), np.random.default_rng(15))
-    net.biases[0][:] = np.random.default_rng(16).normal(size=6)
+# sizes [2, 3, 2], laid out like ValueNetwork.params: weights[0] (2 x 3, row-major),
+# biases[0], weights[1] (3 x 2), biases[1]
+VALID_PARAMS = [0.5, 0.0, -1.0, 1.0, 2.0, 0.25, 0.0, 0.1, 0.2,
+                1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0, -0.5]
+GOLDEN_CHECKPOINT = (
+    '{"params": "AAAAAAAA4D8AAAAAAAAAAAAAAAAAAPC/AAAAAAAA8D8AAAAAAAAAQAAAAAAAANA/AAAAAAAAAACam'
+    'ZmZmZm5P5qZmZmZmck/AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAADgPwAAAAAAAOA/AAAAAAAA'
+    'AAAAAAAAAADgvw==", "sizes": [2, 3, 2], "version": 3}'
+)
+
+
+def test_checkpoint_golden_document(tmp_path):
+    net = ValueNetwork(2, (3,), np.random.default_rng(0))
+    net.params[:] = VALID_PARAMS
     path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps({"version": 1, "sizes": net.sizes,
-                                "weights": [w.tolist() for w in net.weights],
-                                "biases": [b.tolist() for b in net.biases]}))
+    net.save(path)
+    assert path.read_text() == GOLDEN_CHECKPOINT
     loaded = ValueNetwork.load(path)
-    assert loaded.sizes == net.sizes
+    assert loaded.sizes == [2, 3, 2]
+    assert loaded.params.tobytes() == np.array(VALID_PARAMS).tobytes()
+    assert loaded.weights[0].tolist() == [[0.5, 0.0, -1.0], [1.0, 2.0, 0.25]]
+    assert loaded.biases[1].tolist() == [0.0, -0.5]
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               np.finfo(float).max, -np.finfo(float).max])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_checkpoint_round_trip_keeps_every_bit(tmp_path, data):
+    widths = st.integers(1, 4)
+    sizes = [data.draw(widths), *data.draw(st.lists(widths, max_size=2)), 2]
+    net = ValueNetwork(sizes[0], tuple(sizes[1:-1]), np.random.default_rng(0))
+    net.params[:] = data.draw(st.lists(
+        st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=len(net.params), max_size=len(net.params)))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    net.save(first)
+    loaded = ValueNetwork.load(first)
+    assert loaded.sizes == sizes
     assert loaded.params.tobytes() == net.params.tobytes()
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_versions_1_and_2_are_refused(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    v1 = {"version": 1, "sizes": [2, 3, 2],
+          "weights": [[[0.5, 0.0, -1.0], [1.0, 2.0, 0.25]], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]],
+          "biases": [[0.0, 0.1, 0.2], [0.0, -0.5]]}
+    v2 = {"version": 2, "sizes": [2, 3, 2],
+          "weights": [base64_params(w) for w in v1["weights"]],
+          "biases": [base64_params(b) for b in v1["biases"]]}
+    for doc in (v1, v2):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DecodeError) as info:
+            ValueNetwork.load(path)
+        assert info.value.path == "version"
+        assert str(info.value) == (f"version: unsupported checkpoint version {doc['version']}, "
+                                   "expected 3")
 
 
 def test_checkpoint_version_guard(tmp_path):
     net = ValueNetwork(3, (), np.random.default_rng(0))
     path = tmp_path / "checkpoint.json"
     net.save(path)
-    doc = path.read_text().replace('"version": 2', '"version": 99')
+    doc = path.read_text().replace('"version": 3', '"version": 99')
     path.write_text(doc)
     with pytest.raises(ValueError):
         ValueNetwork.load(path)
 
 
+def base64_params(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def valid_checkpoint_doc():
-    return {"version": 1, "sizes": [2, 3, 2],
-            "weights": [[[0.5, 0.0, -1.0], [1.0, 2.0, 0.25]], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]],
-            "biases": [[0.0, 0.1, 0.2], [0.0, -0.5]]}
+    return {"version": 3, "sizes": [2, 3, 2], "params": base64_params(VALID_PARAMS)}
 
 
 def test_checkpoint_load_accepts_integral_values(tmp_path):
     path = tmp_path / "checkpoint.json"
     doc = valid_checkpoint_doc()
-    doc["biases"][0] = [0, 1, 2]  # JSON ints load as floats
+    doc.update(version=3.0, sizes=[2.0, 3, 2.0])  # an integral float is an int
     path.write_text(json.dumps(doc))
     net = ValueNetwork.load(path)
-    assert net.sizes == [2, 3, 2]
+    assert net.sizes == [2, 3, 2] and all(type(n) is int for n in net.sizes)
     assert [w.shape for w in net.weights] == [(2, 3), (3, 2)]
-    assert net.biases[0].dtype == float and net.biases[0].tolist() == [0.0, 1.0, 2.0]
+    assert net.params.dtype == float and net.params.tolist() == VALID_PARAMS
+
+
+def case(test_id, mutate, path="params"):
+    """A reject case under the id it had when each weight and bias array was
+    its own entry of the file (versions 1 and 2), named by the array it broke."""
+    return pytest.param(mutate, path, id=f"<lambda>-{test_id}")
 
 
 @pytest.mark.parametrize("mutate, path", [
-    (lambda d: d.update(version=3), "version"),
+    (lambda d: d.update(version=4), "version"),
     (lambda d: d.update(version=True), "version"),
-    (lambda d: d.pop("biases"), "biases"),
+    case("biases", lambda d: d.pop("params")),
     (lambda d: d.update(extra=1), "extra"),
     (lambda d: d.update(sizes=[2]), "sizes"),
     (lambda d: d.update(sizes=[2, 0, 2]), "sizes"),
     (lambda d: d.update(sizes=[2, 3.5, 2]), "sizes[1]"),
     (lambda d: d.update(sizes="2,3,2"), "sizes"),
     # one Q-value per action: an output width of 1 or 3 is not a placement network
-    (lambda d: d.update(sizes=[2, 3, 1], weights=[d["weights"][0], [[1.0], [0.0], [0.5]]],
-                        biases=[d["biases"][0], [0.0]]), "sizes"),
-    (lambda d: d.update(sizes=[2, 3, 3], weights=[d["weights"][0], [[1.0, 0.0, 0.0]] * 3],
-                        biases=[d["biases"][0], [0.0, 0.0, 0.0]]), "sizes"),
-    (lambda d: d.update(weights=d["weights"][:1]), "weights"),
-    (lambda d: d["weights"].__setitem__(0, list(zip(*d["weights"][0]))), "weights[0]"),  # transposed
-    (lambda d: d["weights"][1].__setitem__(0, [1.0]), "weights[1]"),  # ragged
-    (lambda d: d["weights"][1].__setitem__(0, [1.0, "2"]), "weights[1]"),
-    (lambda d: d["biases"].__setitem__(1, [0.0, 0.0, 0.0]), "biases[1]"),
-    (lambda d: d["biases"][0].__setitem__(2, float("nan")), "biases[0]"),
-    (lambda d: d["weights"][0][1].__setitem__(0, float("inf")), "weights[0]"),
+    (lambda d: d.update(sizes=[2, 3, 1], params=base64_params([0.0] * 13)), "sizes"),
+    (lambda d: d.update(sizes=[2, 3, 3], params=base64_params([0.0] * 21)), "sizes"),
+    case("weights", lambda d: d.update(params=base64_params(VALID_PARAMS[:9]))),  # one layer
+    case("biases[1]", lambda d: d.update(params=base64_params(VALID_PARAMS + [0.0]))),
+    case("biases[0]", lambda d: d.update(params=base64_params(
+        VALID_PARAMS[:8] + [float("nan")] + VALID_PARAMS[9:]))),
+    case("weights[0]1", lambda d: d.update(params=base64_params(
+        VALID_PARAMS[:3] + [float("inf")] + VALID_PARAMS[4:]))),
     # a layer of 10^12 rows that the file does not hold is refused, not allocated
-    (lambda d: d.update(sizes=[2, 10**12, 2]), "weights[0]"),
+    case("weights[0]2", lambda d: d.update(sizes=[2, 10**12, 2])),
 ])
 def test_checkpoint_load_rejects(tmp_path, mutate, path):
     doc = valid_checkpoint_doc()
@@ -542,49 +600,23 @@ def test_checkpoint_load_rejects(tmp_path, mutate, path):
     assert info.value.path == path
 
 
-def valid_checkpoint_v2_doc():
-    doc = valid_checkpoint_doc()
-    return {"version": 2, "sizes": doc["sizes"],
-            "weights": [base64_array(w) for w in doc["weights"]],
-            "biases": [base64_array(b) for b in doc["biases"]]}
-
-
-def base64_array(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def test_checkpoint_v2_doc_loads(tmp_path):
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(valid_checkpoint_v2_doc()))
-    net = ValueNetwork.load(path)
-    v1 = valid_checkpoint_doc()
-    assert [w.tolist() for w in net.weights] == v1["weights"]
-    assert [b.tolist() for b in net.biases] == v1["biases"]
-
-
 @pytest.mark.parametrize("mutate, path", [
-    (lambda d: d["weights"].__setitem__(0, base64_array([0.5] * 5)), "weights[0]"),  # short
-    (lambda d: d["biases"].__setitem__(1, base64_array([0.0] * 3)), "biases[1]"),  # long
-    (lambda d: d["weights"].__setitem__(1, d["weights"][1] + "A"), "weights[1]"),  # padding
-    (lambda d: d["weights"].__setitem__(0, "not base64!"), "weights[0]"),
-    (lambda d: d["biases"].__setitem__(0, "\u00e9" * 32), "biases[0]"),  # not ASCII
-    (lambda d: d["biases"].__setitem__(0, [0.0, 0.1, 0.2]), "biases[0]"),  # a version-1 list
-    (lambda d: d["weights"].__setitem__(1, 7), "weights[1]"),
-    (lambda d: d["biases"].__setitem__(1, base64_array([0.0, float("nan")])), "biases[1]"),
-    (lambda d: d["weights"].__setitem__(0, base64_array([0.0] * 5 + [float("-inf")])),
-     "weights[0]"),
-    (lambda d: d.update(biases=d["biases"][:1]), "biases"),
-    (lambda d: d.update(sizes=[2, 10**12, 2]), "weights[0]"),
-    (lambda d: d.update(sizes=[2**40, 2**40, 2]), "weights[0]"),  # 2^80 entries
+    case("weights[0]0", lambda d: d.update(params=base64_params(VALID_PARAMS[:-1]))),  # short
+    case("biases[1]0", lambda d: d.update(params=base64_params(VALID_PARAMS + [0.0] * 3))),
+    case("weights[1]0", lambda d: d.update(params=d["params"] + "A")),  # padding
+    case("weights[0]1", lambda d: d.update(params="not base64!")),
+    case("biases[0]0", lambda d: d.update(params="\u00e9" * 32)),  # not ASCII
+    case("biases[0]1", lambda d: d.update(params=VALID_PARAMS)),  # a list, not a string
+    case("weights[1]1", lambda d: d.update(params=7)),
+    case("biases[1]1", lambda d: d.update(params=base64_params(VALID_PARAMS[:-1] + [np.nan]))),
+    case("weights[0]2", lambda d: d.update(params=base64_params([float("-inf")] + [0.0] * 16))),
+    case("biases", lambda d: d.update(params=base64_params(VALID_PARAMS[:15]))),  # no biases[1]
+    case("weights[0]3", lambda d: d.update(sizes=[2, 10**12, 2])),
+    case("weights[0]4", lambda d: d.update(sizes=[2**40, 2**40, 2])),  # 2^80 entries
 ])
 def test_checkpoint_v2_load_rejects(tmp_path, mutate, path):
-    doc = valid_checkpoint_v2_doc()
-    mutate(doc)
-    file = tmp_path / "checkpoint.json"
-    file.write_text(json.dumps(doc))
-    with pytest.raises(DecodeError) as info:
-        ValueNetwork.load(file)
-    assert info.value.path == path
+    """The cases of the base64 encoding, which version 2 used per array."""
+    test_checkpoint_load_rejects(tmp_path, mutate, path)
 
 
 def test_agent_config_validation():

@@ -1,7 +1,9 @@
+import base64
 import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -591,21 +593,26 @@ def test_config_sections_may_be_partial(tmp_path):
     assert load_config(path) == ExperimentConfig()
 
 
+def base64_floats(values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 @pytest.mark.parametrize("doc, path", [
-    ({"version": 3, "sizes": [1101, 2], "weights": [], "biases": []}, "version"),
-    ({"version": 1}, "sizes"),
+    ({"version": 2, "sizes": [1101, 2], "weights": [base64_floats([0.0] * 2202)],
+      "biases": [base64_floats([0.0, 0.0])]}, "version"),
+    ({"version": 3}, "sizes"),
     ([1], "(root)"),
-    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1100 + [[0.0]]],
-      "biases": [[0.0, 0.0]]}, "weights[0]"),  # ragged weight matrix
-    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1100],
-      "biases": [[0.0, 0.0]]}, "weights[0]"),  # one row short
-    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, NAN]] * 1101],
-      "biases": [[0.0, 0.0]]}, "weights[0]"),
-    # consistent arrays, but not one Q-value per action
-    ({"version": 1, "sizes": [1101, 1], "weights": [[[0.0]] * 1101],
-      "biases": [[0.0]]}, "sizes"),
-    ({"version": 1, "sizes": [1101, 3], "weights": [[[0.0, 0.0, 0.0]] * 1101],
-      "biases": [[0.0, 0.0, 0.0]]}, "sizes"),
+    ({"version": 1, "sizes": [1101, 2], "weights": [[[0.0, 0.0]] * 1101],
+      "biases": [[0.0, 0.0]]}, "version"),
+    # named as when version 1 refused these cases at weights[0]
+    pytest.param({"version": 3, "sizes": [1101, 2], "params": base64_floats([0.0] * 2202)},
+                 "params", id="doc4-weights[0]"),  # one row short
+    pytest.param({"version": 3, "sizes": [1101, 2],
+                  "params": base64_floats([0.0, NAN] * 1101 + [0.0, 0.0])},
+                 "params", id="doc5-weights[0]"),
+    # consistent params, but not one Q-value per action
+    ({"version": 3, "sizes": [1101, 1], "params": base64_floats([0.0] * 1102)}, "sizes"),
+    ({"version": 3, "sizes": [1101, 3], "params": base64_floats([0.0] * 3306)}, "sizes"),
 ])
 def test_cli_compare_rejects_malformed_checkpoint(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -683,7 +690,7 @@ def test_output_digests_tool_prints_one_line_per_output():
     assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
         "saved_config.json", "bucket.json", "sweep.json", "run/checkpoint.json",
         "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
-        "oracle stdout", "cost_model_walkthrough.py stdout",
-        "wrap/checkpoint.json", "wrap/training_log.csv",
+        "run/checkpoint params", "oracle stdout", "cost_model_walkthrough.py stdout",
+        "wrap/checkpoint.json", "wrap/training_log.csv", "wrap/checkpoint params",
         "mixed/results_detail.csv", "mixed/results_mean.csv",
     ]

@@ -15,8 +15,10 @@ temporary directory that is removed afterwards:
 
 and then runs ``demos/cost_model_walkthrough.py`` of the checkout whose
 ``src/`` holds the imported package. One line ``<sha256>  <name>`` is printed
-per output file and for the oracle's and the demo's stdout. Two source trees
-whose lines match wrote byte-identical outputs.
+per output file, for the oracle's and the demo's stdout, and for each
+checkpoint's ``<dir>/checkpoint params``: the bytes of the ``params`` vector
+that ``ValueNetwork.load`` reads from it, which stay equal when only the file
+format changes. Two source trees whose lines match wrote byte-identical outputs.
 
 Run: PYTHONPATH=<checkout>/src python tools/output_digests.py
 """
@@ -32,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 import fogplace.cli
+from fogplace.agent import ValueNetwork
 from fogplace.experiment import load_config, save_config
 
 CONFIG = {
@@ -73,6 +76,11 @@ def run(*argv: str) -> str:
     return out.getvalue()
 
 
+def loaded_params(run_dir: Path) -> bytes:
+    """The parameters of the network that ``run_dir``'s checkpoint loads to."""
+    return ValueNetwork.load(run_dir / "checkpoint.json").params.tobytes()
+
+
 def digests(work: Path) -> list[tuple[str, str]]:
     """(sha256, name) of every output of the job, run inside ``work``."""
     config = work / "config.json"
@@ -84,6 +92,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
     run("compare", "--config", str(config), "--checkpoint", str(work / "run" / "checkpoint.json"),
         "--out", str(work / "results"))
     outputs = [(name, (work / name).read_bytes()) for name in OUTPUT_FILES]
+    outputs.append(("run/checkpoint params", loaded_params(work / "run")))
     outputs.append(("oracle stdout", run("oracle", str(work / "bucket.json")).encode()))
     demo = Path(fogplace.__file__).resolve().parents[2] / "demos" / DEMO
     out = io.StringIO()
@@ -95,6 +104,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
     run("train", "--config", str(wrap_config), "--out", str(work / "wrap"))
     outputs += [(name, (work / name).read_bytes())
                 for name in ("wrap/checkpoint.json", "wrap/training_log.csv")]
+    outputs.append(("wrap/checkpoint params", loaded_params(work / "wrap")))
     mixed_config = work / "mixed_config.json"
     mixed_config.write_text(json.dumps(MIXED_CONFIG))
     run("compare", "--config", str(mixed_config), "--checkpoint",
