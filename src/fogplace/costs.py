@@ -6,9 +6,10 @@ user latency of the bucket. This keeps each cost term dimensionless and
 commensurate with the unit-interval user priority; it preserves all argmin
 decisions relative to any fixed positive latency scaling.
 
-``CostContext.from_bucket`` is the one place that turns a bucket into
-per-function arrays, in the bucket's flattened insertion order. It runs once
-per bucket: ``SSRBucket.costs`` builds the context on first use and keeps it.
+``CostContext.from_bucket`` turns a bucket's function table
+(``SSRBucket.table``) into per-function cost vectors, in the bucket's flattened
+insertion order. It runs once per bucket: ``SSRBucket.costs`` builds the
+context on first use and keeps it.
 It validates the bucket first, so environment steps, baselines, the oracle and
 placement reports, which all read those arrays, reject an invalid bucket with
 the same ``ValueError``. The bucket's stored priorities are used as given;
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidBucket, Placement, SSRBucket, validate_bucket
+from .model import InvalidBucket, Placement, SSRBucket, fits, validate_bucket
 
 
 def _running_total(values: np.ndarray) -> np.ndarray:
@@ -53,7 +54,6 @@ def _running_total(values: np.ndarray) -> np.ndarray:
 class CostContext:
     """Per-function arrays of one bucket, in its flattened insertion order."""
 
-    demand: np.ndarray  # n x 4 demand, RESOURCE_KINDS order
     fog_ok: np.ndarray  # bool: the function fits the fog limits (every one fits the cloud)
     priority: np.ndarray  # p_i: the SSR's user priority
     ssr_slots: np.ndarray  # n_ssrs x longest SSR: function indices, n where an SSR is shorter
@@ -62,10 +62,6 @@ class CostContext:
     cloud_step: np.ndarray  # step cost of placing each function in the cloud
     fog_comp: np.ndarray  # weighted computation latency on the fog (objective term)
     cloud_comp: np.ndarray  # weighted computation latency in the cloud (objective term)
-    code_size: np.ndarray
-    input_size: np.ndarray
-    critical: np.ndarray  # int critical values
-    fn_priority: np.ndarray
 
     @classmethod
     def from_bucket(cls, bucket: SSRBucket) -> "CostContext":
@@ -73,26 +69,19 @@ class CostContext:
         violations = validate_bucket(bucket)
         if violations:
             raise InvalidBucket(violations)
-        latency, user_priority, counts, rows = [], [], [], []
-        for ssr in bucket.ssrs:
-            latency.append(ssr.user_latency)
-            user_priority.append(ssr.user_priority)
-            counts.append(len(ssr.functions))
-            rows += [(*fn.demand.as_tuple(), fn.code_size, fn.input_size, fn.critical_value,
-                      fn.priority) for fn in ssr.functions]
-        # one row per column: the four demand kinds, code size, input size, critical
-        # value, function priority
-        columns = np.array(rows, dtype=float).T.copy()
+        table = bucket.table
+        demand, (code_size, input_size, _, fn_priority) = table[:, :4], table[:, 4:].T
+        latency, user_priority = np.array([(ssr.user_latency, ssr.user_priority)
+                                           for ssr in bucket.ssrs]).T
+        counts = [len(ssr.functions) for ssr in bucket.ssrs]
         starts = np.cumsum([0, *counts[:-1]])
         offsets = np.arange(max(counts))
         ssr_slots = np.where(offsets < np.array(counts)[:, None], starts[:, None] + offsets,
-                             columns.shape[1])
+                             len(table))
 
-        demand = columns[:4].T
-        code_size, input_size, critical, fn_priority = columns[4:]
-        max_latency = max(latency)
-        latency_v = np.repeat(np.array(latency) / max_latency, counts)
-        priority_v = np.repeat(np.array(user_priority, dtype=float), counts)
+        max_latency = latency.max()
+        latency_v = np.repeat(latency / max_latency, counts)
+        priority_v = np.repeat(user_priority, counts)
         weight_v = fn_priority / np.repeat(np.maximum.reduceat(fn_priority, starts), counts)
         factors = np.array(bucket.importance_factors.as_tuple())
         lf = bucket.link_latency / max_latency
@@ -101,14 +90,11 @@ class CostContext:
             ratio = demand / np.array(limits.per_function_cap.as_tuple()) * factors
             return ratio[:, 0] + ratio[:, 1] + ratio[:, 2], ratio[:, 3]
 
-        fog = bucket.fog
-        fog_ok = ((code_size <= fog.code_size_limit) & (input_size <= fog.input_size_limit)
-                  & (demand <= np.array(fog.per_function_cap.as_tuple())).all(axis=1))
-        fog_base, fog_io = ratios(fog)
+        fog_ok = fits(bucket.fog, code_size, input_size, demand)
+        fog_base, fog_io = ratios(bucket.fog)
         cloud_base, cloud_io = ratios(bucket.cloud)
         fog_comp = fog_base + fog_io * latency_v
         return cls(
-            demand=demand,
             fog_ok=fog_ok,
             priority=priority_v,
             ssr_slots=ssr_slots,
@@ -117,10 +103,6 @@ class CostContext:
             cloud_step=cloud_base + cloud_io * (latency_v + lf) + priority_v + lf,
             fog_comp=fog_comp * weight_v,
             cloud_comp=(cloud_base + cloud_io * lf) * weight_v,
-            code_size=code_size,
-            input_size=input_size,
-            critical=critical.astype(int),
-            fn_priority=fn_priority,
         )
 
     def on_fog(self, placement: Placement) -> np.ndarray:

@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .model import Placement, SSRBucket, StateError
+from .model import TABLE_COLUMNS, Placement, SSRBucket, StateError
 
 # Entries per function slot in the encoded state vector.
 SLOT_WIDTH = 11
@@ -54,24 +54,21 @@ class PlacementEnv:
     def __init__(self, bucket: SSRBucket, max_functions: int | None = None):
         """``ValueError`` on an invalid bucket (``bucket.costs`` validates it)."""
         self.bucket = bucket
-        ctx = bucket.costs
-
-        flat = bucket.functions()  # insertion order: (ssr index, fn)
-        n = len(flat)
-        user_priority = ctx.priority.tolist()
-        fn_priority = ctx.fn_priority.tolist()
-
-        def sort_key(flat_idx: int):  # ties keep insertion order: sorted is stable
-            return (-user_priority[flat_idx], flat[flat_idx][0], -fn_priority[flat_idx])
-        self.order = sorted(range(n), key=sort_key)
+        ctx, table = bucket.costs, bucket.table
+        n = len(table)
+        ssr_index = np.repeat(np.arange(len(bucket.ssrs)),
+                              [len(ssr.functions) for ssr in bucket.ssrs])
+        fn_priority = table[:, TABLE_COLUMNS.index("priority")]
+        # the last key sorts first; ties keep insertion order, as lexsort is stable
+        visit = np.lexsort((-fn_priority, ssr_index, -ctx.priority))
+        self.order = visit.tolist()
 
         self.n_functions = n
-        self.max_functions = max_functions or n
+        self.max_functions = n if max_functions is None else max_functions
         if self.max_functions < n:
             raise ValueError(
                 f"bucket has {n} functions but the encoder allows {self.max_functions}"
             )
-        visit = np.array(self.order, dtype=np.intp)
         self._costs = (ctx.fog_step[visit].tolist(), ctx.cloud_step[visit].tolist())
         # the cloud takes every function of a valid bucket, so only the fog flag varies
         self._masks = [(fog_ok, True) for fog_ok in ctx.fog_ok[visit].tolist()]
@@ -127,12 +124,14 @@ class PlacementEnv:
 
     def _static_encoding(self, visit: np.ndarray) -> np.ndarray:
         ctx, cloud = self.bucket.costs, self.bucket.cloud
+        rows = self.bucket.table[visit]
+        demand, (code_size, input_size, critical, _) = rows[:, :4], rows[:, 4:].T
         slots = np.zeros((self.max_functions, SLOT_WIDTH))
         used = slots[: self.n_functions]
-        used[:, 2] = ctx.code_size[visit] / cloud.code_size_limit
-        used[:, 3] = ctx.input_size[visit] / cloud.input_size_limit
-        used[:, 4] = ctx.critical[visit] / 5
-        used[:, 5:9] = ctx.demand[visit] / np.array(cloud.per_function_cap.as_tuple())
+        used[:, 2] = code_size / cloud.code_size_limit
+        used[:, 3] = input_size / cloud.input_size_limit
+        used[:, 4] = critical / 5
+        used[:, 5:9] = demand / np.array(cloud.per_function_cap.as_tuple())
         used[:, 9] = ctx.priority[visit]
         used[:, 10] = ctx.fog_ok[visit]
         return np.append(slots.ravel(), 0.0)

@@ -42,7 +42,7 @@ def report(bucket: SSRBucket, placements: Sequence[Placement]) -> list[dict]:
 
     # one row per quantity: the four demand kinds, then code size, input size,
     # critical value, priority
-    table = np.vstack([ctx.demand.T, ctx.code_size, ctx.input_size, ctx.critical, ctx.fn_priority])
+    table = bucket.table.T
     totals = _running_total(table[:4])
     sums = _running_total(np.where(sides[:, :, None, :], table, 0.0))  # placement x side x quantity
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -50,7 +50,7 @@ def report(bucket: SSRBucket, placements: Sequence[Placement]) -> list[dict]:
         means = (sums[:, :, 4:] / counts[:, :, None]).transpose(0, 2, 1).reshape(-1, 8)
     cloud_pct = np.where(totals != 0, 100.0 - fog_pct, 0.0)
     # the functions of each critical value per placement and side, in one bincount
-    bins = np.arange(2 * len(on_fog)).reshape(-1, 2, 1) * 6 + ctx.critical
+    bins = np.arange(2 * len(on_fog)).reshape(-1, 2, 1) * 6 + table[6].astype(int)
     critical = np.bincount(bins[sides], minlength=12 * len(on_fog)).reshape(-1, 2, 6)[:, :, 1:]
 
     rows = []

@@ -7,8 +7,9 @@ priority, as required data: the generator gives each priority the value that
 bucket file's priorities are used as given, never recomputed: user
 positions, the coverage radius, the blend and delta are not stored in a
 bucket, and a function's place is its position in its SSR. The bucket holds
-the one fog-cloud link latency. ``validate_bucket`` checks the ranges of all
-of these.
+the one fog-cloud link latency. ``SSRBucket.table`` is the one walk over a
+bucket's functions, and ``fits`` the one fit test, on one function or on whole
+table columns. ``validate_bucket`` checks the ranges of all of these.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .codec import decode, encode
 
 if TYPE_CHECKING:
@@ -27,6 +30,8 @@ if TYPE_CHECKING:
 
 # The ``ResourceVector`` field names, in the fixed order of every per-kind loop.
 RESOURCE_KINDS = ("cpu", "ram", "storage", "net_io")
+# The columns of ``SSRBucket.table``: the demand kinds, then each function's own fields.
+TABLE_COLUMNS = (*RESOURCE_KINDS, "code_size", "input_size", "critical_value", "priority")
 
 
 class StateError(RuntimeError):
@@ -115,6 +120,15 @@ class SSRBucket:
         return sum(len(s.functions) for s in self.ssrs)
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """One row per function in flattened order, built on first use and kept."""
+        rows = [(*fn.demand.as_tuple(), fn.code_size, fn.input_size, fn.critical_value,
+                 fn.priority) for ssr in self.ssrs for fn in ssr.functions]
+        table = np.array(rows, dtype=float).reshape(-1, len(TABLE_COLUMNS))
+        table.flags.writeable = False  # shared by every reader of the bucket
+        return table
+
+    @cached_property
     def costs(self) -> CostContext:
         """The bucket's cost arrays, built on first use and kept with the bucket."""
         from .costs import CostContext  # costs imports this module
@@ -135,21 +149,19 @@ def load_bucket(path: str | Path) -> SSRBucket:
 Placement = tuple[bool, ...]
 
 
-def fits_platform(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
-    """Per-function platform constraints: code size, input size, demand."""
-    demand, cap = fn.demand, limits.per_function_cap
-    return (
-        fn.code_size <= limits.code_size_limit
-        and fn.input_size <= limits.input_size_limit
-        and demand.cpu <= cap.cpu
-        and demand.ram <= cap.ram
-        and demand.storage <= cap.storage
-        and demand.net_io <= cap.net_io
-    )
+def fits(limits: EnvironmentLimits, code_size, input_size, demand):
+    """Whether functions fit a platform's per-function limits: code size, input size and
+    demand. It broadcasts over one function's values or whole columns, demand kinds last."""
+    return ((code_size <= limits.code_size_limit) & (input_size <= limits.input_size_limit)
+            & (np.asarray(demand) <= limits.per_function_cap.as_tuple()).all(axis=-1))
 
 
-# the fog and the cloud impose the same kinds of per-function limits
-fog_feasible = cloud_feasible = fits_platform
+def fog_feasible(fn: ServerlessFunction, limits: EnvironmentLimits) -> bool:
+    """``fits`` for one function object."""
+    return bool(fits(limits, fn.code_size, fn.input_size, fn.demand.as_tuple()))
+
+
+cloud_feasible = fog_feasible  # the fog and the cloud impose the same kinds of limits
 
 
 def settings_violations(settings: SSRBucket) -> list[str]:
@@ -190,31 +202,36 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
     Violations are data, not failures: arbitrary input is accepted.
     """
     violations: list[str] = []
-
-    if bucket.n_functions == 0:
+    table = bucket.table
+    if len(table) == 0:
         violations.append("bucket has no functions")
     violations += settings_violations(bucket)
 
+    demand, (code_size, input_size, _, priority) = table[:, :4], table[:, 4:].T
+    # from_bucket divides by each SSR's top priority
+    bad_priority = ~((priority > 0) & (priority < math.inf))
+    misfit = ~fits(bucket.cloud, code_size, input_size, demand)
+    flagged = np.flatnonzero(bad_priority | misfit)[::-1].tolist()  # popped in flattened order
+    stop = 0
     for i, ssr in enumerate(bucket.ssrs):
+        start, stop = stop, stop + len(ssr.functions)
         if len(ssr.functions) == 0:
             violations.append(f"empty SSR at index {i}")
         if not 0 < ssr.user_latency < math.inf:
             violations.append(f"SSR {i} user latency {ssr.user_latency} must be finite and > 0")
         if not 0 <= ssr.user_priority <= 1:
             violations.append(f"SSR {i} user priority {ssr.user_priority} outside [0, 1]")
-        for j, fn in enumerate(ssr.functions):
-            # from_bucket divides by the SSR's top priority
-            if not 0 < fn.priority < math.inf:
-                violations.append(
-                    f"function ({i}, {j}) priority {fn.priority} must be finite and > 0"
-                )
-            if not cloud_feasible(fn, bucket.cloud):
-                violations.append(f"function ({i}, {j}) does not fit the cloud limits")
+        while flagged and flagged[-1] < stop:
+            k = flagged.pop()
+            if bad_priority[k]:
+                violations.append(f"function ({i}, {k - start}) priority "
+                                  f"{ssr.functions[k - start].priority} must be finite and > 0")
+            if misfit[k]:
+                violations.append(f"function ({i}, {k - start}) does not fit the cloud limits")
 
     top = max((ssr.user_latency for ssr in bucket.ssrs), default=0.0)
-    if top > 0 and link_overflows(bucket.link_latency, top, bucket.n_functions):
+    if top > 0 and link_overflows(bucket.link_latency, top, len(table)):
         violations.append(f"link latency {bucket.link_latency} over the largest user "
                           f"latency {top} overflows the costs")
 
     return violations
-

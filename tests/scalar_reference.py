@@ -8,6 +8,10 @@ the ground truth for the package's O(n) ``exact_optimum``. ``generate_bucket``
 and ``generate_sweep`` draw every value with its own scalar generator call and
 score the bucket in a second pass: the ground truth for the seed contract of
 ``fogplace.workload``, which must build the same buckets from the same draws.
+``fits_platform`` tests one function against one platform's limits, clause by
+clause: the ground truth for the package's broadcasting ``fits``, and
+``function_table`` walks a bucket's functions one by one: the ground truth
+for ``SSRBucket.table``.
 """
 import itertools
 from dataclasses import dataclass, replace
@@ -23,12 +27,38 @@ from fogplace.model import (
     SSRBucket,
     ServerlessFunction,
     StateError,
-    cloud_feasible,
-    fog_feasible,
 )
 from fogplace.scoring import distance_priority, latency_priority, user_distance, user_priority
 
 _COMPUTE_KINDS = ("cpu", "ram", "storage")
+
+
+def fits_platform(fn, limits):
+    """Per-function platform constraints: code size, input size, demand."""
+    demand, cap = fn.demand, limits.per_function_cap
+    return (
+        fn.code_size <= limits.code_size_limit
+        and fn.input_size <= limits.input_size_limit
+        and demand.cpu <= cap.cpu
+        and demand.ram <= cap.ram
+        and demand.storage <= cap.storage
+        and demand.net_io <= cap.net_io
+    )
+
+
+# the fog and the cloud impose the same kinds of per-function limits
+fog_feasible = cloud_feasible = fits_platform
+
+
+def function_table(bucket):
+    """One row per function in flattened order: the demand kinds, then code size,
+    input size, critical value and priority."""
+    rows = []
+    for ssr in bucket.ssrs:
+        for fn in ssr.functions:
+            rows.append([getattr(fn.demand, kind) for kind in RESOURCE_KINDS]
+                        + [fn.code_size, fn.input_size, fn.critical_value, fn.priority])
+    return rows
 
 
 def per_function_cap(f_flag, c_flag, fog, cloud):

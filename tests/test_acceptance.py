@@ -20,10 +20,11 @@ from fogplace.experiment import (
     write_detail_csv,
     write_mean_csv,
 )
-from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import make_bucket, make_fn, make_limits, make_ssr, one_ssr_context
+from scalar_reference import cloud_feasible, fog_feasible
 
 
 def verdict(number: int, description: str, ok: bool) -> None:

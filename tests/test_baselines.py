@@ -13,14 +13,14 @@ from fogplace.baselines import (
     greedy_cost,
     random_feasible,
 )
-from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import (
     PROPERTY, bucket_objective, generated_buckets, make_bucket, make_fn, make_limits, make_ssr,
     seeds,
 )
-from scalar_reference import brute_force_optimum
+from scalar_reference import brute_force_optimum, cloud_feasible, fog_feasible
 
 
 SMALL_CFG = GeneratorConfig(

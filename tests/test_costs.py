@@ -7,7 +7,7 @@ from hypothesis import given
 import scalar_reference as ref
 from fogplace import baselines, costs, metrics
 from fogplace.env import Action, PlacementEnv
-from fogplace.model import ResourceVector, cloud_feasible, fog_feasible
+from fogplace.model import ResourceVector
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import (
@@ -82,12 +82,12 @@ def test_every_consumer_rejects_an_invalid_bucket(bucket, consumer):
 
 
 def test_total_demand():
-    ctx = kernel_for([
+    bucket = make_bucket([make_ssr([
         make_fn(demand=ResourceVector(1, 100, 10, 10)),
         make_fn(demand=ResourceVector(2, 150, 30, 40)),
         make_fn(),
-    ], cloud=make_limits())
-    assert ctx.demand[:3].tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
+    ])])
+    assert bucket.table[:, :4].tolist() == [[1, 100, 10, 10], [2, 150, 30, 40], [0, 0, 0, 0]]
 
 
 def test_ssr_demand_sums():
@@ -100,7 +100,7 @@ def test_ssr_demand_sums():
         )),
     ])
     ctx = bucket.costs
-    per_ssr = ctx.ssr_sums(ctx.demand.T)  # one row per resource kind
+    per_ssr = ctx.ssr_sums(bucket.table[:, :4].T)  # one row per resource kind
     assert per_ssr.T.tolist() == [[1, 100, 10, 10], [3, 300, 30, 30]]
 
 
@@ -272,7 +272,7 @@ def test_episode_additivity_recomputation():
     bucket = generate_bucket(GeneratorConfig(seed=15, n_ssrs=(3, 3), functions_per_ssr=(2, 4)))
     ctx = bucket.costs
     rng = np.random.default_rng(5)
-    placement = tuple(fog_feasible(fn, bucket.fog) and rng.uniform() < 0.5
+    placement = tuple(ref.fog_feasible(fn, bucket.fog) and rng.uniform() < 0.5
                       for _, fn in bucket.functions())
     total = costs.placement_step_cost_sum(bucket, placement)
     # recompute per function, independent of the per-SSR sums
@@ -319,8 +319,8 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
                     fn, bucket.cloud, bucket.importance_factors, l_i, lf, p_i)
                 assert ctx.fog_comp[k] == ref.comp_latency_fn(fn, 1, 0, *args) * w
                 assert ctx.cloud_comp[k] == ref.comp_latency_fn(fn, 0, 1, *args) * w
-                assert ctx.fog_ok[k] == fog_feasible(fn, bucket.fog)
-                assert cloud_feasible(fn, bucket.cloud)  # the cloud takes every function
+                assert ctx.fog_ok[k] == ref.fog_feasible(fn, bucket.fog)
+                assert ref.cloud_feasible(fn, bucket.cloud)  # the cloud takes every function
                 if ctx.fog_ok[k]:
                     free += 1
                 else:
@@ -369,7 +369,7 @@ def test_cloud_net_io_weights_differ_by_user_latency(bucket):
     l = np.array([ssr.user_latency / top_latency for ssr in bucket.ssrs for _ in ssr.functions])
     w = np.array([fn.priority / max(f.priority for f in ssr.functions)
                   for ssr in bucket.ssrs for fn in ssr.functions])
-    r_io = (ctx.demand[:, 3] / bucket.cloud.per_function_cap.net_io
+    r_io = (bucket.table[:, 3] / bucket.cloud.per_function_cap.net_io
             * bucket.importance_factors.net_io)
     gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / w
     assert np.abs(gap - r_io * l).max() <= 1e-12

@@ -7,13 +7,7 @@ from hypothesis import given
 
 from fogplace import costs, model
 from fogplace.env import Action, PlacementEnv, SLOT_WIDTH
-from fogplace.model import (
-    ResourceVector,
-    StateError,
-    cloud_feasible,
-    fog_feasible,
-    validate_bucket,
-)
+from fogplace.model import RESOURCE_KINDS, ResourceVector, StateError, validate_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import (
@@ -22,9 +16,11 @@ from conftest import (
     generated_buckets,
     make_bucket,
     make_fn,
+    make_limits,
     make_ssr,
     seeds,
 )
+from scalar_reference import cloud_feasible, fog_feasible
 
 
 def small_bucket(seed=1):
@@ -70,15 +66,28 @@ def test_reset_respects_max_functions():
     assert len(env.reset().encoded) == 20 * SLOT_WIDTH + 1
     with pytest.raises(ValueError):
         PlacementEnv(small_bucket(), max_functions=2)
+    with pytest.raises(ValueError, match="the encoder allows 0"):
+        PlacementEnv(small_bucket(), max_functions=0)
 
 
-def test_mask_fog_cpu_cap():
-    fn = make_fn(demand=ResourceVector(3, 100, 10, 10))
-    bucket = make_bucket(
-        ssrs=[make_ssr((dataclasses.replace(fn, priority=5.0),))],
-    )
-    env = PlacementEnv(bucket)
-    assert env.reset().mask == (False, True)
+# Six distinct fog limits, each within the default cloud's: a limit read from the
+# wrong column or along the wrong axis moves the threshold of some case below.
+FOG_LIMITS = {"cpu": 2.0, "ram": 1000.0, "storage": 3000.0, "net_io": 2000.0,
+              "code": 300.0, "input_size": 1500.0}
+
+
+@pytest.mark.parametrize("over", [0.0, 0.5], ids=["at", "over"])
+@pytest.mark.parametrize("limit", list(FOG_LIMITS))
+def test_mask_fog_limit(limit, over):
+    # every other value sits well inside the fog's limits
+    value = FOG_LIMITS[limit] + over
+    demand = ResourceVector(1, 100, 10, 10)
+    if limit in RESOURCE_KINDS:
+        fn = make_fn(demand=dataclasses.replace(demand, **{limit: value}))
+    else:
+        fn = make_fn(demand=demand, **{limit: value})
+    bucket = make_bucket(ssrs=[make_ssr((fn,))], fog=make_limits(**FOG_LIMITS))
+    assert PlacementEnv(bucket).reset().mask == (over == 0, True)
 
 
 def test_mask_fog_input_limit():

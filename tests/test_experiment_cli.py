@@ -26,7 +26,7 @@ from fogplace.experiment import (
     training_env_factory,
 )
 from fogplace.env import PlacementEnv
-from fogplace.model import ResourceVector, load_bucket, save_bucket
+from fogplace.model import RESOURCE_KINDS, ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
 from conftest import make_bucket, make_fn, make_ssr
@@ -325,12 +325,14 @@ def test_cli_empty_bucket_is_invalid(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
-def test_cli_overflowing_demand_does_not_fit(tmp_path, capsys, command):
+@pytest.mark.parametrize("field", ["code_size", "input_size", *RESOURCE_KINDS])
+def test_cli_overflowing_demand_does_not_fit(tmp_path, capsys, command, field):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     fn = doc["ssrs"][1]["functions"][0]
-    fn["demand"]["cpu"] = 1e308  # far beyond the cloud cap of 6
+    # far beyond every cloud limit
+    (fn["demand"] if field in RESOURCE_KINDS else fn)[field] = 1e308
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == 1
@@ -690,7 +692,8 @@ def test_output_digests_tool_prints_one_line_per_output():
     assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
         "saved_config.json", "bucket.json", "sweep.json", "run/checkpoint.json",
         "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
-        "run/checkpoint params", "oracle stdout", "cost_model_walkthrough.py stdout",
+        "run/checkpoint params", "oracle stdout", "validate stdout",
+        "cost_model_walkthrough.py stdout",
         "wrap/checkpoint.json", "wrap/training_log.csv", "wrap/checkpoint params",
         "mixed/results_detail.csv", "mixed/results_mean.csv",
     ]

@@ -3,16 +3,20 @@ import math
 
 import pytest
 
-from fogplace import costs
+import scalar_reference as ref
+from fogplace import costs, metrics
 from fogplace.codec import encode
+from fogplace.env import PlacementEnv
 from fogplace.model import (
     ResourceVector,
     RESOURCE_KINDS,
+    cloud_feasible,
+    fog_feasible,
     load_bucket,
     save_bucket,
     validate_bucket,
 )
-from fogplace.workload import GeneratorConfig, generate_bucket
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import bucket_objective, make_bucket, make_fn, make_limits, make_ssr
 
@@ -109,6 +113,39 @@ def test_bucket_costs_is_built_once_per_bucket():
     assert copy.costs.fog_step.tolist() == ctx.fog_step.tolist()
     slower = dataclasses.replace(bucket, link_latency=2 * bucket.link_latency)
     assert slower.costs.norm_link == 2 * ctx.norm_link
+
+
+def test_bucket_table_is_built_once_per_bucket():
+    bucket = generate_bucket(GeneratorConfig(seed=4))
+    table = bucket.table
+    validate_bucket(bucket)
+    PlacementEnv(bucket)
+    metrics.report(bucket, [(False,) * bucket.n_functions])
+    assert bucket.table is table
+    assert not table.flags.writeable
+    assert table.tolist() == ref.function_table(bucket)
+    copy = dataclasses.replace(bucket)
+    assert copy == bucket and copy.table is not table
+    assert copy.table.tolist() == table.tolist()
+
+
+# about half of these functions fit the fog: a cpu demand in [1, 3] against its 2 cores
+HALF_FIT = GeneratorConfig(cpu_demand=(1.0, 3.0), ram_demand=(100.0, 1024.0),
+                           storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                           code_size=(10.0, 300.0), input_size=(100.0, 1500.0))
+
+
+def test_scalar_fit_tests_agree_with_the_reference():
+    outcomes = set()
+    for cfg in (GeneratorConfig(), HALF_FIT):
+        for seed in range(5):
+            bucket = generate_sweep(cfg, 60, seed=seed)
+            for _, fn in bucket.functions():
+                for limits in (bucket.fog, bucket.cloud):
+                    expected = ref.fits_platform(fn, limits)
+                    assert fog_feasible(fn, limits) is cloud_feasible(fn, limits) is expected
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_validate_reports_non_finite_latency():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as reference
 from fogplace.codec import decode, encode
-from fogplace.model import fog_feasible, validate_bucket
+from fogplace.model import validate_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import PROPERTY, seeds
@@ -85,7 +85,7 @@ def test_fog_infeasible_functions_exist_on_average():
         bucket = generate_sweep(cfg, 100, seed=seed)
         buckets += 1
         infeasible += sum(
-            1 for _, fn in bucket.functions() if not fog_feasible(fn, bucket.fog)
+            1 for _, fn in bucket.functions() if not reference.fog_feasible(fn, bucket.fog)
         )
     assert infeasible / buckets >= 1.0
 

@@ -12,10 +12,12 @@ temporary directory that is removed afterwards:
              again on buckets where about half the functions fit the fog, so
              the greedy rollouts alternate forced runs and free decisions
   oracle     on the generated default bucket
+  validate   on a copy of that bucket edited to break rules in two SSRs, so
+             the order and wording of its VIOLATION lines are pinned
 
 and then runs ``demos/cost_model_walkthrough.py`` of the checkout whose
 ``src/`` holds the imported package. One line ``<sha256>  <name>`` is printed
-per output file, for the oracle's and the demo's stdout, and for each
+per output file, for the oracle's, the demo's and validate's stdout, and for each
 checkpoint's ``<dir>/checkpoint params``: the bytes of the ``params`` vector
 that ``ValueNetwork.load`` reads from it, which stay equal when only the file
 format changes. Two source trees whose lines match wrote byte-identical outputs.
@@ -66,14 +68,29 @@ OUTPUT_FILES = (
 DEMO = "cost_model_walkthrough.py"
 
 
-def run(*argv: str) -> str:
-    """``fogplace <argv>``; returns its stdout and stops on a non-zero exit code."""
+def run(*argv: str, expected_code: int = 0) -> str:
+    """``fogplace <argv>``; returns its stdout and stops on any other exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = fogplace.cli.main(list(argv))
-    if code != 0:
+    if code != expected_code:
         raise SystemExit(f"fogplace {' '.join(argv)} exited {code}")
     return out.getvalue()
+
+
+def broken_bucket(bucket_path: Path, out: Path) -> None:
+    """Write a copy of the bucket that breaks these rules, in its first two SSRs: the
+    importance factors' sum, a user latency, a cloud fit, a user priority, and a
+    function priority next to a cloud fit of the same function."""
+    doc = json.loads(bucket_path.read_text())
+    doc["importance_factors"]["cpu"] += 0.5
+    first, second = doc["ssrs"][:2]
+    first["user_latency"] = 0.0
+    first["functions"][1]["demand"]["ram"] = 1e6
+    second["user_priority"] = 1.5
+    second["functions"][0]["priority"] = -1.0
+    second["functions"][0]["code_size"] = 1e4
+    out.write_text(json.dumps(doc))
 
 
 def loaded_params(run_dir: Path) -> bytes:
@@ -94,6 +111,9 @@ def digests(work: Path) -> list[tuple[str, str]]:
     outputs = [(name, (work / name).read_bytes()) for name in OUTPUT_FILES]
     outputs.append(("run/checkpoint params", loaded_params(work / "run")))
     outputs.append(("oracle stdout", run("oracle", str(work / "bucket.json")).encode()))
+    broken_bucket(work / "bucket.json", work / "broken.json")
+    outputs.append(("validate stdout",
+                    run("validate", str(work / "broken.json"), expected_code=1).encode()))
     demo = Path(fogplace.__file__).resolve().parents[2] / "demos" / DEMO
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
