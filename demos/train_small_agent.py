@@ -18,7 +18,7 @@ cfg = GeneratorConfig(
     code_size=(10.0, 300.0), input_size=(100.0, 1500.0),
 )
 bucket = generate_bucket(cfg)
-print(f"bucket: {len(bucket.ssrs)} SSRs, {bucket.n_functions} functions")
+print(f"bucket: {len(bucket.function_count)} SSRs, {bucket.n_functions} functions")
 
 env = PlacementEnv(bucket)  # one env for every episode: reset() starts each afresh
 result = train(lambda episode: env, AgentConfig(episodes=2000, seed=0))

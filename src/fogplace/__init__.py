@@ -2,7 +2,7 @@
 
 Submodules:
   codec      the strict JSON codec behind every config, bucket and checkpoint file
-  model      domain entities, resource kind names, validation, bucket JSON files
+  model      the bucket as columns, resource kind names, validation, bucket JSON files
   scoring    user and function priority formulas
   costs      latency cost model as per-bucket arrays, built after validation
   workload   seeded synthetic bucket generation
@@ -17,7 +17,6 @@ from .model import (
     EnvironmentLimits,
     Placement,
     ResourceVector,
-    SSR,
     SSRBucket,
     ServerlessFunction,
     load_bucket,
@@ -38,7 +37,6 @@ __all__ = [
     "Placement",
     "PlacementEnv",
     "ResourceVector",
-    "SSR",
     "SSRBucket",
     "ServerlessFunction",
     "SweepSettings",

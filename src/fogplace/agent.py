@@ -16,13 +16,17 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import DecodeError, decode
+from .codec import DecodeError, decode_version
 from .env import Action, PlacementEnv
 from .model import Placement
 
 CHECKPOINT_VERSION = 3  # the only version read: 1 and 2 are refused
 TRAINING_LOG_COLUMNS = ["episode", "total_cost", "epsilon", "loss"]  # one row per episode
 SYNC_ROWS = 1024  # rows per block of a target sync's forward passes
+# The most parameters a network may hold, counted at the 1101 inputs of a training state
+# (experiment.MAX_FUNCTIONS * SLOT_WIDTH + 1): 256 MiB of float64 per copy, of which
+# training holds about four. ``AgentConfig`` refuses more before anything is allocated.
+MAX_PARAMETERS = 2**25
 
 
 class TrainingFault(RuntimeError):
@@ -60,8 +64,10 @@ class AgentConfig:
                              f"{self.replay_capacity}: the replay never holds a batch")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be >= 1")
+        sizes = [1101, *self.hidden_sizes, len(Action)]
+        if min(sizes) < 1 or ValueNetwork._count(sizes) > MAX_PARAMETERS:
+            raise ValueError(f"hidden_sizes: each must be >= 1, for at most {MAX_PARAMETERS} "
+                             f"parameters at {sizes[0]} inputs, got {list(self.hidden_sizes)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -177,13 +183,8 @@ class ValueNetwork:
     @classmethod
     def load(cls, path: str | Path) -> "ValueNetwork":
         """A version-3 checkpoint file; raises ``DecodeError`` on a document that is not one."""
-        doc = json.loads(Path(path).read_text())
-        version = doc.get("version", CHECKPOINT_VERSION) if isinstance(doc, dict) else None
-        # checked before decode, which would name a version-1 or -2 file's weights an unknown key
-        if version not in (None, CHECKPOINT_VERSION):
-            raise DecodeError("version", f"unsupported checkpoint version {json.dumps(version)}, "
-                                         f"expected {CHECKPOINT_VERSION}")
-        doc = decode(_Checkpoint, doc)
+        doc = decode_version(_Checkpoint, json.loads(Path(path).read_text()),
+                             CHECKPOINT_VERSION, "checkpoint")
         sizes = list(doc.sizes)
         if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != len(Action):
             raise DecodeError("sizes", f"expected at least 2 layer sizes, each >= 1, the "

@@ -4,9 +4,10 @@
 hints (resolved once per class). ``decode`` is the one place that rejects a
 malformed document: unknown or missing keys (every field is required), wrong
 types (a bool is not a number; a float is an int only when integral),
-non-finite numbers, and the ``ValueError``s of a dataclass's own checks. An
-int in a float field stays that int when a float holds it exactly, so a file
-that says ``2`` re-saves as ``2``.
+non-finite numbers (an int beyond the float range too), and the ``ValueError``s
+of a dataclass's own checks. An int in a float field stays that int when a
+float holds it exactly, so a file that says ``2`` re-saves as ``2``.
+``decode_version`` checks a file's ``version`` before the rest.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ class DecodeError(ValueError):
     """A document does not have the declared shape; ``path`` names where."""
 
     def __init__(self, path: str, problem: str):
-        super().__init__(f"{path or '(root)'}: {problem}")  # e.g. ssrs[2].functions[0].code_size
+        super().__init__(f"{path or '(root)'}: {problem}")  # e.g. functions.code_size[3]
         self.path = path
 
 
@@ -38,6 +39,15 @@ def encode(obj: Any) -> Any:
 
 def decode(cls: type[T], doc: Any) -> T:
     return _decode(cls, doc, "")
+
+
+def decode_version(cls: type[T], doc: Any, version: int, kind: str) -> T:
+    """``decode`` a file of one format ``version``, checked first: a file of another
+    format is named by its version, not by the keys that this one lacks."""
+    if isinstance(doc, dict) and doc.get("version") != version:
+        raise DecodeError("version", f"unsupported {kind} version "
+                                     f"{json.dumps(doc.get('version'))}, expected {version}")
+    return decode(cls, doc)
 
 
 @functools.cache
@@ -89,14 +99,14 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
         raise TypeError(f"no decoding rule for {tp!r}")
     if type(value) not in (int, float):  # bools and strings are not numbers
         raise _wrong(path, "an integer" if tp is int else "a number", value)
-    if tp is int and type(value) is int:
-        return value
     try:
         as_float = float(value)
     except OverflowError:  # an int beyond the float range
         as_float = math.inf
     if not math.isfinite(as_float):
         raise DecodeError(path, "not finite")
+    if tp is int and type(value) is int:
+        return value
     if tp is float:
         return value if as_float == value else as_float
     if not value.is_integer():

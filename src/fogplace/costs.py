@@ -6,8 +6,8 @@ user latency of the bucket. This keeps each cost term dimensionless and
 commensurate with the unit-interval user priority; it preserves all argmin
 decisions relative to any fixed positive latency scaling.
 
-``CostContext.from_bucket`` turns a bucket's function table
-(``SSRBucket.table``) into per-function cost vectors, in the bucket's flattened
+``CostContext.from_bucket`` turns a bucket's columns (``SSRBucket.table`` and
+the per-SSR columns) into per-function cost vectors, in the bucket's flattened
 insertion order. It runs once per bucket: ``SSRBucket.costs`` builds the
 context on first use and keeps it.
 It validates the bucket first, so environment steps, baselines, the oracle and
@@ -69,19 +69,14 @@ class CostContext:
         violations = validate_bucket(bucket)
         if violations:
             raise InvalidBucket(violations)
-        table = bucket.table
+        table, counts, starts = bucket.table, bucket.function_count, bucket.starts
         demand, (code_size, input_size, _, fn_priority) = table[:, :4], table[:, 4:].T
-        latency, user_priority = np.array([(ssr.user_latency, ssr.user_priority)
-                                           for ssr in bucket.ssrs]).T
-        counts = [len(ssr.functions) for ssr in bucket.ssrs]
-        starts = np.cumsum([0, *counts[:-1]])
-        offsets = np.arange(max(counts))
-        ssr_slots = np.where(offsets < np.array(counts)[:, None], starts[:, None] + offsets,
-                             len(table))
+        offsets = np.arange(counts.max())
+        ssr_slots = np.where(offsets < counts[:, None], starts[:, None] + offsets, len(table))
 
-        max_latency = latency.max()
-        latency_v = np.repeat(latency / max_latency, counts)
-        priority_v = np.repeat(user_priority, counts)
+        max_latency = bucket.user_latency.max()
+        latency_v = np.repeat(bucket.user_latency / max_latency, counts)
+        priority_v = np.repeat(bucket.user_priority, counts)
         weight_v = fn_priority / np.repeat(np.maximum.reduceat(fn_priority, starts), counts)
         factors = np.array(bucket.importance_factors.as_tuple())
         lf = bucket.link_latency / max_latency

@@ -56,11 +56,11 @@ class PlacementEnv:
         self.bucket = bucket
         ctx, table = bucket.costs, bucket.table
         n = len(table)
-        ssr_index = np.repeat(np.arange(len(bucket.ssrs)),
-                              [len(ssr.functions) for ssr in bucket.ssrs])
+        # each function's SSR start: in a valid bucket it orders as the SSR index does
+        ssr_start = np.repeat(bucket.starts, bucket.function_count)
         fn_priority = table[:, TABLE_COLUMNS.index("priority")]
         # the last key sorts first; ties keep insertion order, as lexsort is stable
-        visit = np.lexsort((-fn_priority, ssr_index, -ctx.priority))
+        visit = np.lexsort((-fn_priority, ssr_start, -ctx.priority))
         self.order = visit.tolist()
 
         self.n_functions = n

@@ -1,28 +1,24 @@
 """Domain entities for fog/cloud serverless placement.
 
-Everything here is an immutable dataclass. Each SSR carries its user's
-latency and priority, and every function its one demand vector and its own
-priority, as required data: the generator gives each priority the value that
-``scoring.user_priorities`` or ``scoring.ssr_priorities`` computes, and a
-bucket file's priorities are used as given, never recomputed: user
-positions, the coverage radius, the blend and delta are not stored in a
-bucket, and a function's place is its position in its SSR. The bucket holds
-the one fog-cloud link latency. ``SSRBucket.table`` is the one walk over a
-bucket's functions, and ``fits`` the one fit test, on one function or on whole
-table columns. ``validate_bucket`` checks the ranges of all of these.
+A bucket is its columns: ``SSRBucket.table``, one read-only row per function in
+flattened order (SSR by SSR), and per SSR its function count and its user's
+latency and priority. Priorities are data: the generator stores the values that
+``scoring`` computes, and a bucket file's are used as given. ``fits`` is the one
+fit test, on one function or on whole columns. A bucket file holds the same
+columns, ``functions`` by name, under ``version``: any other version is refused.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import DecodeError, decode_version, encode
 
 if TYPE_CHECKING:
     from .costs import CostContext
@@ -32,6 +28,7 @@ if TYPE_CHECKING:
 RESOURCE_KINDS = ("cpu", "ram", "storage", "net_io")
 # The columns of ``SSRBucket.table``: the demand kinds, then each function's own fields.
 TABLE_COLUMNS = (*RESOURCE_KINDS, "code_size", "input_size", "critical_value", "priority")
+BUCKET_VERSION = 2  # the only bucket file version read
 
 
 class StateError(RuntimeError):
@@ -51,12 +48,9 @@ class ResourceVector:
     net_io: float = 0.0
 
     def __post_init__(self) -> None:
-        # the chained comparison is False for NaN and infinities
-        if not (0 <= self.cpu < math.inf and 0 <= self.ram < math.inf
-                and 0 <= self.storage < math.inf and 0 <= self.net_io < math.inf):
-            for name, v in zip(RESOURCE_KINDS, self.as_tuple()):
-                if not 0 <= v < math.inf:
-                    raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        for name, v in zip(RESOURCE_KINDS, self.as_tuple()):
+            if not 0 <= v < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.ram, self.storage, self.net_io)
@@ -79,54 +73,67 @@ class EnvironmentLimits:
 
 @dataclass(frozen=True)
 class ServerlessFunction:
+    """One row of a bucket's table as an object, as ``SSRBucket.functions`` builds it."""
+
     code_size: float  # MB
     input_size: float  # MB
     critical_value: int  # 1 (low) .. 5 (high)
     demand: ResourceVector
-    priority: float  # placement priority within its SSR, > 0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.critical_value <= 5:
-            raise ValueError(f"critical value must be in 1..5, got {self.critical_value}")
-        if self.code_size <= 0:
-            raise ValueError("code size must be > 0")
-        if self.input_size < 0:
-            raise ValueError("input size must be >= 0")
+    priority: float  # placement priority within its SSR
 
 
-@dataclass(frozen=True)
-class SSR:
-    """One user's serverless application: an ordered list of functions."""
-
-    user_latency: float  # ms, the user's round trip to the fog node
-    user_priority: float  # blended distance and latency priority, in [0, 1]
-    functions: tuple[ServerlessFunction, ...]
+# The range of each table column but the priority, which ``validate_bucket`` checks.
+_COLUMN_RULES = ("must be finite and >= 0",) * 4 + ("must be > 0", "must be >= 0",
+                                                   "must be in 1..5")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SSRBucket:
-    ssrs: tuple[SSR, ...]
+    """A bucket as columns, each copied and made read-only; ``DecodeError``, named as in a
+    file, on per-SSR columns that do not fit the table or a value outside its range."""
+
+    table: np.ndarray  # one row per function in flattened order, columns TABLE_COLUMNS
+    function_count: np.ndarray  # per SSR: its number of functions, consecutive rows
+    user_latency: np.ndarray  # per SSR, ms: its user's round trip to the fog node
+    user_priority: np.ndarray  # per SSR: its user's blended distance and latency priority
     link_latency: float  # ms, the fog-cloud round trip
     fog: EnvironmentLimits
     cloud: EnvironmentLimits
     importance_factors: ResourceVector  # per-kind weights, sum to 1
+    starts: np.ndarray = field(init=False, repr=False)  # per SSR: its first row in the table
 
-    def functions(self) -> list[tuple[int, ServerlessFunction]]:
-        """Flattened (ssr index, function) pairs in insertion order."""
-        return [(i, fn) for i, ssr in enumerate(self.ssrs) for fn in ssr.functions]
+    def __post_init__(self) -> None:
+        table = np.array(self.table, dtype=float).reshape(-1, len(TABLE_COLUMNS))
+        counts = [int(c) for c in self.function_count]  # checked as Python ints: none wraps
+        if not (len(counts) == len(self.user_latency) == len(self.user_priority)
+                and min(counts, default=0) >= 0 and sum(counts) == len(table)):
+            raise DecodeError("", "function_count, user_latency and user_priority must hold one "
+                              f"entry per SSR, the counts >= 0 and summing to {len(table)}")
+        counts = np.array(counts, dtype=int)
+        for name, column in (
+                ("table", table), ("function_count", counts),
+                ("starts", np.cumsum(counts) - counts),
+                ("user_latency", np.array(self.user_latency, dtype=float)),
+                ("user_priority", np.array(self.user_priority, dtype=float))):
+            column.flags.writeable = False  # shared by every reader of the bucket
+            object.__setattr__(self, name, column)
+        demand, (code_size, input_size, critical, _) = self.table[:, :4], self.table[:, 4:].T
+        broken = np.column_stack([~((demand >= 0) & (demand < math.inf)), code_size <= 0,
+                                  input_size < 0, ~((critical >= 1) & (critical <= 5))])
+        for k, c in np.argwhere(broken)[:1].tolist():  # the first function breaking a rule
+            raise DecodeError(f"functions.{TABLE_COLUMNS[c]}[{k}]",
+                              f"{_COLUMN_RULES[c]}, got {self.table[k, c]}")
 
     @property
     def n_functions(self) -> int:
-        return sum(len(s.functions) for s in self.ssrs)
+        return len(self.table)
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """One row per function in flattened order, built on first use and kept."""
-        rows = [(*fn.demand.as_tuple(), fn.code_size, fn.input_size, fn.critical_value,
-                 fn.priority) for ssr in self.ssrs for fn in ssr.functions]
-        table = np.array(rows, dtype=float).reshape(-1, len(TABLE_COLUMNS))
-        table.flags.writeable = False  # shared by every reader of the bucket
-        return table
+    def functions(self) -> list[tuple[int, ServerlessFunction]]:
+        """(ssr index, function) pairs in flattened order, built anew on each call."""
+        ssr_index = np.repeat(np.arange(len(self.function_count)), self.function_count)
+        return [(i, ServerlessFunction(code, size, int(critical), ResourceVector(*demand), p))
+                for i, (*demand, code, size, critical, p)
+                in zip(ssr_index.tolist(), self.table.tolist())]
 
     @cached_property
     def costs(self) -> CostContext:
@@ -136,13 +143,53 @@ class SSRBucket:
         return CostContext.from_bucket(self)
 
 
+# The ``functions`` object of a bucket file: one array per table column, by name.
+_FunctionColumns = make_dataclass("_FunctionColumns", [
+    (name, tuple[int, ...] if name == "critical_value" else tuple[float, ...])
+    for name in TABLE_COLUMNS], frozen=True)
+
+
+@dataclass(frozen=True)
+class _BucketFile:
+    version: int
+    function_count: tuple[int, ...]
+    user_latency: tuple[float, ...]
+    user_priority: tuple[float, ...]
+    functions: _FunctionColumns
+    link_latency: float
+    fog: EnvironmentLimits
+    cloud: EnvironmentLimits
+    importance_factors: ResourceVector
+
+
+def encode_bucket(bucket: SSRBucket) -> dict:
+    """The bucket's file document: its columns and settings, under ``version``."""
+    columns = dict(zip(TABLE_COLUMNS, bucket.table.T.tolist()))
+    columns["critical_value"] = [int(v) for v in columns["critical_value"]]
+    return encode(_BucketFile(
+        BUCKET_VERSION, bucket.function_count.tolist(), bucket.user_latency.tolist(),
+        bucket.user_priority.tolist(), _FunctionColumns(**columns), bucket.link_latency,
+        bucket.fog, bucket.cloud, bucket.importance_factors))
+
+
+def decode_bucket(doc: Any) -> SSRBucket:
+    """A bucket document; raises ``DecodeError`` on one that is not a version-2 bucket."""
+    file = decode_version(_BucketFile, doc, BUCKET_VERSION, "bucket")
+    columns = list(vars(file.functions).values())
+    if len({len(column) for column in columns}) > 1:
+        raise DecodeError("functions", "columns of unequal lengths: one entry per function each")
+    return SSRBucket(np.array(columns, dtype=float).T,
+                     file.function_count, file.user_latency, file.user_priority,
+                     file.link_latency, file.fog, file.cloud, file.importance_factors)
+
+
 def save_bucket(bucket: SSRBucket, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(encode(bucket), sort_keys=True, indent=2))
+    Path(path).write_text(json.dumps(encode_bucket(bucket), sort_keys=True, indent=2))
 
 
 def load_bucket(path: str | Path) -> SSRBucket:
     """A bucket file; raises ``DecodeError`` on a document that is not a bucket."""
-    return decode(SSRBucket, json.loads(Path(path).read_text()))
+    return decode_bucket(json.loads(Path(path).read_text()))
 
 
 # One fog flag per function, in the bucket's flattened order; False is the cloud.
@@ -211,25 +258,25 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
     # from_bucket divides by each SSR's top priority
     bad_priority = ~((priority > 0) & (priority < math.inf))
     misfit = ~fits(bucket.cloud, code_size, input_size, demand)
-    flagged = np.flatnonzero(bad_priority | misfit)[::-1].tolist()  # popped in flattened order
-    stop = 0
-    for i, ssr in enumerate(bucket.ssrs):
-        start, stop = stop, stop + len(ssr.functions)
-        if len(ssr.functions) == 0:
+    flagged = bad_priority | misfit
+    latencies = bucket.user_latency.tolist()
+    for i, (start, count, latency, user_priority) in enumerate(zip(
+            bucket.starts.tolist(), bucket.function_count.tolist(), latencies,
+            bucket.user_priority.tolist())):
+        if count == 0:
             violations.append(f"empty SSR at index {i}")
-        if not 0 < ssr.user_latency < math.inf:
-            violations.append(f"SSR {i} user latency {ssr.user_latency} must be finite and > 0")
-        if not 0 <= ssr.user_priority <= 1:
-            violations.append(f"SSR {i} user priority {ssr.user_priority} outside [0, 1]")
-        while flagged and flagged[-1] < stop:
-            k = flagged.pop()
-            if bad_priority[k]:
-                violations.append(f"function ({i}, {k - start}) priority "
-                                  f"{ssr.functions[k - start].priority} must be finite and > 0")
-            if misfit[k]:
-                violations.append(f"function ({i}, {k - start}) does not fit the cloud limits")
+        if not 0 < latency < math.inf:
+            violations.append(f"SSR {i} user latency {latency} must be finite and > 0")
+        if not 0 <= user_priority <= 1:
+            violations.append(f"SSR {i} user priority {user_priority} outside [0, 1]")
+        for j in np.flatnonzero(flagged[start:start + count]).tolist():
+            if bad_priority[start + j]:
+                violations.append(f"function ({i}, {j}) priority {priority[start + j]} "
+                                  "must be finite and > 0")
+            if misfit[start + j]:
+                violations.append(f"function ({i}, {j}) does not fit the cloud limits")
 
-    top = max((ssr.user_latency for ssr in bucket.ssrs), default=0.0)
+    top = max(latencies, default=0.0)
     if top > 0 and link_overflows(bucket.link_latency, top, len(table)):
         violations.append(f"link latency {bucket.link_latency} over the largest user "
                           f"latency {top} overflows the costs")

@@ -19,9 +19,7 @@ from .model import (
     RESOURCE_KINDS,
     EnvironmentLimits,
     ResourceVector,
-    SSR,
     SSRBucket,
-    ServerlessFunction,
     link_overflows,
     settings_violations,
 )
@@ -102,7 +100,7 @@ class GeneratorConfig:
 def _build_bucket(
     cfg: GeneratorConfig, rng: np.random.Generator, fn_counts: list[int]
 ) -> SSRBucket:
-    """Draw the users, then every function in order, and build each entity once.
+    """Draw the users, then every function in order, and write the bucket's columns.
 
     Per user the draws are the radius share, the angle share and the latency.
     Per function they are code and input size, the critical value, then
@@ -142,27 +140,10 @@ def _build_bucket(
     drawn = demand_lo + demand_span * demand_draws
     total, share = drawn[:, 0::2], drawn[:, 1::2]
     base = total * share
-    fns = [
-        ServerlessFunction(code_size=c, input_size=i, critical_value=v,
-                           demand=ResourceVector(*d), priority=p)
-        for c, i, v, d, p in zip(code.tolist(), input_size.tolist(), critical.tolist(),
-                                 (base + (total - base)).tolist(),
-                                 ssr_priorities(critical, code, input_size, cfg.delta,
-                                                counts=fn_counts))
-    ]
-    ssrs, start = [], 0
-    for count, latency, user_score in zip(fn_counts, latencies, user_scores):
-        ssrs.append(SSR(user_latency=latency, user_priority=user_score,
-                        functions=tuple(fns[start:start + count])))
-        start += count
-
-    return SSRBucket(
-        ssrs=tuple(ssrs),
-        link_latency=cfg.link_latency,
-        fog=cfg.fog,
-        cloud=cfg.cloud,
-        importance_factors=cfg.importance_factors,
-    )
+    priority = ssr_priorities(critical, code, input_size, cfg.delta, counts=fn_counts)
+    table = np.column_stack([base + (total - base), code, input_size, critical, priority])
+    return SSRBucket(table, fn_counts, latencies, user_scores, cfg.link_latency, cfg.fog,
+                     cfg.cloud, cfg.importance_factors)
 
 
 def generate_bucket(cfg: GeneratorConfig, seed: int | None = None) -> SSRBucket:

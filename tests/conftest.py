@@ -9,14 +9,9 @@ import pytest  # noqa: E402
 from hypothesis import HealthCheck, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fogplace.model import (  # noqa: E402
-    EnvironmentLimits,
-    ResourceVector,
-    SSR,
-    SSRBucket,
-    ServerlessFunction,
-)
+from fogplace.model import EnvironmentLimits, ResourceVector, ServerlessFunction  # noqa: E402
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep  # noqa: E402
+from scalar_reference import Ssr, bucket_from_ssrs  # noqa: E402
 
 # Few, fixed examples: the properties add seconds, not minutes, to the suite.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25,
@@ -41,6 +36,7 @@ def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
 
 
 def make_fn(code=100.0, input_size=500.0, critical=3, demand=None, priority=5.0):
+    """One function's values; ``make_bucket`` writes them as a row of its table."""
     return ServerlessFunction(
         code_size=code,
         input_size=input_size,
@@ -51,8 +47,9 @@ def make_fn(code=100.0, input_size=500.0, critical=3, demand=None, priority=5.0)
 
 
 def make_bucket(ssrs, fog=None, cloud=None, weights=None, link=40.0):
-    return SSRBucket(
-        ssrs=tuple(ssrs),
+    """The bucket whose columns hold these SSRs' users and functions, in order."""
+    return bucket_from_ssrs(
+        ssrs,
         link_latency=link,
         fog=fog or make_limits(cpu=2, ram=1024, storage=1024, net_io=2048,
                                code=300.0, input_size=1500.0),
@@ -63,7 +60,7 @@ def make_bucket(ssrs, fog=None, cloud=None, weights=None, link=40.0):
 
 def make_ssr(fns, latency=50.0, priority=0.5):
     """An SSR of the given functions, whose user has this latency and priority."""
-    return SSR(user_latency=latency, user_priority=priority, functions=tuple(fns))
+    return Ssr(user_latency=latency, user_priority=priority, functions=tuple(fns))
 
 
 def forced_and_free_bucket(pattern):

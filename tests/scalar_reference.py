@@ -9,9 +9,12 @@ and ``generate_sweep`` draw every value with its own scalar generator call and
 score the bucket in a second pass: the ground truth for the seed contract of
 ``fogplace.workload``, which must build the same buckets from the same draws.
 ``fits_platform`` tests one function against one platform's limits, clause by
-clause: the ground truth for the package's broadcasting ``fits``, and
-``function_table`` walks a bucket's functions one by one: the ground truth
-for ``SSRBucket.table``.
+clause: the ground truth for the package's broadcasting ``fits``.
+
+The reference holds a bucket as ``Ssr`` objects of function objects:
+``bucket_from_ssrs`` writes them into a bucket's columns row by row, and
+``ssrs_of`` reads them back the same way; ``function_table`` walks the pairs
+of ``SSRBucket.functions`` one by one.
 """
 import itertools
 from dataclasses import dataclass, replace
@@ -23,7 +26,6 @@ from fogplace.model import (
     RESOURCE_KINDS,
     Placement,
     ResourceVector,
-    SSR,
     SSRBucket,
     ServerlessFunction,
     StateError,
@@ -50,15 +52,55 @@ def fits_platform(fn, limits):
 fog_feasible = cloud_feasible = fits_platform
 
 
+@dataclass(frozen=True)
+class Ssr:
+    """One SSR: its user's latency and priority, and its function objects in order."""
+
+    user_latency: float
+    user_priority: float
+    functions: tuple
+
+
+def function_row(fn):
+    """A function's table row: the demand kinds, then code size, input size,
+    critical value and priority."""
+    return ([getattr(fn.demand, kind) for kind in RESOURCE_KINDS]
+            + [fn.code_size, fn.input_size, fn.critical_value, fn.priority])
+
+
+def bucket_from_ssrs(ssrs, link_latency, fog, cloud, importance_factors):
+    """The bucket of these SSRs, its table written one function row at a time."""
+    ssrs = list(ssrs)
+    rows = [function_row(fn) for ssr in ssrs for fn in ssr.functions]
+    return SSRBucket(
+        table=np.array(rows, dtype=float).reshape(-1, 8),
+        function_count=[len(ssr.functions) for ssr in ssrs],
+        user_latency=[ssr.user_latency for ssr in ssrs],
+        user_priority=[ssr.user_priority for ssr in ssrs],
+        link_latency=link_latency, fog=fog, cloud=cloud, importance_factors=importance_factors,
+    )
+
+
+def ssrs_of(bucket):
+    """The bucket's SSRs as ``Ssr`` objects, read one table row at a time."""
+    ssrs, row = [], 0
+    for count, latency, priority in zip(bucket.function_count.tolist(),
+                                        bucket.user_latency.tolist(),
+                                        bucket.user_priority.tolist()):
+        fns = []
+        for _ in range(count):
+            values = bucket.table[row].tolist()
+            fns.append(ServerlessFunction(
+                code_size=values[4], input_size=values[5], critical_value=int(values[6]),
+                demand=ResourceVector(*values[:4]), priority=values[7]))
+            row += 1
+        ssrs.append(Ssr(latency, priority, tuple(fns)))
+    return ssrs
+
+
 def function_table(bucket):
-    """One row per function in flattened order: the demand kinds, then code size,
-    input size, critical value and priority."""
-    rows = []
-    for ssr in bucket.ssrs:
-        for fn in ssr.functions:
-            rows.append([getattr(fn.demand, kind) for kind in RESOURCE_KINDS]
-                        + [fn.code_size, fn.input_size, fn.critical_value, fn.priority])
-    return rows
+    """One row per pair of ``bucket.functions()``, in its order."""
+    return [function_row(fn) for _, fn in bucket.functions()]
 
 
 def per_function_cap(f_flag, c_flag, fog, cloud):
@@ -107,8 +149,9 @@ def step_cost_cloud(fn, cloud, weights, l_i, lf, user_priority):
 
 def user_terms(bucket):
     """(normalized latency l_i, priority p_i) of each SSR's user, and the normalized link lf."""
-    max_latency = max(ssr.user_latency for ssr in bucket.ssrs)
-    terms = [(ssr.user_latency / max_latency, ssr.user_priority) for ssr in bucket.ssrs]
+    ssrs = ssrs_of(bucket)
+    max_latency = max(ssr.user_latency for ssr in ssrs)
+    terms = [(ssr.user_latency / max_latency, ssr.user_priority) for ssr in ssrs]
     return terms, bucket.link_latency / max_latency
 
 
@@ -116,7 +159,7 @@ def function_step_costs(bucket):
     """(fog, cloud) step cost of every function, in flattened order."""
     terms, lf = user_terms(bucket)
     out = []
-    for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
+    for ssr, (l_i, p_i) in zip(ssrs_of(bucket), terms):
         for fn in ssr.functions:
             out.append((
                 step_cost_fog(fn, bucket.fog, bucket.importance_factors, l_i, p_i),
@@ -130,7 +173,7 @@ def step_cost_sum(bucket, on_fog):
     right within each SSR, then over SSRs."""
     costs = function_step_costs(bucket)
     total, k = 0.0, 0
-    for ssr in bucket.ssrs:
+    for ssr in ssrs_of(bucket):
         ssr_total = 0.0
         for _ in ssr.functions:
             ssr_total = ssr_total + costs[k][0 if on_fog[k] else 1]
@@ -144,7 +187,7 @@ def ssr_objectives(bucket, on_fog):
     flag per function), and their summed total."""
     terms, lf = user_terms(bucket)
     parts, total, k = [], 0.0, 0
-    for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
+    for ssr, (l_i, p_i) in zip(ssrs_of(bucket), terms):
         max_p = max(fn.priority for fn in ssr.functions)
         comm = comp = 0.0
         for fn in ssr.functions:
@@ -161,7 +204,8 @@ def ssr_objectives(bucket, on_fog):
 
 def encode(bucket, order, flags, cursor, max_functions):
     """The environment's state row: per-slot features and flags, then the cursor share."""
-    flat = bucket.functions()
+    flat = [(i, fn) for i, ssr in enumerate(ssrs_of(bucket)) for fn in ssr.functions]
+    users = [ssr.user_priority for ssr in ssrs_of(bucket)]
     cloud = bucket.cloud
     cap = cloud.per_function_cap
     row = [0.0] * (max_functions * SLOT_WIDTH + 1)
@@ -176,7 +220,7 @@ def encode(bucket, order, flags, cursor, max_functions):
         row[base + 4] = fn.critical_value / 5
         for k, kind in enumerate(RESOURCE_KINDS):
             row[base + 5 + k] = getattr(demand, kind) / getattr(cap, kind)
-        row[base + 9] = bucket.ssrs[ssr_idx].user_priority
+        row[base + 9] = users[ssr_idx]
         row[base + 10] = 1.0 if fog_feasible(fn, bucket.fog) else 0.0
     row[-1] = cursor / len(flat)
     return row
@@ -205,7 +249,7 @@ def brute_force_optimum(bucket):
     ctx = bucket.costs
 
     options = []
-    for _, fn in bucket.functions():
+    for fn in (fn for ssr in ssrs_of(bucket) for fn in ssr.functions):
         fits = ((True, fog_feasible(fn, bucket.fog)), (False, cloud_feasible(fn, bucket.cloud)))
         opts = [on_fog for on_fog, ok in fits if ok]
         if not opts:
@@ -242,21 +286,20 @@ def function_priority(fn, ssr, delta):
     return 1.0 / (delta + critical_term * code_term * input_term)
 
 
-def with_priorities(bucket, positions, cfg):
-    """A copy of the bucket with every user and function priority filled; the
-    user of SSR i stands at ``positions[i]``."""
-    latencies = [ssr.user_latency for ssr in bucket.ssrs]
-    ssrs = []
-    for ssr, position in zip(bucket.ssrs, positions):
+def with_priorities(ssrs, positions, cfg):
+    """The SSRs with every user and function priority filled; the user of SSR i
+    stands at ``positions[i]``."""
+    latencies = [ssr.user_latency for ssr in ssrs]
+    scored = []
+    for ssr, position in zip(ssrs, positions):
         pd = distance_priority(user_distance((0.0, 0.0), position), cfg.distance_cap)
         pl = latency_priority(ssr.user_latency, latencies)
         fns = tuple(
             replace(fn, priority=function_priority(fn, ssr, cfg.delta)) for fn in ssr.functions
         )
-        ssrs.append(replace(ssr, user_priority=user_priority(pd, pl, cfg.priority_blend),
-                            functions=fns))
-
-    return replace(bucket, ssrs=tuple(ssrs))
+        scored.append(replace(ssr, user_priority=user_priority(pd, pl, cfg.priority_blend),
+                              functions=fns))
+    return scored
 
 
 def _sample_function(cfg, rng):
@@ -290,17 +333,10 @@ def _build_bucket(cfg, rng, fn_counts):
     ssrs = []
     for latency, count in zip(latencies, fn_counts):
         fns = tuple(_sample_function(cfg, rng) for _ in range(count))
-        # placeholder priority: with_priorities scores the bucket afterwards
-        ssrs.append(SSR(user_latency=latency, user_priority=0.0, functions=fns))
-
-    bucket = SSRBucket(
-        ssrs=tuple(ssrs),
-        link_latency=cfg.link_latency,
-        fog=cfg.fog,
-        cloud=cfg.cloud,
-        importance_factors=cfg.importance_factors,
-    )
-    return with_priorities(bucket, positions, cfg)
+        # placeholder priority: with_priorities scores the SSRs afterwards
+        ssrs.append(Ssr(user_latency=latency, user_priority=0.0, functions=fns))
+    return bucket_from_ssrs(with_priorities(ssrs, positions, cfg), cfg.link_latency,
+                            cfg.fog, cfg.cloud, cfg.importance_factors)
 
 
 def generate_bucket(cfg, seed=None):

@@ -95,7 +95,7 @@ def test_criterion_1_formula_suite():
         abs(cloud_comp.cloud_comp[0] - 0.425) < tol,
         abs(kernel.fog_step[0] - 1.025) < tol,
         abs(kernel.cloud_step[0] - 1.1375) < tol,
-        abs(two_ssrs_step / len(two_ssrs.ssrs) - 2.0) < tol,
+        abs(two_ssrs_step / len(two_ssrs.function_count) - 2.0) < tol,
         abs(two_ssrs_step - 4.0) < tol,
     ]
     verdict(1, "derived formula examples match hand values within 1e-9",

@@ -219,3 +219,32 @@ def test_exact_optimum_equals_enumeration(bucket):
     assert bucket.n_functions <= 10
     exact = dataclasses.asdict(exact_optimum(bucket))
     assert exact == dataclasses.asdict(brute_force_optimum(bucket))
+
+
+LATENCY_SCALES = (1e-3, 0.37, 3, 1e3)
+
+
+@PROPERTY
+@given(generated_buckets)
+def test_optimal_placements_are_unchanged_by_a_latency_scaling(bucket):
+    # every latency enters the costs divided by the largest user latency
+    best = exact_optimum(bucket)
+    for c in LATENCY_SCALES:
+        scaled = exact_optimum(dataclasses.replace(
+            bucket, user_latency=bucket.user_latency * c, link_latency=bucket.link_latency * c))
+        assert scaled.best_step_placement == best.best_step_placement
+        assert scaled.best_objective_placement == best.best_objective_placement
+
+
+@PROPERTY
+@given(generated_buckets, seeds)
+def test_step_optimum_is_unchanged_by_redrawn_user_priorities(bucket, seed):
+    # a user's priority adds to both step costs of each of its functions
+    redrawn = dataclasses.replace(
+        bucket, user_priority=np.random.default_rng(seed).random(len(bucket.user_priority)))
+    assert exact_optimum(redrawn).best_step_placement == exact_optimum(bucket).best_step_placement
+
+    def gaps(b):
+        return b.costs.fog_step - b.costs.cloud_step
+
+    assert np.abs(gaps(redrawn) - gaps(bucket)).max() <= 1e-12

@@ -23,6 +23,8 @@ from fogplace.model import (
     EnvironmentLimits,
     ResourceVector,
     SSRBucket,
+    decode_bucket,
+    encode_bucket,
     load_bucket,
     save_bucket,
     validate_bucket,
@@ -92,6 +94,7 @@ def test_decode_keeps_exact_ints_and_rounds_the_rest():
     ({"label": 7}, "leaves[1].label: expected a string, got 7"),
     ({"colour": "red"}, "leaves[1].colour: unknown key"),
     ({"count": -1}, "leaves[1]: count must be >= 0"),
+    ({"count": -10**400}, "leaves[1].count: not finite"),  # an int beyond the float range
 ])
 def test_decode_rejects(leaf, message):
     with pytest.raises(DecodeError) as info:
@@ -139,10 +142,17 @@ ROUND_TRIP_INPUTS = {
 }
 
 
+def survives_a_round_trip(obj):
+    """Whether obj, written as JSON and read back, equals itself; a bucket by its document."""
+    if isinstance(obj, SSRBucket):
+        doc = encode_bucket(obj)
+        return encode_bucket(decode_bucket(json.loads(json.dumps(doc)))) == doc
+    return decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
+
+
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP_INPUTS))
 def test_round_trip(name):
-    obj = ROUND_TRIP_INPUTS[name]()
-    assert decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
+    assert survives_a_round_trip(ROUND_TRIP_INPUTS[name]())
 
 
 # ---- property tests ------------------------------------------------------
@@ -261,7 +271,7 @@ experiment_configs = st.builds(
 @PROPERTY
 @given(st.one_of(generated_buckets, generator_configs(), agent_configs(), experiment_configs))
 def test_round_trip_property(obj):
-    assert decode(type(obj), json.loads(json.dumps(encode(obj)))) == obj
+    assert survives_a_round_trip(obj)
 
 
 @PROPERTY
@@ -346,7 +356,8 @@ def assert_total(load, target):
         return None
 
 
-BUCKET_DOC = encode(generate_bucket(GeneratorConfig(seed=3, n_ssrs=(2, 3), functions_per_ssr=(1, 3))))
+BUCKET_DOC = encode_bucket(generate_bucket(GeneratorConfig(seed=3, n_ssrs=(2, 3),
+                                                           functions_per_ssr=(1, 3))))
 CONFIG_DOC = encode(ExperimentConfig())  # the default config file, every key written
 
 
@@ -355,30 +366,31 @@ def invalid_buckets(draw, doc):
     """A copy of ``doc`` that decodes but breaks one bucket invariant, and the
     text of the violation that ``validate_bucket`` must report for it."""
     doc = json.loads(json.dumps(doc))
-    ssr_index = draw(st.integers(0, len(doc["ssrs"]) - 1))
-    ssr = doc["ssrs"][ssr_index]
-    fn_index = draw(st.integers(0, len(ssr["functions"]) - 1))
-    fn = ssr["functions"][fn_index]
+    counts = doc["function_count"]
+    ssr_index = draw(st.integers(0, len(counts) - 1))
+    fn_index = draw(st.integers(0, counts[ssr_index] - 1))
+    start = sum(counts[:ssr_index])  # the table row of the SSR's first function
     flaw = draw(st.sampled_from(["latency", "priority", "function priority", "factors",
                                  "link overflow", "empty SSR"]))
     if flaw == "latency":
-        ssr["user_latency"] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
+        doc["user_latency"][ssr_index] = draw(st.sampled_from([0.0, -1e-9, -1.0]))
         return doc, f"SSR {ssr_index} user latency"
     if flaw == "priority":
-        ssr["user_priority"] = draw(st.sampled_from([-0.5, 1.5]))
+        doc["user_priority"][ssr_index] = draw(st.sampled_from([-0.5, 1.5]))
         return doc, f"SSR {ssr_index} user priority"
     if flaw == "function priority":
-        fn["priority"] = draw(st.sampled_from([0.0, -1.0]))
+        doc["functions"]["priority"][start + fn_index] = draw(st.sampled_from([0.0, -1.0]))
         return doc, f"function ({ssr_index}, {fn_index}) priority"
     if flaw == "factors":
         doc["importance_factors"]["cpu"] += draw(st.sampled_from([-0.2, 0.5]))
         return doc, "importance factors sum"
     if flaw == "link overflow":
         doc["link_latency"] = draw(st.sampled_from([1e308, 1.7e308]))
-        for each in doc["ssrs"]:
-            each["user_latency"] = draw(st.sampled_from([1e-10, 1.0]))
+        doc["user_latency"] = [draw(st.sampled_from([1e-10, 1.0])) for _ in counts]
         return doc, "overflows the costs"
-    ssr["functions"] = []
+    for column in doc["functions"].values():
+        del column[start:start + counts[ssr_index]]
+    counts[ssr_index] = 0
     return doc, f"empty SSR at index {ssr_index}"
 
 
@@ -388,11 +400,11 @@ def test_decode_bucket_is_total(data):
     if data.draw(st.booleans()):
         # decodable, invalid: the violation is reported as data, never raised
         doc, flaw = data.draw(invalid_buckets(BUCKET_DOC))
-        violations = validate_bucket(decode(SSRBucket, doc))
+        violations = validate_bucket(decode_bucket(doc))
         assert any(flaw in v for v in violations), (flaw, violations)
         return
     doc, target = data.draw(mutations(BUCKET_DOC))
-    bucket = assert_total(lambda: decode(SSRBucket, doc), target)
+    bucket = assert_total(lambda: decode_bucket(doc), target)
     if bucket is not None:  # violations are data: validation never raises
         assert isinstance(validate_bucket(bucket), list)
 
@@ -407,6 +419,7 @@ def test_load_config_is_total(tmp_path, data):
 
 
 def test_mutated_paths_are_named_as_decode_names_them():
-    assert path_of(("ssrs", 2, "functions", 0, "code_size")) == "ssrs[2].functions[0].code_size"
-    assert within("ssrs[2]", "ssrs[2].functions[0].code_size")
-    assert not within("ssrs[2]", "ssrs[22].user_latency")
+    assert path_of(("functions", "code_size", 3)) == "functions.code_size[3]"
+    assert within("functions", "functions.code_size[3]")
+    assert within("functions.code_size", "functions.code_size[3]")
+    assert not within("user_latency[2]", "user_latency[22]")

@@ -164,17 +164,14 @@ def test_ssr_comm_latency(simple_bucket):
 
 def test_ssr_comp_latency_priority_weighting(simple_bucket):
     # functions with priorities 5.0 and 2.5: weights 1.0 and 0.5
-    ssr = simple_bucket.ssrs[0]
+    first, second = ref.ssrs_of(simple_bucket)
     fns = (
         make_fn(demand=ONES, priority=5.0),
         make_fn(demand=ONES, priority=2.5),
     )
-    weighted = dataclasses.replace(ssr, functions=fns)
-    bucket = dataclasses.replace(
-        simple_bucket,
-        ssrs=(weighted, simple_bucket.ssrs[1]),
-        fog=HALF_CAP, cloud=HALF_CAP,
-    )
+    weighted = dataclasses.replace(first, functions=fns)
+    bucket = make_bucket([weighted, second], fog=HALF_CAP, cloud=HALF_CAP,
+                         link=simple_bucket.link_latency)
     # fog placement, user 0: l_i = 0.4 -> per-function comp 0.425
     _, comp = objective_parts(bucket, (True,) * 3)[0]
     assert comp == pytest.approx(0.425 * 1.0 + 0.425 * 0.5, abs=1e-9)
@@ -206,18 +203,15 @@ def test_bucket_step_cost_is_mean_of_ssrs():
     bucket = make_bucket(ssrs)
     placement = (True,) * 8
     total = costs.placement_step_cost_sum(bucket, placement)
-    assert total / len(bucket.ssrs) == pytest.approx(2.0, abs=1e-9)
+    assert total / len(bucket.function_count) == pytest.approx(2.0, abs=1e-9)
     assert total == pytest.approx(4.0, abs=1e-9)
 
 
 def test_single_ssr_bucket_step_cost_equals_ssr_cost(simple_bucket):
-    bucket = dataclasses.replace(
-        simple_bucket,
-        ssrs=(make_ssr((make_fn(),), latency=100.0),),
-    )
+    bucket = make_bucket([make_ssr((make_fn(),), latency=100.0)], link=simple_bucket.link_latency)
     ssr_cost = bucket.costs.ssr_sums(bucket.costs.cloud_step)[0]
-    assert costs.placement_step_cost_sum(bucket, (False,)) / len(bucket.ssrs) == pytest.approx(
-        ssr_cost)
+    assert costs.placement_step_cost_sum(bucket, (False,)) / len(bucket.function_count) == (
+        pytest.approx(ssr_cost))
 
 
 def _random_fn(rng):
@@ -308,7 +302,7 @@ def test_kernel_vectors_equal_scalar_reference_fuzz():
         ctx = bucket.costs
         terms, lf = ref.user_terms(bucket)
         k = 0
-        for ssr, (l_i, p_i) in zip(bucket.ssrs, terms):
+        for ssr, (l_i, p_i) in zip(ref.ssrs_of(bucket), terms):
             max_p = max(fn.priority for fn in ssr.functions)
             for fn in ssr.functions:
                 w = fn.priority / max_p
@@ -365,10 +359,11 @@ def test_cloud_net_io_weights_differ_by_user_latency(bucket):
     # the cloud step cost weights the net I/O ratio by l + lf, the cloud
     # objective by lf alone: their difference is that ratio times l
     ctx = bucket.costs
-    top_latency = max(ssr.user_latency for ssr in bucket.ssrs)
-    l = np.array([ssr.user_latency / top_latency for ssr in bucket.ssrs for _ in ssr.functions])
+    ssrs = ref.ssrs_of(bucket)
+    top_latency = max(ssr.user_latency for ssr in ssrs)
+    l = np.array([ssr.user_latency / top_latency for ssr in ssrs for _ in ssr.functions])
     w = np.array([fn.priority / max(f.priority for f in ssr.functions)
-                  for ssr in bucket.ssrs for fn in ssr.functions])
+                  for ssr in ssrs for fn in ssr.functions])
     r_io = (bucket.table[:, 3] / bucket.cloud.per_function_cap.net_io
             * bucket.importance_factors.net_io)
     gap = ctx.cloud_step - (ctx.priority + ctx.norm_link) - ctx.cloud_comp / w

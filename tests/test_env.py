@@ -189,9 +189,7 @@ def test_encoding_locality_on_critical_value():
     )
     bumped_fns = list(fns)
     bumped_fns[1] = dataclasses.replace(fns[1], critical_value=4)
-    bucket2 = dataclasses.replace(
-        bucket, ssrs=(make_ssr(tuple(bumped_fns)),)
-    )
+    bucket2 = make_bucket(ssrs=[make_ssr(tuple(bumped_fns))])
     # equal function priorities: the processing order is the insertion order
     env = PlacementEnv(bucket)
     assert env.order == [0, 1, 2]
@@ -207,7 +205,7 @@ def test_processing_order_priority_vs_insertion():
     assert sorted(pri.order) == list(range(bucket.n_functions))
     # SSR-major: user priorities along the visit order are non-increasing
     flat = bucket.functions()
-    visited_users = [bucket.ssrs[flat[i][0]].user_priority for i in pri.order]
+    visited_users = [bucket.user_priority[flat[i][0]] for i in pri.order]
     blocks = []
     for p in visited_users:
         if not blocks or blocks[-1] != p:

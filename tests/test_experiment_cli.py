@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import fogplace
-from fogplace.agent import AgentConfig, train
+from fogplace.agent import MAX_PARAMETERS, AgentConfig, train
 from fogplace.baselines import greedy_cost
 from fogplace.cli import main
 from fogplace.codec import encode
 from fogplace.costs import placement_step_cost_sum
 from fogplace.experiment import (
+    MAX_FUNCTIONS,
     ExperimentConfig,
     SweepSettings,
     aggregate_rows,
@@ -25,7 +26,7 @@ from fogplace.experiment import (
     save_config,
     training_env_factory,
 )
-from fogplace.env import PlacementEnv
+from fogplace.env import SLOT_WIDTH, PlacementEnv
 from fogplace.model import RESOURCE_KINDS, ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
@@ -94,7 +95,7 @@ def test_cli_generate_and_validate(tmp_path, capsys):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "4", "--out", str(out)]) == 0
     bucket = load_bucket(out)
-    assert 4 <= len(bucket.ssrs) <= 10
+    assert 4 <= len(bucket.function_count) <= 10
     for _, fn in bucket.functions():
         assert 10 <= fn.code_size <= 500
         assert 1 <= fn.critical_value <= 5
@@ -113,7 +114,7 @@ def test_cli_generate_sweep_cardinality(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["generate", "--seed", "2", "--out", str(out), "--sweep-n", "40"]) == 0
     bucket = load_bucket(out)
-    assert len(bucket.ssrs) == 10
+    assert len(bucket.function_count) == 10
     assert bucket.n_functions == 40
 
 
@@ -317,7 +318,10 @@ def test_cli_empty_bucket_is_invalid(tmp_path, capsys, command):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["ssrs"] = []
+    for column in ("function_count", "user_latency", "user_priority"):
+        doc[column] = []
+    for column in doc["functions"].values():
+        column.clear()
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == 1
@@ -330,9 +334,8 @@ def test_cli_overflowing_demand_does_not_fit(tmp_path, capsys, command, field):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    fn = doc["ssrs"][1]["functions"][0]
-    # far beyond every cloud limit
-    (fn["demand"] if field in RESOURCE_KINDS else fn)[field] = 1e308
+    # far beyond every cloud limit, in the first function of SSR 1
+    doc["functions"][field][doc["function_count"][0]] = 1e308
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == 1
@@ -345,7 +348,7 @@ def test_cli_malformed_bucket_is_usage_error(tmp_path, capsys, command):
     bad.write_text("{}")
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
-    assert "malformed bucket" in err and "ssrs" in err
+    assert "malformed bucket" in err and "version" in err
 
 
 def test_cli_oracle_validates_bucket_first(tmp_path, capsys):
@@ -380,17 +383,15 @@ def test_cli_oracle_validates_a_valid_bucket_once(tmp_path, monkeypatch, capsys)
 
 
 def zero_ssr_0_priorities(doc):
-    for fn in doc["ssrs"][0]["functions"]:
-        fn["priority"] = 0.0
+    doc["functions"]["priority"][:doc["function_count"][0]] = [0.0] * doc["function_count"][0]
 
 
 def negative_priority(doc):
-    doc["ssrs"][2]["functions"][1]["priority"] = -3.0
+    doc["functions"]["priority"][sum(doc["function_count"][:2]) + 1] = -3.0
 
 
 def drop_user_priorities(doc):
-    for ssr in doc["ssrs"]:
-        del ssr["user_priority"]
+    del doc["user_priority"]
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
@@ -398,14 +399,14 @@ def drop_user_priorities(doc):
     (zero_ssr_0_priorities, 1, "".join(
         f"VIOLATION: function (0, {j}) priority 0.0 must be finite and > 0\n" for j in range(4))),
     (negative_priority, 1, "VIOLATION: function (2, 1) priority -3.0 must be finite and > 0\n"),
-    (drop_user_priorities, 2, "ssrs[0].user_priority: missing"),
+    (drop_user_priorities, 2, "user_priority: missing"),
 ], ids=["zero-priorities", "negative-priority", "no-user-priorities"])
 def test_cli_validate_and_oracle_agree_on_bucket_priorities(tmp_path, capsys, command, edit,
                                                              code, expected):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert len(doc["ssrs"][0]["functions"]) == 4
+    assert doc["function_count"][0] == 4
     edit(doc)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -440,7 +441,7 @@ def set_at(doc, keys, value):
     """Set the value at ``keys``; True when the document had no such key before."""
     for key in keys[:-1]:
         doc = doc[key]
-    added = keys[-1] not in doc
+    added = isinstance(doc, dict) and keys[-1] not in doc
     doc[keys[-1]] = value
     return added
 
@@ -450,21 +451,19 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("command, keys, value, path", [
     ("validate", ("fog", "code_size_limit"), NAN, "fog.code_size_limit"),
-    ("validate", ("ssrs", 0, "functions", 0, "critical_value"), 3.7,
-     "ssrs[0].functions[0].critical_value"),
-    ("validate", ("ssrs", 0, "functions", 0, "code_size"), "12.5",
-     "ssrs[0].functions[0].code_size"),
+    ("validate", ("functions", "critical_value", 0), 3.7, "functions.critical_value[0]"),
+    ("validate", ("functions", "code_size", 0), "12.5", "functions.code_size[0]"),
     ("validate", ("extra",), 1, "extra"),
-    # users, user_id, ssr_index, the fog's link_latency and base_demand: keys of older
-    # bucket formats
+    # users, ssrs, the fog's link_latency and base_demand: keys of older bucket formats
     ("validate", ("users",), [{"id": 0, "latency": 20.0, "priority": 0.5}], "users"),
-    ("oracle", ("ssrs", 0, "functions", 0, "priority"), NAN, "ssrs[0].functions[0].priority"),
-    ("oracle", ("ssrs", 1, "functions", 0, "ssr_index"), 1, "ssrs[1].functions[0].ssr_index"),
-    ("oracle", ("ssrs", 0, "user_id"), 0, "ssrs[0].user_id"),
+    ("oracle", ("functions", "priority", 0), NAN, "functions.priority[0]"),
+    ("oracle", ("ssrs",), [{"user_latency": 20.0, "user_priority": 0.5, "functions": []}],
+     "ssrs"),
+    ("oracle", ("function_count", 1), 1.5, "function_count[1]"),
     ("validate", ("fog", "link_latency"), 0.0, "fog.link_latency"),
-    ("validate", ("ssrs", 0, "functions", 0, "base_demand"),
-     {"cpu": 1.0, "ram": 100.0, "storage": 10.0, "net_io": 10.0},
-     "ssrs[0].functions[0].base_demand"),
+    ("validate", ("functions", "base_demand"), [1.0, 100.0, 10.0, 10.0],
+     "functions.base_demand"),
+    ("validate", ("function_count", 0), 10**19, "(root)"),  # a count beyond int64
 ])
 def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
     cfg_path = tmp_path / "config.json"
@@ -565,6 +564,63 @@ def test_cli_rejects_config_that_cannot_generate(tmp_path, capsys, command, gene
     assert captured.err == f"error: malformed config {cfg_path}: generator: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+# a 401-digit JSON integer: an int decodes as itself, but this one is beyond the float range
+@pytest.mark.parametrize("command", ["generate", "train", "compare"])
+def test_cli_refuses_an_integer_beyond_the_float_range(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"generator": {"n_ssrs": [1, 10**400]}, "experiment": {
+        "sweep": [10], "algorithms": ["fog_first"], "runs_per_point": 1}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed config {cfg_path}: generator.n_ssrs[1]: not finite\n"
+    assert not out.exists()
+
+
+def test_cli_train_refuses_a_network_larger_than_the_cap(tmp_path, capsys, monkeypatch):
+    assert MAX_FUNCTIONS * SLOT_WIDTH + 1 == 1101  # the input width the cap is counted at
+    wide = (4096, 4096)  # 21 million parameters
+    assert AgentConfig(hidden_sizes=wide).hidden_sizes == wide
+    monkeypatch.setattr(fogplace.cli, "train", lambda *args: pytest.fail("training started"))
+    cfg_path = tmp_path / "config.json"
+    for sizes in ([64, 100_000_000], [4096] * 3, [4096] * 200, [40_000]):
+        cfg_path.write_text(json.dumps({"agent": {"hidden_sizes": sizes}}))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed config {cfg_path}: agent: hidden_sizes: each must be >= 1, "
+            f"for at most {MAX_PARAMETERS} parameters at 1101 inputs, got {sizes}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def per_function_format(doc):
+    """A version-2 bucket document in the unversioned per-function format before it."""
+    rows = [dict(zip(doc["functions"], values)) for values in zip(*doc["functions"].values())]
+    ssrs, start = [], 0
+    for count, latency, priority in zip(doc["function_count"], doc["user_latency"],
+                                        doc["user_priority"]):
+        ssrs.append({"user_latency": latency, "user_priority": priority, "functions": [
+            {"code_size": row["code_size"], "input_size": row["input_size"],
+             "critical_value": row["critical_value"], "priority": row["priority"],
+             "demand": {kind: row[kind] for kind in RESOURCE_KINDS}}
+            for row in rows[start:start + count]]})
+        start += count
+    return {"ssrs": ssrs, **{key: doc[key]
+                             for key in ("link_latency", "fog", "cloud", "importance_factors")}}
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_cli_refuses_a_bucket_file_of_another_version(tmp_path, capsys, command):
+    out = tmp_path / "bucket.json"
+    assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for other, version in ((per_function_format(doc), "null"), ({**doc, "version": 1}, "1")):
+        out.write_text(json.dumps(other))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: malformed bucket {out}: version: "
+                                           f"unsupported bucket version {version}, expected 2\n")
 
 
 def test_cli_train_refuses_buckets_wider_than_the_encoder(tmp_path, capsys):
@@ -692,7 +748,8 @@ def test_output_digests_tool_prints_one_line_per_output():
     assert [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1) for line in lines] == [
         "saved_config.json", "bucket.json", "sweep.json", "run/checkpoint.json",
         "run/training_log.csv", "results/results_detail.csv", "results/results_mean.csv",
-        "run/checkpoint params", "oracle stdout", "validate stdout",
+        "bucket arrays", "sweep arrays", "run/checkpoint params", "oracle stdout",
+        "validate stdout",
         "cost_model_walkthrough.py stdout",
         "wrap/checkpoint.json", "wrap/training_log.csv", "wrap/checkpoint params",
         "mixed/results_detail.csv", "mixed/results_mean.csv",

@@ -1,16 +1,20 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import scalar_reference as ref
 from fogplace import costs, metrics
-from fogplace.codec import encode
+from fogplace.codec import DecodeError
 from fogplace.env import PlacementEnv
 from fogplace.model import (
     ResourceVector,
     RESOURCE_KINDS,
+    TABLE_COLUMNS,
     cloud_feasible,
+    decode_bucket,
+    encode_bucket,
     fog_feasible,
     load_bucket,
     save_bucket,
@@ -86,10 +90,9 @@ def test_generated_bucket_is_valid():
 
 
 def test_critical_value_range_enforced():
-    with pytest.raises(ValueError):
-        make_fn(critical=0)
-    with pytest.raises(ValueError):
-        make_fn(critical=6)
+    for critical in (0, 6):
+        with pytest.raises(DecodeError, match=r"^functions.critical_value\[1\]: must be in 1..5"):
+            make_bucket([make_ssr([make_fn(), make_fn(critical=critical)])])
 
 
 def test_bucket_serialization_round_trip(tmp_path):
@@ -98,17 +101,18 @@ def test_bucket_serialization_round_trip(tmp_path):
     save_bucket(bucket, path)
     loaded = load_bucket(path)
     # exact round trip: ints bit-for-bit, floats via JSON repr (shortest exact)
-    assert loaded == bucket
+    assert loaded.table.tobytes() == bucket.table.tobytes()
+    assert encode_bucket(loaded) == encode_bucket(bucket)
 
 
 def test_bucket_costs_is_built_once_per_bucket():
     bucket = generate_bucket(GeneratorConfig(seed=4))
-    doc = encode(bucket)
+    doc = encode_bucket(bucket)
     ctx = bucket.costs
     assert bucket.costs is ctx
-    # the cache is no field: equality, hashing and the file format ignore it
+    # the cache is no field: the file format ignores it
     copy = dataclasses.replace(bucket)
-    assert copy == bucket and hash(copy) == hash(bucket) and encode(bucket) == doc
+    assert encode_bucket(copy) == encode_bucket(bucket) == doc
     assert copy.costs is not ctx
     assert copy.costs.fog_step.tolist() == ctx.fog_step.tolist()
     slower = dataclasses.replace(bucket, link_latency=2 * bucket.link_latency)
@@ -117,15 +121,19 @@ def test_bucket_costs_is_built_once_per_bucket():
 
 def test_bucket_table_is_built_once_per_bucket():
     bucket = generate_bucket(GeneratorConfig(seed=4))
-    table = bucket.table
+    table, starts = bucket.table, bucket.starts
     validate_bucket(bucket)
     PlacementEnv(bucket)
     metrics.report(bucket, [(False,) * bucket.n_functions])
-    assert bucket.table is table
-    assert not table.flags.writeable
+    assert bucket.table is table and bucket.starts is starts
+    for column in (table, starts, bucket.function_count, bucket.user_latency,
+                   bucket.user_priority):
+        assert not column.flags.writeable
+    assert starts.tolist() == np.cumsum([0, *bucket.function_count[:-1]]).tolist()
+    # the function objects are built on request, one per row
     assert table.tolist() == ref.function_table(bucket)
     copy = dataclasses.replace(bucket)
-    assert copy == bucket and copy.table is not table
+    assert copy.table is not table
     assert copy.table.tolist() == table.tolist()
 
 
@@ -179,3 +187,46 @@ def test_validate_reports_a_negative_link():
     bucket = make_bucket(ssrs=[make_ssr((make_fn(),))], link=-1.0)
     assert validate_bucket(bucket) == ["link latency -1.0 must be finite and >= 0"]
 
+
+# ---- bucket files --------------------------------------------------------
+
+def set_value(column, index, value):
+    """An edit of a bucket document: one entry of a per-SSR or a function column."""
+    def edit(doc):
+        (doc["functions"] if column in TABLE_COLUMNS else doc)[column][index] = value
+    return edit
+
+
+SSR_COLUMNS = ("(root): function_count, user_latency and user_priority must hold one entry "
+               "per SSR, the counts >= 0 and summing to 4")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(version=1), "version: unsupported bucket version 1, expected 2"),
+    (lambda doc: doc.pop("version"), "version: unsupported bucket version null, expected 2"),
+    (set_value("critical_value", 1, 0), "functions.critical_value[1]: must be in 1..5, got 0.0"),
+    (set_value("code_size", 3, 0.0), "functions.code_size[3]: must be > 0, got 0.0"),
+    (set_value("input_size", 2, -1.0), "functions.input_size[2]: must be >= 0, got -1.0"),
+    (set_value("ram", 0, -0.5), "functions.ram[0]: must be finite and >= 0, got -0.5"),
+    (set_value("code_size", 3, math.inf), "functions.code_size[3]: not finite"),
+    (set_value("user_latency", 1, 10**400), "user_latency[1]: not finite"),
+    (lambda doc: doc["functions"]["net_io"].pop(),
+     "functions: columns of unequal lengths: one entry per function each"),
+    (lambda doc: doc["user_priority"].pop(), SSR_COLUMNS),
+    (set_value("function_count", 0, 3), SSR_COLUMNS),
+    (set_value("function_count", 0, -1), SSR_COLUMNS),
+    (set_value("function_count", 0, 10**19), SSR_COLUMNS),  # beyond int64
+    # four counts whose int64 sum wraps round to the 4 functions
+    (lambda doc: doc.update(function_count=[2**62] * 3 + [2**62 + 4], user_latency=[1.0] * 4,
+                            user_priority=[0.5] * 4), SSR_COLUMNS),
+], ids=["version", "no-version", "critical-value", "code-size", "input-size", "demand",
+        "not-finite", "int-not-finite", "function-columns", "ssr-columns", "count-sum",
+        "negative-count", "count-beyond-int64", "count-sum-wraps"])
+def test_bucket_document_refusals_name_the_column_and_index(edit, message):
+    doc = encode_bucket(generate_bucket(GeneratorConfig(seed=3, n_ssrs=(2, 2),
+                                                        functions_per_ssr=(2, 2))))
+    decode_bucket(doc)
+    edit(doc)
+    with pytest.raises(DecodeError) as info:
+        decode_bucket(doc)
+    assert str(info.value) == message

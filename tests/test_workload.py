@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as reference
 from fogplace.codec import decode, encode
-from fogplace.model import validate_bucket
+from fogplace.model import TABLE_COLUMNS, encode_bucket, validate_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
 from conftest import PROPERTY, seeds
@@ -35,14 +35,14 @@ def test_default_ranges_respected():
 
 def test_same_seed_identical_buckets():
     cfg = GeneratorConfig(seed=42)
-    assert generate_bucket(cfg) == generate_bucket(cfg)
+    assert encode_bucket(generate_bucket(cfg)) == encode_bucket(generate_bucket(cfg))
 
 
 def test_forced_cardinality():
     cfg = GeneratorConfig(seed=7, n_ssrs=(10, 10), functions_per_ssr=(1, 1))
     bucket = generate_bucket(cfg)
     assert bucket.n_functions == 10
-    assert all(len(s.functions) == 1 for s in bucket.ssrs)
+    assert bucket.function_count.tolist() == [1] * 10
 
 
 def test_generated_buckets_validate():
@@ -59,14 +59,14 @@ def test_infeasible_demand_range_rejected():
 def test_sweep_exact_splits():
     cfg = GeneratorConfig(seed=3)
     ten = generate_sweep(cfg, 10)
-    assert [len(s.functions) for s in ten.ssrs] == [1] * 10
+    assert ten.function_count.tolist() == [1] * 10
     hundred = generate_sweep(cfg, 100)
-    assert [len(s.functions) for s in hundred.ssrs] == [10] * 10
+    assert hundred.function_count.tolist() == [10] * 10
     mid = generate_sweep(cfg, 55)
-    counts = [len(s.functions) for s in mid.ssrs]
+    counts = mid.function_count.tolist()
     assert sum(counts) == 55
     assert all(1 <= c <= 10 for c in counts)
-    assert len(mid.ssrs) == 10
+    assert len(counts) == 10
 
 
 def test_sweep_domain_errors():
@@ -92,10 +92,8 @@ def test_fog_infeasible_functions_exist_on_average():
 
 def test_priorities_are_cached():
     bucket = generate_bucket(GeneratorConfig(seed=12))
-    assert all(0 <= ssr.user_priority <= 1 for ssr in bucket.ssrs)
-    for ssr in bucket.ssrs:
-        for fn in ssr.functions:
-            assert fn.priority is not None and fn.priority > 0
+    assert ((bucket.user_priority >= 0) & (bucket.user_priority <= 1)).all()
+    assert (bucket.table[:, TABLE_COLUMNS.index("priority")] > 0).all()
 
 
 def test_config_round_trip():
@@ -162,11 +160,12 @@ configs = st.builds(
 @settings(PROPERTY, max_examples=100)
 @given(configs, seeds)
 def test_bucket_matches_scalar_reference(cfg, seed):
-    assert encode(generate_bucket(cfg, seed)) == encode(reference.generate_bucket(cfg, seed))
+    assert (encode_bucket(generate_bucket(cfg, seed))
+            == encode_bucket(reference.generate_bucket(cfg, seed)))
 
 
 @settings(PROPERTY, max_examples=100)
 @given(configs, st.integers(10, 100), seeds)
 def test_sweep_matches_scalar_reference(cfg, total, seed):
-    assert (encode(generate_sweep(cfg, total, seed=seed))
-            == encode(reference.generate_sweep(cfg, total, seed=seed)))
+    assert (encode_bucket(generate_sweep(cfg, total, seed=seed))
+            == encode_bucket(reference.generate_sweep(cfg, total, seed=seed)))

@@ -17,10 +17,13 @@ temporary directory that is removed afterwards:
 
 and then runs ``demos/cost_model_walkthrough.py`` of the checkout whose
 ``src/`` holds the imported package. One line ``<sha256>  <name>`` is printed
-per output file, for the oracle's, the demo's and validate's stdout, and for each
+per output file, for the oracle's, the demo's and validate's stdout, for each
 checkpoint's ``<dir>/checkpoint params``: the bytes of the ``params`` vector
-that ``ValueNetwork.load`` reads from it, which stay equal when only the file
-format changes. Two source trees whose lines match wrote byte-identical outputs.
+that ``ValueNetwork.load`` reads from it, and for ``bucket arrays`` and ``sweep
+arrays``: the bytes of the loaded bucket's ``table``, then of its cost context's
+``priority``, ``fog_step``, ``cloud_step``, ``fog_comp`` and ``cloud_comp``.
+Those stay equal when only a file format changes. Two source trees whose lines
+match wrote byte-identical outputs.
 
 Run: PYTHONPATH=<checkout>/src python tools/output_digests.py
 """
@@ -38,6 +41,7 @@ from pathlib import Path
 import fogplace.cli
 from fogplace.agent import ValueNetwork
 from fogplace.experiment import load_config, save_config
+from fogplace.model import load_bucket
 
 CONFIG = {
     "agent": {"episodes": 3},
@@ -83,14 +87,23 @@ def broken_bucket(bucket_path: Path, out: Path) -> None:
     importance factors' sum, a user latency, a cloud fit, a user priority, and a
     function priority next to a cloud fit of the same function."""
     doc = json.loads(bucket_path.read_text())
+    functions = doc["functions"]
+    second = doc["function_count"][0]  # the table row of SSR 1's first function
     doc["importance_factors"]["cpu"] += 0.5
-    first, second = doc["ssrs"][:2]
-    first["user_latency"] = 0.0
-    first["functions"][1]["demand"]["ram"] = 1e6
-    second["user_priority"] = 1.5
-    second["functions"][0]["priority"] = -1.0
-    second["functions"][0]["code_size"] = 1e4
+    doc["user_latency"][0] = 0.0
+    functions["ram"][1] = 1e6
+    doc["user_priority"][1] = 1.5
+    functions["priority"][second] = -1.0
+    functions["code_size"][second] = 1e4
     out.write_text(json.dumps(doc))
+
+
+def bucket_arrays(path: Path) -> bytes:
+    """The table of the bucket that ``path`` loads to, then its cost context's vectors."""
+    bucket = load_bucket(path)
+    vectors = (getattr(bucket.costs, name) for name in
+               ("priority", "fog_step", "cloud_step", "fog_comp", "cloud_comp"))
+    return bucket.table.tobytes() + b"".join(vector.tobytes() for vector in vectors)
 
 
 def loaded_params(run_dir: Path) -> bytes:
@@ -109,6 +122,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
     run("compare", "--config", str(config), "--checkpoint", str(work / "run" / "checkpoint.json"),
         "--out", str(work / "results"))
     outputs = [(name, (work / name).read_bytes()) for name in OUTPUT_FILES]
+    outputs += [(f"{name} arrays", bucket_arrays(work / f"{name}.json"))
+                for name in ("bucket", "sweep")]
     outputs.append(("run/checkpoint params", loaded_params(work / "run")))
     outputs.append(("oracle stdout", run("oracle", str(work / "bucket.json")).encode()))
     broken_bucket(work / "bucket.json", work / "broken.json")
