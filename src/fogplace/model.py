@@ -85,6 +85,10 @@ class ServerlessFunction:
 # The range of each table column but the priority, which ``validate_bucket`` checks.
 _COLUMN_RULES = ("must be finite and >= 0",) * 4 + ("must be > 0", "must be >= 0",
                                                    "must be in 1..5")
+# The same rules as bounds: a code size > 0 is one at or above the least float > 0.
+_COLUMN_MIN = np.array([0.0] * 4 + [math.ulp(0.0), 0.0, 1.0])
+_COLUMN_MAX = np.array([np.finfo(float).max] * 4 + [math.inf, math.inf, 5.0])
+_NAN_BREAKS = np.array([True] * 4 + [False, False, True])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +121,11 @@ class SSRBucket:
                 ("user_priority", np.array(self.user_priority, dtype=float))):
             column.flags.writeable = False  # shared by every reader of the bucket
             object.__setattr__(self, name, column)
-        demand, (code_size, input_size, critical, _) = self.table[:, :4], self.table[:, 4:].T
-        broken = np.column_stack([~((demand >= 0) & (demand < math.inf)), code_size <= 0,
-                                  input_size < 0, ~((critical >= 1) & (critical <= 5))])
-        for k, c in np.argwhere(broken)[:1].tolist():  # the first function breaking a rule
+        # each rule as bounds: NaN breaks the demand and critical value rules only
+        rows = self.table[:, :len(_COLUMN_RULES)]
+        broken = (rows < _COLUMN_MIN) | (rows > _COLUMN_MAX) | (np.isnan(rows) & _NAN_BREAKS)
+        if broken.any():  # the first function breaking a rule
+            k, c = np.argwhere(broken)[0].tolist()
             raise DecodeError(f"functions.{TABLE_COLUMNS[c]}[{k}]",
                               f"{_COLUMN_RULES[c]}, got {self.table[k, c]}")
 
@@ -258,22 +263,29 @@ def validate_bucket(bucket: SSRBucket) -> list[str]:
     # from_bucket divides by each SSR's top priority
     bad_priority = ~((priority > 0) & (priority < math.inf))
     misfit = ~fits(bucket.cloud, code_size, input_size, demand)
-    flagged = bad_priority | misfit
-    latencies = bucket.user_latency.tolist()
-    for i, (start, count, latency, user_priority) in enumerate(zip(
-            bucket.starts.tolist(), bucket.function_count.tolist(), latencies,
-            bucket.user_priority.tolist())):
-        if count == 0:
+    latency, user_priority = bucket.user_latency, bucket.user_priority
+    broken_ssrs = np.flatnonzero(
+        (bucket.function_count == 0) | ~((latency > 0) & (latency < math.inf))
+        | ~((user_priority >= 0) & (user_priority <= 1))).tolist()
+    rows = np.flatnonzero(bad_priority | misfit).tolist()
+    latencies = latency.tolist()
+    rows_of: dict[int, list[int]] = {}  # per SSR, its flagged rows
+    if rows:  # a row's SSR is the last one that starts at or before it, past empty SSRs
+        for k, i in zip(rows, np.searchsorted(bucket.starts, rows, side="right").tolist()):
+            rows_of.setdefault(i - 1, []).append(k)
+    for i in sorted(rows_of.keys() | set(broken_ssrs)):
+        if bucket.function_count[i] == 0:
             violations.append(f"empty SSR at index {i}")
-        if not 0 < latency < math.inf:
-            violations.append(f"SSR {i} user latency {latency} must be finite and > 0")
-        if not 0 <= user_priority <= 1:
-            violations.append(f"SSR {i} user priority {user_priority} outside [0, 1]")
-        for j in np.flatnonzero(flagged[start:start + count]).tolist():
-            if bad_priority[start + j]:
-                violations.append(f"function ({i}, {j}) priority {priority[start + j]} "
+        if not 0 < latencies[i] < math.inf:
+            violations.append(f"SSR {i} user latency {latencies[i]} must be finite and > 0")
+        if not 0 <= user_priority[i] <= 1:
+            violations.append(f"SSR {i} user priority {user_priority[i].item()} outside [0, 1]")
+        for k in rows_of.get(i, ()):
+            j = k - int(bucket.starts[i])
+            if bad_priority[k]:
+                violations.append(f"function ({i}, {j}) priority {priority[k]} "
                                   "must be finite and > 0")
-            if misfit[start + j]:
+            if misfit[k]:
                 violations.append(f"function ({i}, {j}) does not fit the cloud limits")
 
     top = max(latencies, default=0.0)

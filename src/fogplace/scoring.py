@@ -7,7 +7,7 @@ that use another frame. A bucket stores the priorities, not their inputs.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def user_priority(pd: float, pl: float, p_omega: float) -> float:
 
 def ssr_priorities(critical: Sequence[int], code_sizes: Sequence[float],
                    input_sizes: Sequence[float], delta: float = DEFAULT_DELTA, *,
-                   counts: Sequence[int] | None = None) -> list[float]:
+                   counts: Sequence[int] | None = None) -> np.ndarray:
     """Preference of each function for fog placement, given column by column.
 
     The columns hold consecutive SSRs of ``counts`` functions each (by default
@@ -59,7 +59,7 @@ def ssr_priorities(critical: Sequence[int], code_sizes: Sequence[float],
     largest code and input sizes are taken once, as segment maxima.
     """
     if len(code_sizes) == 0:
-        return []
+        return np.empty(0)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     code = np.asarray(code_sizes, dtype=float)
@@ -68,20 +68,21 @@ def ssr_priorities(critical: Sequence[int], code_sizes: Sequence[float],
     starts = np.cumsum([0, *counts[:-1]])
     max_code = np.maximum.reduceat(code, starts)
     max_input = np.maximum.reduceat(size, starts)
-    if (max_code == 0).any() or (max_input == 0).any():
+    if not (max_code.all() and max_input.all()):  # a zero maximum
         raise ValueError("degenerate SSR: zero maximum code or input size")
     max_code, max_input = np.repeat(max_code, counts), np.repeat(max_input, counts)
     critical_term = (5 - np.asarray(critical)) / 5
     code_term = (max_code - code) / max_code
     input_term = (max_input - size) / max_input
-    return (1.0 / (delta + critical_term * code_term * input_term)).tolist()
+    return 1.0 / (delta + critical_term * code_term * input_term)
 
 
-def user_priorities(positions: list[tuple[float, float]], latencies: list[float],
+def user_priorities(positions: Iterable[tuple[float, float]], latencies: list[float],
                     distance_cap: float, blend: float) -> list[float]:
-    """``user_priority`` of every user of a bucket; latency priority needs them all."""
-    return [
-        user_priority(distance_priority(user_distance((0.0, 0.0), pos), distance_cap),
-                      latency_priority(latency, latencies), blend)
-        for pos, latency in zip(positions, latencies)
-    ]
+    """``user_priority`` of every user of a bucket, in O(users): the latencies are checked,
+    and their maximum taken, once."""
+    if any(latency <= 0 for latency in latencies):
+        raise ValueError("latencies must be > 0")
+    top = max(latencies, default=1.0)
+    return [user_priority(distance_priority(math.hypot(x, y), distance_cap), latency / top, blend)
+            for (x, y), latency in zip(positions, latencies)]

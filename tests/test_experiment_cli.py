@@ -507,6 +507,9 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
      "generator.fog.link_latency"),
     # a replay that never holds a batch would train without a gradient step
     ({"agent": {"episodes": 3, "batch_size": 64, "replay_capacity": 10}}, "agent"),
+    # count spans that numpy would not draw on 32 bits: about 7e11 SSRs, were it generated
+    ({"generator": {"n_ssrs": [1, 2**40]}}, "generator"),
+    ({"generator": {"functions_per_ssr": [1, 2**32]}}, "generator"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -753,4 +756,5 @@ def test_output_digests_tool_prints_one_line_per_output():
         "cost_model_walkthrough.py stdout",
         "wrap/checkpoint.json", "wrap/training_log.csv", "wrap/checkpoint params",
         "mixed/results_detail.csv", "mixed/results_mean.csv",
+        "sweep100.json", "point.json", "two_critical.json",
     ]

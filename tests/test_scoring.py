@@ -147,7 +147,7 @@ def test_priorities_of_consecutive_ssrs_equal_the_scalar_formula_fuzz():
         got = scoring.ssr_priorities([f.critical_value for f in fns], [f.code_size for f in fns],
                                      [f.input_size for f in fns], delta,
                                      counts=[len(ssr.functions) for ssr in ssrs])
-        assert got == [reference.function_priority(fn, ssr, delta)
+        assert got.tolist() == [reference.function_priority(fn, ssr, delta)
                        for ssr in ssrs for fn in ssr.functions]
 
 

@@ -4,7 +4,10 @@ The job runs through ``fogplace.cli.main``, in this process, inside a
 temporary directory that is removed afterwards:
 
   config     the file that ``save_config`` writes for ``load_config`` of CONFIG
-  generate   the default bucket, and a 40-function sweep bucket
+  generate   the default bucket, and a 40-function sweep bucket; later a
+             100-function sweep bucket, whose split ends on one open SSR, a
+             bucket whose SSR count, function counts and critical value are
+             each one value, and one with two critical values
   train      a few episodes at the compare width, and again with a replay
              and a target sync interval small enough that the replay wraps
              around and the target network syncs
@@ -60,6 +63,10 @@ MIXED_CONFIG = {**CONFIG, "generator": {
     "cpu_demand": [1.0, 3.0], "ram_demand": [100.0, 1024.0], "storage_demand": [10.0, 1024.0],
     "net_io_demand": [10.0, 2048.0], "code_size": [10.0, 300.0], "input_size": [100.0, 1500.0],
 }}
+# every count range and the critical value a single value: no bounded draw at all
+POINT_CONFIG = {"generator": {"n_ssrs": [3, 3], "functions_per_ssr": [4, 4],
+                              "critical_value": [2, 2]}}
+TWO_CRITICAL_CONFIG = {"generator": {"critical_value": [4, 5]}}
 OUTPUT_FILES = (
     "saved_config.json",
     "bucket.json",
@@ -146,6 +153,13 @@ def digests(work: Path) -> list[tuple[str, str]]:
         str(work / "run" / "checkpoint.json"), "--out", str(work / "mixed"))
     outputs += [(name, (work / name).read_bytes())
                 for name in ("mixed/results_detail.csv", "mixed/results_mean.csv")]
+    run("generate", "--config", str(config), "--sweep-n", "100", "--out", str(work / "sweep100.json"))
+    for name, doc in (("point", POINT_CONFIG), ("two_critical", TWO_CRITICAL_CONFIG)):
+        (work / f"{name}_config.json").write_text(json.dumps(doc))
+        run("generate", "--config", str(work / f"{name}_config.json"),
+            "--out", str(work / f"{name}.json"))
+    outputs += [(name, (work / name).read_bytes())
+                for name in ("sweep100.json", "point.json", "two_critical.json")]
     return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
 
 
