@@ -94,7 +94,8 @@ _NAN_BREAKS = np.array([True] * 4 + [False, False, True])
 @dataclass(frozen=True, eq=False)
 class SSRBucket:
     """A bucket as columns, each copied and made read-only; ``DecodeError``, named as in a
-    file, on per-SSR columns that do not fit the table or a value outside its range."""
+    file, on a table that is not n x 8, a count that is not integral, per-SSR columns
+    that do not fit the table or a value outside its range."""
 
     table: np.ndarray  # one row per function in flattened order, columns TABLE_COLUMNS
     function_count: np.ndarray  # per SSR: its number of functions, consecutive rows
@@ -107,8 +108,14 @@ class SSRBucket:
     starts: np.ndarray = field(init=False, repr=False)  # per SSR: its first row in the table
 
     def __post_init__(self) -> None:
-        table = np.array(self.table, dtype=float).reshape(-1, len(TABLE_COLUMNS))
-        counts = [int(c) for c in self.function_count]  # checked as Python ints: none wraps
+        table = np.array(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(TABLE_COLUMNS):
+            raise DecodeError("functions", f"expected a table of {len(TABLE_COLUMNS)} "
+                              f"columns, got shape {table.shape}")
+        # checked as Python ints, so none wraps; NaN and 7.9 are not integral
+        counts = [int(c) for c in self.function_count if c % 1 == 0]
+        if len(counts) != len(self.function_count):
+            raise DecodeError("function_count", "every count must be an integer")
         if not (len(counts) == len(self.user_latency) == len(self.user_priority)
                 and min(counts, default=0) >= 0 and sum(counts) == len(table)):
             raise DecodeError("", "function_count, user_latency and user_priority must hold one "

@@ -26,6 +26,14 @@ generated_buckets = st.one_of(
 )
 
 
+def locations(doc, keys=()):
+    """Every (keys, value) position of a JSON document, the root included."""
+    yield keys, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from locations(value, keys + (key,))
+
+
 def make_limits(cpu=6, ram=5120, storage=10240, net_io=10240,
                 code=500.0, input_size=2500.0):
     return EnvironmentLimits(

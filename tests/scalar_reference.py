@@ -5,9 +5,10 @@ formula here adds its terms left to right, in the order the vectors keep, so
 the package must reproduce these values exactly (``==``), not approximately.
 ``brute_force_optimum`` enumerates every feasible placement of a small bucket:
 the ground truth for the package's O(n) ``exact_optimum``. ``generate_bucket``
-and ``generate_sweep`` draw every value with its own scalar generator call and
-score the bucket in a second pass: the ground truth for the seed contract of
-``fogplace.workload``, which must build the same buckets from the same draws.
+and ``generate_sweep`` draw every value with its own ``rng.random()`` call, in the
+package's order, and score the bucket in a second pass: the ground truth for
+the seed contract of ``fogplace.workload``, which draws the same doubles in
+blocks and must build the same buckets from them.
 ``fits_platform`` tests one function against one platform's limits, clause by
 clause: the ground truth for the package's broadcasting ``fits``.
 
@@ -17,6 +18,7 @@ The reference holds a bucket as ``Ssr`` objects of function objects:
 of ``SSRBucket.functions`` one by one.
 """
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -302,16 +304,23 @@ def with_priorities(ssrs, positions, cfg):
     return scored
 
 
+def _uniform(rng, lo, hi):
+    """One double on [lo, hi), its ends taken as floats as the package's range columns are."""
+    lo, hi = float(lo), float(hi)
+    return lo + (hi - lo) * rng.random()
+
+
+def _integer(rng, lo, hi):
+    """One integer on lo..hi from one double."""
+    return lo + math.floor(rng.random() * (hi - lo + 1))
+
+
 def _sample_function(cfg, rng):
-    """Eleven scalar draws: code, input, critical, then (total, split) per resource kind."""
-    code = rng.uniform(*cfg.code_size)
-    input_size = rng.uniform(*cfg.input_size)
-    critical = int(rng.integers(cfg.critical_value[0], cfg.critical_value[1] + 1))
-    demand = {}
-    for kind, (lo, hi) in cfg.demand_ranges().items():
-        total = rng.uniform(lo, hi)
-        split = rng.uniform(0.0, 1.0)
-        demand[kind] = total * split + (total - total * split)  # base share plus the rest
+    """Seven scalar draws: code and input size, critical value, then each demand kind."""
+    code = _uniform(rng, *cfg.code_size)
+    input_size = _uniform(rng, *cfg.input_size)
+    critical = _integer(rng, *cfg.critical_value)
+    demand = {kind: _uniform(rng, *bounds) for kind, bounds in cfg.demand_ranges().items()}
     return ServerlessFunction(
         code_size=code,
         input_size=input_size,
@@ -325,10 +334,10 @@ def _build_bucket(cfg, rng, fn_counts):
     latencies, positions = [], []
     for _ in fn_counts:
         # uniform over the disc of radius D around the fog node
-        radius = cfg.distance_cap * np.sqrt(rng.uniform(0.0, 1.0))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
+        radius = cfg.distance_cap * np.sqrt(rng.random())
+        theta = 2.0 * np.pi * rng.random()
         positions.append((float(radius * np.cos(theta)), float(radius * np.sin(theta))))
-        latencies.append(float(rng.uniform(*cfg.latency)))
+        latencies.append(cfg.latency[0] + (cfg.latency[1] - cfg.latency[0]) * rng.random())
 
     ssrs = []
     for latency, count in zip(latencies, fn_counts):
@@ -340,21 +349,21 @@ def _build_bucket(cfg, rng, fn_counts):
 
 
 def generate_bucket(cfg, seed=None):
-    """``fogplace.workload.generate_bucket``, one scalar draw at a time."""
+    """``fogplace.workload.generate_bucket``, one ``rng.random()`` call per value."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    n = int(rng.integers(cfg.n_ssrs[0], cfg.n_ssrs[1] + 1))
-    counts = [int(rng.integers(cfg.functions_per_ssr[0], cfg.functions_per_ssr[1] + 1))
-              for _ in range(n)]
+    n = _integer(rng, *cfg.n_ssrs)
+    counts = [_integer(rng, *cfg.functions_per_ssr) for _ in range(n)]
     return _build_bucket(cfg, rng, counts)
 
 
 def generate_sweep(cfg, total_functions, seed=None):
-    """``fogplace.workload.generate_sweep``: the split drawn with ``rng.choice``."""
+    """``fogplace.workload.generate_sweep``: each function beyond the first ten goes to
+    an SSR still below ten, picked by one double from those in ascending order."""
     if not 10 <= total_functions <= 100:
         raise ValueError(f"total functions {total_functions} outside [10, 100]")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     counts = [1] * 10
     for _ in range(total_functions - 10):
         open_slots = [i for i in range(10) if counts[i] < 10]
-        counts[int(rng.choice(open_slots))] += 1
+        counts[open_slots[int(rng.random() * len(open_slots))]] += 1
     return _build_bucket(cfg, rng, counts)

@@ -31,7 +31,7 @@ from fogplace.model import (
 )
 from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
-from conftest import PROPERTY, generated_buckets
+from conftest import PROPERTY, generated_buckets, locations
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,14 +294,6 @@ def test_config_save_load_save_is_byte_identical(tmp_path, cfg):
 
 
 # ---- totality ------------------------------------------------------------
-
-def locations(doc, keys=()):
-    """Every (keys, value) position of a JSON document, the root included."""
-    yield keys, doc
-    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in children:
-        yield from locations(value, keys + (key,))
-
 
 def path_of(keys):
     out = ""

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fogplace
 from fogplace.agent import MAX_PARAMETERS, AgentConfig, train
@@ -17,6 +19,7 @@ from fogplace.cli import main
 from fogplace.codec import encode
 from fogplace.costs import placement_step_cost_sum
 from fogplace.experiment import (
+    ALGORITHMS,
     MAX_FUNCTIONS,
     ExperimentConfig,
     SweepSettings,
@@ -30,7 +33,7 @@ from fogplace.env import SLOT_WIDTH, PlacementEnv
 from fogplace.model import RESOURCE_KINDS, ResourceVector, load_bucket, save_bucket
 from fogplace.workload import GeneratorConfig, generate_bucket
 
-from conftest import make_bucket, make_fn, make_ssr
+from conftest import PROPERTY, locations, make_bucket, make_fn, make_ssr
 
 
 SMALL_AGENT = AgentConfig(episodes=3, hidden_sizes=(8,))
@@ -382,32 +385,37 @@ def test_cli_oracle_validates_a_valid_bucket_once(tmp_path, monkeypatch, capsys)
     assert len(calls) == 1
 
 
+# Each edit of a bucket document returns what validate and oracle must print for it.
 def zero_ssr_0_priorities(doc):
-    doc["functions"]["priority"][:doc["function_count"][0]] = [0.0] * doc["function_count"][0]
+    count = doc["function_count"][0]
+    assert count > 1  # a line per function of SSR 0, in order
+    doc["functions"]["priority"][:count] = [0.0] * count
+    return "".join(f"VIOLATION: function (0, {j}) priority 0.0 must be finite and > 0\n"
+                   for j in range(count))
 
 
 def negative_priority(doc):
     doc["functions"]["priority"][sum(doc["function_count"][:2]) + 1] = -3.0
+    return "VIOLATION: function (2, 1) priority -3.0 must be finite and > 0\n"
 
 
 def drop_user_priorities(doc):
     del doc["user_priority"]
+    return "user_priority: missing"
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle"])
-@pytest.mark.parametrize("edit, code, expected", [
-    (zero_ssr_0_priorities, 1, "".join(
-        f"VIOLATION: function (0, {j}) priority 0.0 must be finite and > 0\n" for j in range(4))),
-    (negative_priority, 1, "VIOLATION: function (2, 1) priority -3.0 must be finite and > 0\n"),
-    (drop_user_priorities, 2, "user_priority: missing"),
+@pytest.mark.parametrize("edit, code", [
+    (zero_ssr_0_priorities, 1),
+    (negative_priority, 1),
+    (drop_user_priorities, 2),
 ], ids=["zero-priorities", "negative-priority", "no-user-priorities"])
 def test_cli_validate_and_oracle_agree_on_bucket_priorities(tmp_path, capsys, command, edit,
-                                                             code, expected):
+                                                             code):
     out = tmp_path / "bucket.json"
     assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["function_count"][0] == 4
-    edit(doc)
+    expected = edit(doc)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(out)]) == code
@@ -464,6 +472,18 @@ NAN = float("nan")
     ("validate", ("functions", "base_demand"), [1.0, 100.0, 10.0, 10.0],
      "functions.base_demand"),
     ("validate", ("function_count", 0), 10**19, "(root)"),  # a count beyond int64
+], ids=[  # fixed, so that no change of the bucket format renames a case
+    "validate-keys0-nan-fog.code_size_limit",
+    "validate-keys1-3.7-functions.critical_value[0]",
+    "validate-keys2-12.5-functions.code_size[0]",
+    "validate-keys3-1-extra",
+    "validate-keys4-value4-users",
+    "oracle-keys5-nan-functions.priority[0]",
+    "oracle-keys6-value6-ssrs",
+    "oracle-keys7-1.5-function_count[1]",
+    "validate-keys8-0.0-fog.link_latency",
+    "validate-keys9-value9-functions.base_demand",
+    "validate-keys10-10000000000000000000-(root)",
 ])
 def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, path):
     cfg_path = tmp_path / "config.json"
@@ -507,9 +527,11 @@ def test_cli_rejects_malformed_bucket(tmp_path, capsys, command, keys, value, pa
      "generator.fog.link_latency"),
     # a replay that never holds a batch would train without a gradient step
     ({"agent": {"episodes": 3, "batch_size": 64, "replay_capacity": 10}}, "agent"),
-    # count spans that numpy would not draw on 32 bits: about 7e11 SSRs, were it generated
+    # buckets of more than 2**20 functions: about 7e12 functions, were one generated
     ({"generator": {"n_ssrs": [1, 2**40]}}, "generator"),
     ({"generator": {"functions_per_ssr": [1, 2**32]}}, "generator"),
+    ({"generator": {"n_ssrs": [2**40, 2**40]}}, "generator"),
+    ({"generator": {"functions_per_ssr": [2**33, 2**33]}}, "generator"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "config.json"
@@ -758,3 +780,87 @@ def test_output_digests_tool_prints_one_line_per_output():
         "mixed/results_detail.csv", "mixed/results_mean.csv",
         "sweep100.json", "point.json", "two_critical.json",
     ]
+
+
+# ---- whole files mutated through the command line ---------------------------
+
+# Odd JSON values: zeros, a subnormal, ends of the float and int64 ranges, an int
+# beyond the float range, wrong types, fractions, small counts, and large counts that
+# the generator's bucket cap and the checkpoint's size check must refuse before they
+# allocate.
+ODD_VALUES = [0, -1, -0.0, 1e-320, 1e308, 10**400, 2**63, True, None, "x", [], {}, [1], 0.5,
+              5, 6, 1e-12, 1e12, 2**40, 10**12]
+# Buckets of at most 4 functions and one 4-unit hidden layer: one episode does not fill
+# a batch of 8 rows, so only mutated values make a run large or let it update.
+TINY = ExperimentConfig(
+    GeneratorConfig(seed=2, n_ssrs=(1, 2), functions_per_ssr=(1, 2)),
+    AgentConfig(episodes=1, hidden_sizes=(4,), batch_size=8, replay_capacity=16),
+    SweepSettings(sweep=(10,), algorithms=ALGORITHMS, runs_per_point=1))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of ``doc`` with one to three values set to odd values, a key deleted, or
+    a list repeated 0-3 times."""
+    doc = json.loads(json.dumps(doc))
+    places = list(locations(doc))
+    keys_of = {"delete": [keys for keys, _ in places if keys and isinstance(keys[-1], str)],
+               "repeat": [keys for keys, value in places if isinstance(value, list)]}
+    kind = draw(st.sampled_from(["set", "delete", "repeat"]))
+    if kind == "set" or not keys_of[kind]:
+        for _ in range(draw(st.integers(1, 3))):
+            keys, _ = draw(st.sampled_from(list(locations(doc))))
+            value = draw(st.sampled_from(ODD_VALUES))
+            if keys:
+                set_at(doc, keys, value)
+            else:
+                doc = value
+        return doc
+    keys = draw(st.sampled_from(keys_of[kind]))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = parent[keys[-1]] * draw(st.integers(0, 3))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A directory with the tiny config, a bucket it generates and a checkpoint at the
+    compare width."""
+    work = tmp_path_factory.mktemp("tiny")
+    save_config(TINY, work / "config.json")
+    assert main(["generate", "--config", str(work / "config.json"),
+                 "--out", str(work / "bucket.json")]) == 0
+    assert main(["train", "--config", str(work / "config.json"), "--out", str(work)]) == 0
+    return work
+
+
+@settings(PROPERTY, max_examples=120)
+@given(st.sampled_from(["config", "bucket", "checkpoint"]), st.data())
+def test_cli_exits_cleanly_on_mutated_files(tmp_path, capsys, tiny, kind, data):
+    """A config goes through ``generate`` and a one-episode ``train`` (a mutated
+    ``runs_per_point`` of 10**12 is a valid compare of 10**12 runs, so configs skip
+    ``compare``); a bucket through ``validate`` and ``oracle``; a checkpoint through
+    ``compare`` with the tiny config."""
+    path = tmp_path / f"mutated-{kind}.json"
+    path.write_text(json.dumps(data.draw(mutated(json.loads((tiny / f"{kind}.json").read_text())))))
+    out = str(tmp_path / "out")
+    commands = {
+        "config": [["generate", "--config", str(path), "--out", str(tmp_path / "b.json")],
+                   ["train", "--config", str(path), "--episodes", "1", "--out", out]],
+        "bucket": [["validate", str(path)], ["oracle", str(path)]],
+        "checkpoint": [["compare", "--config", str(tiny / "config.json"), "--checkpoint", str(path),
+                        "--out", out]],
+    }[kind]
+    for argv in commands:
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        lines = (captured.out + captured.err).splitlines()
+        assert code == 0 or any(line.startswith(("error: ", "VIOLATION: ")) for line in lines), (
+            argv, code, lines)

@@ -105,6 +105,20 @@ def test_bucket_serialization_round_trip(tmp_path):
     assert encode_bucket(loaded) == encode_bucket(bucket)
 
 
+@pytest.mark.parametrize("table_shape, counts, message", [
+    ((8, 16), [8, 8], r"^functions: expected a table of 8 columns, got shape \(8, 16\)$"),
+    ((128,), [8, 8], r"^functions: expected a table of 8 columns, got shape \(128,\)$"),
+    # truncated, these would be counts of 7 and 9 that sum to the 16 rows
+    ((16, 8), [7.9, 9.9], "^function_count: every count must be an integer$"),
+    ((16, 8), [math.nan, 8], "^function_count: every count must be an integer$"),
+], ids=["transposed-table", "flat-table", "fractional-counts", "nan-count"])
+def test_bucket_refuses_a_table_or_count_it_would_coerce(table_shape, counts, message):
+    bucket = generate_bucket(GeneratorConfig(seed=4, n_ssrs=(2, 2), functions_per_ssr=(8, 8)))
+    with pytest.raises(DecodeError, match=message):
+        dataclasses.replace(bucket, table=bucket.table.reshape(table_shape),
+                            function_count=counts)
+
+
 def test_bucket_costs_is_built_once_per_bucket():
     bucket = generate_bucket(GeneratorConfig(seed=4))
     doc = encode_bucket(bucket)

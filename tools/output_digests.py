@@ -5,9 +5,11 @@ temporary directory that is removed afterwards:
 
   config     the file that ``save_config`` writes for ``load_config`` of CONFIG
   generate   the default bucket, and a 40-function sweep bucket; later a
-             100-function sweep bucket, whose split ends on one open SSR, a
-             bucket whose SSR count, function counts and critical value are
-             each one value, and one with two critical values
+             100-function sweep bucket, whose last split picks have a single
+             open SSR to choose, and two buckets that pin the integer rule
+             lo + floor(u * (hi - lo + 1)) on spans of 1 and 2: one whose SSR
+             count, function counts and critical value are each one value,
+             and one with two critical values
   train      a few episodes at the compare width, and again with a replay
              and a target sync interval small enough that the replay wraps
              around and the target network syncs
@@ -63,9 +65,11 @@ MIXED_CONFIG = {**CONFIG, "generator": {
     "cpu_demand": [1.0, 3.0], "ram_demand": [100.0, 1024.0], "storage_demand": [10.0, 1024.0],
     "net_io_demand": [10.0, 2048.0], "code_size": [10.0, 300.0], "input_size": [100.0, 1500.0],
 }}
-# every count range and the critical value a single value: no bounded draw at all
+# every count range and the critical value a single value: each integer's double is
+# drawn, and floor(u * 1) is 0
 POINT_CONFIG = {"generator": {"n_ssrs": [3, 3], "functions_per_ssr": [4, 4],
                               "critical_value": [2, 2]}}
+# a critical value on a span of 2: floor(u * 2) splits the doubles at 0.5
 TWO_CRITICAL_CONFIG = {"generator": {"critical_value": [4, 5]}}
 OUTPUT_FILES = (
     "saved_config.json",
