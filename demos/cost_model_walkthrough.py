@@ -75,6 +75,6 @@ print("\n== whole-bucket objective for two candidate placements ==")
 all_cloud = (False,) * bucket.n_functions
 mixed = (True, False, True)
 for name, placement in (("all cloud", all_cloud), ("small fns on fog", mixed)):
-    objective = float(ctx.objective_total(ctx.on_fog(placement)))
+    objective = float(ctx.objective_total(ctx.on_fog(placement))[0])  # one bucket's total
     step = costs.placement_step_cost_sum(bucket, placement) / len(counts)
     print(f"{name:18s}: objective sum {objective:.4f}, mean step cost {step:.4f}")

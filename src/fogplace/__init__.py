@@ -2,10 +2,12 @@
 
 Submodules:
   codec      the strict JSON codec behind every config, bucket and checkpoint file
-  model      the bucket as columns, resource kind names, validation, bucket JSON files
+  model      the bucket as columns, a stack of buckets as one set of columns, resource
+             kind names, validation, bucket JSON files
   scoring    user and function priority formulas
-  costs      latency cost model as per-bucket arrays, built after validation
-  workload   seeded synthetic bucket generation
+  costs      latency cost model as per-function arrays of a bucket or a stack, built
+             after validation
+  workload   seeded synthetic bucket generation, a whole sweep as one stack
   env        episodic placement environment with action masking
   agent      from-scratch DQN (value network, replay, training loop)
   baselines  reference policies and the exact O(n) oracle
@@ -14,6 +16,7 @@ Submodules:
   cli        command line interface
 """
 from .model import (
+    BucketStack,
     EnvironmentLimits,
     Placement,
     ResourceVector,
@@ -23,7 +26,7 @@ from .model import (
     save_bucket,
     validate_bucket,
 )
-from .workload import GeneratorConfig, generate_bucket, generate_sweep
+from .workload import GeneratorConfig, generate_bucket, generate_sweep, generate_sweeps
 from .env import Action, PlacementEnv
 from .agent import AgentConfig, ValueNetwork, train
 from .experiment import ExperimentConfig, SweepSettings
@@ -31,6 +34,7 @@ from .experiment import ExperimentConfig, SweepSettings
 __all__ = [
     "Action",
     "AgentConfig",
+    "BucketStack",
     "EnvironmentLimits",
     "ExperimentConfig",
     "GeneratorConfig",
@@ -43,6 +47,7 @@ __all__ = [
     "ValueNetwork",
     "generate_bucket",
     "generate_sweep",
+    "generate_sweeps",
     "load_bucket",
     "save_bucket",
     "train",

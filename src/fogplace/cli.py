@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -92,7 +93,7 @@ def cmd_train(args) -> int:
     try:
         result = train(factory, cfg.agent)
     except TrainingFault as fault:
-        print(f"training fault: {fault}", file=sys.stderr)
+        print(f"error: training fault: {fault}", file=sys.stderr)
         return 1
     checkpoint = out_dir / "checkpoint.json"
     result.net.save(checkpoint)
@@ -174,36 +175,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output bucket path")
     p_gen.add_argument("--sweep-n", type=int, default=None,
                        help="generate a 10-SSR sweep bucket with this many functions")
-    p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train the placement agent")
     add_common(p_train)
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--episodes", type=int, help="override training episodes")
-    p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare", help="run the sweep comparison")
     add_common(p_cmp)
     p_cmp.add_argument("--checkpoint", help="trained network checkpoint path")
     p_cmp.add_argument("--out", required=True, help="output directory")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_oracle = sub.add_parser("oracle", help="exact optimum of a bucket")
     p_oracle.add_argument("bucket", help="bucket JSON path")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_val = sub.add_parser("validate", help="validate a bucket JSON file")
     p_val.add_argument("bucket", help="bucket JSON path")
-    p_val.set_defaults(func=cmd_validate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound one is used
     try:
-        return args.func(args)
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

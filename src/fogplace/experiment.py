@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ import numpy as np
 from . import baselines, metrics
 from .agent import AgentConfig, ValueNetwork, greedy_rollout
 from .codec import decode, encode
+from .costs import _running_total
 from .env import PlacementEnv
-from .model import Placement, SSRBucket
-from .workload import GeneratorConfig, generate_bucket, generate_sweep
+from .model import BucketStack, Placement
+from .workload import GeneratorConfig, generate_bucket, generate_sweeps
 
 ALGORITHMS = ("defdrel", "fog_first", "cloud_only", "random", "greedy_cost")
 DEFAULT_SWEEP = tuple(range(10, 101, 10))
@@ -93,23 +96,31 @@ def _sweep_seed(base: int, total_functions: int, run: int) -> int:
 
 def run_placement(
     algorithm: str,
-    bucket: SSRBucket,
+    bucket: BucketStack,
     net: ValueNetwork | None,
-    seed: int,
+    seeds: Sequence[int],
 ) -> Placement:
-    """The placement one algorithm makes; ``random`` draws from a generator seeded with seed."""
+    """The placement one algorithm makes on every bucket of a stack, in its flattened order.
+
+    ``random`` draws each bucket's from a generator seeded with that bucket's seed, and
+    ``defdrel`` rolls out each bucket in its own environment; every other algorithm
+    places the whole stack at once.
+    """
     if algorithm == "defdrel":
         if net is None:
             raise ValueError("defdrel requires a trained network")
-        env = PlacementEnv(bucket, max_functions=MAX_FUNCTIONS)
-        placement, _ = greedy_rollout(net, env)
-        return placement
+        bucket.costs  # validated and built once, so each bucket's view takes its slice
+        placement: list[bool] = []
+        for i in range(len(bucket.ssr_count)):
+            env = PlacementEnv(bucket.bucket(i), max_functions=MAX_FUNCTIONS)
+            placement += greedy_rollout(net, env)[0]
+        return tuple(placement)
     if algorithm == "fog_first":
         return baselines.fog_first(bucket)
     if algorithm == "cloud_only":
         return baselines.cloud_only(bucket)
     if algorithm == "random":
-        return baselines.random_feasible(bucket, np.random.default_rng(seed))
+        return baselines.random_feasible(bucket, [np.random.default_rng(s) for s in seeds])
     if algorithm == "greedy_cost":
         return baselines.greedy_cost(bucket)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -118,38 +129,53 @@ def run_placement(
 def run_compare(cfg: ExperimentConfig, net: ValueNetwork | None) -> list[dict]:
     """One detail row per (sweep point, algorithm, run), in deterministic order.
 
-    Every algorithm at a given (sweep point, run) sees the identical bucket,
-    and one report covers all of that bucket's placements.
+    Every bucket of the sweep is drawn first, as one stack, in the order sweep point
+    by sweep point and run by run; every algorithm at a given (sweep point, run) sees
+    the identical bucket, and one report covers every placement of every bucket. The
+    rows are ordered by sweep point, algorithm, then run.
     """
-    rows, settings = [], cfg.experiment
-    for total in settings.sweep:
-        for run in range(settings.runs_per_point):
-            seed = _sweep_seed(cfg.generator.seed, total, run)
-            bucket = generate_sweep(cfg.generator, total, seed=seed)
-            placements = [run_placement(algorithm, bucket, net, seed)
-                          for algorithm in settings.algorithms]
-            for algorithm, row in zip(settings.algorithms, metrics.report(bucket, placements)):
-                rows.append({"run": run, "algorithm": algorithm, "total_functions": total,
-                             "seed": seed, **row})
-    order = {name: i for i, name in enumerate(settings.algorithms)}
-    rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))
+    settings = cfg.experiment
+    points = [(total, run) for total in settings.sweep for run in range(settings.runs_per_point)]
+    seeds = [_sweep_seed(cfg.generator.seed, total, run) for total, run in points]
+    stack = generate_sweeps(cfg.generator, [(total, seed) for (total, _), seed in zip(points, seeds)])
+    placements = [run_placement(algorithm, stack, net, seeds) for algorithm in settings.algorithms]
+    report = metrics.report(stack, placements)  # placement by placement, bucket by bucket
+    rows = []
+    for total in sorted(settings.sweep):
+        first = settings.sweep.index(total) * settings.runs_per_point
+        for k, algorithm in enumerate(settings.algorithms):
+            for b in range(first, first + settings.runs_per_point):
+                rows.append({"run": points[b][1], "algorithm": algorithm, "total_functions": total,
+                             "seed": seeds[b], **report[k * len(points) + b]})
     return rows
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
-    """Mean of each placement column per (algorithm, total_functions) group."""
-    groups: dict[tuple[str, int], list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["algorithm"], row["total_functions"]), []).append(row)
-    out = []
-    for (algorithm, total) in sorted(groups, key=lambda k: (k[1], k[0])):
-        members = groups[(algorithm, total)]
-        agg: dict = {"algorithm": algorithm, "total_functions": total, "runs": len(members)}
-        for col in metrics.PLACEMENT_COLUMNS:
-            values = [m[col] for m in members if m[col] is not None]
-            agg[col] = sum(values) / len(values) if values else None
-        out.append(agg)
-    return out
+    """Mean of each placement column per (algorithm, total_functions) group.
+
+    Each mean adds its group's values left to right, in row order, skipping None, and
+    divides by their number, in one pass over every group; a column with no values in
+    a group averages to None.
+    """
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault((row["algorithm"], row["total_functions"]), []).append(i)
+    keys = sorted(groups, key=lambda k: (k[1], k[0]))
+    if not keys:
+        return []
+    columns = metrics.PLACEMENT_COLUMNS
+    # a row per input row, then an empty one that pads the groups; None reads as NaN
+    values = np.array([*map(itemgetter(*columns), rows), [None] * len(columns)], dtype=float)
+    present = ~np.isnan(values)
+    width = max(len(members) for members in groups.values())
+    members = np.array([groups[k] + [len(rows)] * (width - len(groups[k])) for k in keys])
+    # group x member x column: each sum adds its group's values left to right
+    totals = _running_total(np.where(present, values, 0.0)[members], axis=1)
+    counts = present[members].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.where(counts == 0, None, totals / counts).tolist()
+    return [{"algorithm": algorithm, "total_functions": total, "runs": len(groups[(algorithm, total)]),
+             **dict(zip(columns, mean))} for (algorithm, total), mean in zip(keys, means)]
 
 
 def write_csv(rows: list[dict], columns: list[str], path: str | Path) -> None:

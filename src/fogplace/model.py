@@ -92,10 +92,13 @@ _NAN_BREAKS = np.array([True] * 4 + [False, False, True])
 
 
 @dataclass(frozen=True, eq=False)
-class SSRBucket:
-    """A bucket as columns, each copied and made read-only; ``DecodeError``, named as in a
-    file, on a table that is not n x 8, a count that is not integral, per-SSR columns
-    that do not fit the table or a value outside its range."""
+class BucketStack:
+    """Buckets that share their settings, as one set of columns: the table holds their
+    functions bucket by bucket, and the per-SSR columns their SSRs, ``ssr_count`` of them
+    per bucket. Each column is copied and made read-only; ``DecodeError``, named as in a
+    bucket file, on a table that is not n x 8, a count that is not integral, per-SSR
+    columns that do not fit the table or a value outside its range. Validation, the cost
+    arrays and the reports run once over a whole stack; an ``SSRBucket`` is a stack of one."""
 
     table: np.ndarray  # one row per function in flattened order, columns TABLE_COLUMNS
     function_count: np.ndarray  # per SSR: its number of functions, consecutive rows
@@ -105,6 +108,7 @@ class SSRBucket:
     fog: EnvironmentLimits
     cloud: EnvironmentLimits
     importance_factors: ResourceVector  # per-kind weights, sum to 1
+    ssr_count: np.ndarray  # per bucket: its number of SSRs, consecutive
     starts: np.ndarray = field(init=False, repr=False)  # per SSR: its first row in the table
 
     def __post_init__(self) -> None:
@@ -120,9 +124,12 @@ class SSRBucket:
                 and min(counts, default=0) >= 0 and sum(counts) == len(table)):
             raise DecodeError("", "function_count, user_latency and user_priority must hold one "
                               f"entry per SSR, the counts >= 0 and summing to {len(table)}")
+        ssr_count = np.array(self.ssr_count, dtype=int)
+        if ssr_count.ndim != 1 or (ssr_count < 0).any() or ssr_count.sum() != len(counts):
+            raise DecodeError("ssr_count", f"every count must be >= 0, summing to {len(counts)}")
         counts = np.array(counts, dtype=int)
         for name, column in (
-                ("table", table), ("function_count", counts),
+                ("table", table), ("function_count", counts), ("ssr_count", ssr_count),
                 ("starts", np.cumsum(counts) - counts),
                 ("user_latency", np.array(self.user_latency, dtype=float)),
                 ("user_priority", np.array(self.user_priority, dtype=float))):
@@ -135,6 +142,32 @@ class SSRBucket:
             k, c = np.argwhere(broken)[0].tolist()
             raise DecodeError(f"functions.{TABLE_COLUMNS[c]}[{k}]",
                               f"{_COLUMN_RULES[c]}, got {self.table[k, c]}")
+
+    @cached_property
+    def edges(self) -> tuple[list[int], list[int]]:
+        """Each bucket's first SSR, then the SSR total; each bucket's first row, then the
+        row total."""
+        ssr_edges = np.concatenate([[0], np.cumsum(self.ssr_count)])
+        return ssr_edges.tolist(), np.append(self.starts, len(self.table))[ssr_edges].tolist()
+
+    def bucket(self, i: int) -> SSRBucket:
+        """Bucket i as a view of the stack's columns; once the stack's cost arrays are
+        built, the view's are their slice."""
+        ssr_edges, row_edges = self.edges
+        ssrs, rows = slice(*ssr_edges[i:i + 2]), slice(*row_edges[i:i + 2])
+        starts = self.starts[ssrs] - rows.start
+        starts.flags.writeable = False
+        view = object.__new__(SSRBucket)
+        for name in ("link_latency", "fog", "cloud", "importance_factors"):
+            object.__setattr__(view, name, getattr(self, name))
+        for name, column in (("table", self.table[rows]), ("function_count",
+                             self.function_count[ssrs]), ("user_latency", self.user_latency[ssrs]),
+                             ("user_priority", self.user_priority[ssrs]),
+                             ("ssr_count", self.ssr_count[i:i + 1]), ("starts", starts)):
+            object.__setattr__(view, name, column)
+        if "costs" in vars(self):
+            vars(view)["costs"] = self.costs.bucket(i, ssrs, rows)
+        return view
 
     @property
     def n_functions(self) -> int:
@@ -149,10 +182,22 @@ class SSRBucket:
 
     @cached_property
     def costs(self) -> CostContext:
-        """The bucket's cost arrays, built on first use and kept with the bucket."""
+        """The cost arrays of the bucket, or of every bucket of a stack, built on first use
+        and kept."""
         from .costs import CostContext  # costs imports this module
 
         return CostContext.from_bucket(self)
+
+
+@dataclass(frozen=True, eq=False)
+class SSRBucket(BucketStack):
+    """One bucket: a stack of one, whose ``ssr_count`` is its number of SSRs."""
+
+    ssr_count: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ssr_count", [len(self.function_count)])
+        super().__post_init__()
 
 
 # The ``functions`` object of a bucket file: one array per table column, by name.
@@ -255,49 +300,65 @@ class InvalidBucket(ValueError):
         self.violations = violations
 
 
-def validate_bucket(bucket: SSRBucket) -> list[str]:
-    """Collect every invariant violation; an empty list means the bucket is valid.
+def validate_bucket(bucket: BucketStack) -> list[str]:
+    """Collect every invariant violation of a bucket; of a stack, those of its first bucket
+    that has any. An empty list means every bucket is valid.
 
-    Violations are data, not failures: arbitrary input is accepted.
+    Violations are data, not failures: arbitrary input is accepted. Each check runs once
+    over the stack's columns, and the messages name SSRs and functions within their bucket.
     """
-    violations: list[str] = []
-    table = bucket.table
-    if len(table) == 0:
-        violations.append("bucket has no functions")
-    violations += settings_violations(bucket)
-
+    table, starts, counts = bucket.table, bucket.starts, bucket.function_count
     demand, (code_size, input_size, _, priority) = table[:, :4], table[:, 4:].T
     # from_bucket divides by each SSR's top priority
     bad_priority = ~((priority > 0) & (priority < math.inf))
     misfit = ~fits(bucket.cloud, code_size, input_size, demand)
     latency, user_priority = bucket.user_latency, bucket.user_priority
-    broken_ssrs = np.flatnonzero(
-        (bucket.function_count == 0) | ~((latency > 0) & (latency < math.inf))
-        | ~((user_priority >= 0) & (user_priority <= 1))).tolist()
-    rows = np.flatnonzero(bad_priority | misfit).tolist()
+    broken_ssrs = np.flatnonzero((counts == 0) | ~((latency > 0) & (latency < math.inf))
+                                 | ~((user_priority >= 0) & (user_priority <= 1)))
+    rows = np.flatnonzero(bad_priority | misfit)
+    ssr_edges, row_edges = bucket.edges
     latencies = latency.tolist()
+    tops = [max(latencies[a:b], default=0.0) for a, b in zip(ssr_edges, ssr_edges[1:])]
+    sizes = np.diff(row_edges).tolist()
+    overflows = [top > 0 and link_overflows(bucket.link_latency, top, n)
+                 for top, n in zip(tops, sizes)]
+    settings = settings_violations(bucket)
+
+    # the first bucket with a violation: an SSR or a row is in the last bucket that
+    # starts at or before it, past empty buckets, and every bucket shares the settings
+    firsts = [b for b, (n, over) in enumerate(zip(sizes, overflows)) if n == 0 or over][:1]
+    firsts += (np.searchsorted(ssr_edges, broken_ssrs[:1], side="right") - 1).tolist()
+    firsts += (np.searchsorted(row_edges, rows[:1], side="right") - 1).tolist()
+    firsts += [0] if settings and sizes else []
+    if not firsts:
+        return []
+    b = min(firsts)
+    (s0, s1), (r0, r1) = ssr_edges[b:b + 2], row_edges[b:b + 2]
+    violations = ["bucket has no functions"] if sizes[b] == 0 else []
+    violations += settings
+    rows = rows[(rows >= r0) & (rows < r1)].tolist()
     rows_of: dict[int, list[int]] = {}  # per SSR, its flagged rows
     if rows:  # a row's SSR is the last one that starts at or before it, past empty SSRs
-        for k, i in zip(rows, np.searchsorted(bucket.starts, rows, side="right").tolist()):
+        for k, i in zip(rows, np.searchsorted(starts, rows, side="right").tolist()):
             rows_of.setdefault(i - 1, []).append(k)
-    for i in sorted(rows_of.keys() | set(broken_ssrs)):
-        if bucket.function_count[i] == 0:
-            violations.append(f"empty SSR at index {i}")
+    broken = broken_ssrs[(broken_ssrs >= s0) & (broken_ssrs < s1)].tolist()
+    for i in sorted(rows_of.keys() | set(broken)):
+        ssr = i - s0  # the SSR's index within its bucket
+        if counts[i] == 0:
+            violations.append(f"empty SSR at index {ssr}")
         if not 0 < latencies[i] < math.inf:
-            violations.append(f"SSR {i} user latency {latencies[i]} must be finite and > 0")
+            violations.append(f"SSR {ssr} user latency {latencies[i]} must be finite and > 0")
         if not 0 <= user_priority[i] <= 1:
-            violations.append(f"SSR {i} user priority {user_priority[i].item()} outside [0, 1]")
+            violations.append(f"SSR {ssr} user priority {user_priority[i].item()} outside [0, 1]")
         for k in rows_of.get(i, ()):
-            j = k - int(bucket.starts[i])
+            j = k - int(starts[i])
             if bad_priority[k]:
-                violations.append(f"function ({i}, {j}) priority {priority[k]} "
+                violations.append(f"function ({ssr}, {j}) priority {priority[k]} "
                                   "must be finite and > 0")
             if misfit[k]:
-                violations.append(f"function ({i}, {j}) does not fit the cloud limits")
+                violations.append(f"function ({ssr}, {j}) does not fit the cloud limits")
 
-    top = max(latencies, default=0.0)
-    if top > 0 and link_overflows(bucket.link_latency, top, len(table)):
+    if overflows[b]:
         violations.append(f"link latency {bucket.link_latency} over the largest user "
-                          f"latency {top} overflows the costs")
-
+                          f"latency {tops[b]} overflows the costs")
     return violations

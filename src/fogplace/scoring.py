@@ -77,12 +77,29 @@ def ssr_priorities(critical: Sequence[int], code_sizes: Sequence[float],
     return 1.0 / (delta + critical_term * code_term * input_term)
 
 
-def user_priorities(positions: Iterable[tuple[float, float]], latencies: list[float],
-                    distance_cap: float, blend: float) -> list[float]:
-    """``user_priority`` of every user of a bucket, in O(users): the latencies are checked,
-    and their maximum taken, once."""
-    if any(latency <= 0 for latency in latencies):
+def user_priorities(positions: Iterable[tuple[float, float]], latencies: Sequence[float],
+                    distance_cap: float, blend: float, *,
+                    counts: Sequence[int] | None = None) -> np.ndarray:
+    """``user_priority`` of every user, as one array pass over the users.
+
+    The users belong to consecutive buckets of ``counts`` users each (by default
+    one bucket), and each bucket's latencies are normalized by its own largest.
+    Each distance is ``math.hypot`` of the position, as ``user_distance`` takes it;
+    a value out of range raises the scalar helpers' own error, at the first user
+    that has one.
+    """
+    latencies = np.asarray(latencies, dtype=float)
+    if (latencies <= 0).any():
         raise ValueError("latencies must be > 0")
-    top = max(latencies, default=1.0)
-    return [user_priority(distance_priority(math.hypot(x, y), distance_cap), latency / top, blend)
-            for (x, y), latency in zip(positions, latencies)]
+    if len(latencies) == 0:
+        return np.empty(0)
+    distances = np.array([math.hypot(x, y) for x, y in positions])
+    counts = [len(latencies)] if counts is None else counts
+    top = np.repeat(np.maximum.reduceat(latencies, np.cumsum([0, *counts[:-1]])), counts)
+    shares = latencies / top
+    in_range = (distance_cap > 0) & (distances >= 0) & (distances <= distance_cap) & (
+        shares >= 0) & (shares <= 1) & (0 <= blend <= 1)
+    if not in_range.all():  # the scalar helpers name the first problem
+        for d, share in zip(distances.tolist(), shares.tolist()):
+            user_priority(distance_priority(d, distance_cap), share, blend)
+    return blend * (distances / distance_cap) + shares * (1 - blend)

@@ -10,11 +10,15 @@ so a cloud assignment is feasible by construction. A bucket is drawn from
 ``default_rng(seed)`` in a few blocks of doubles, in a fixed order: the SSR
 count, the function counts (a sweep's split picks instead), the users, then
 the functions. An integer on ``lo..hi`` is ``lo + floor(u * (hi - lo + 1))``
-of one double ``u``, and every other value ``lo + (hi - lo) * u``.
+of one double ``u``, and every other value ``lo + (hi - lo) * u``. Only the
+draws run bucket by bucket: ``generate_sweeps`` draws each bucket of a sweep
+from its own generator and computes every value of the stack in one pass, and
+``generate_bucket`` and ``generate_sweep`` are its one-bucket case.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 from .model import (
     RESOURCE_KINDS,
     TABLE_COLUMNS,
+    BucketStack,
     EnvironmentLimits,
     ResourceVector,
     SSRBucket,
@@ -115,36 +120,43 @@ def _integers(lo: int, hi: int, u):
     return lo + np.floor(u * (hi - lo + 1))
 
 
-def _build_bucket(cfg: GeneratorConfig, rng: np.random.Generator,
-                  fn_counts: list[int]) -> SSRBucket:
-    """Draw the users, then the functions, and write the bucket's columns.
+def _draw(rng: np.random.Generator, fn_counts: list[int]):
+    """A bucket's function counts, then its users and its functions as blocks of doubles.
 
-    The users are one block of doubles, a row per SSR: radius share, angle share
-    and latency. The functions are one block too, a row per function in order:
-    code size, input size, critical value, then the demand of each kind in
-    RESOURCE_KINDS order. A value on a range is ``lo + (hi - lo) * u``, and every
-    function priority is one ``ssr_priorities`` call.
+    The users are one block, a row per SSR: radius share, angle share and latency. The
+    functions are one block too, a row per function in order: code size, input size,
+    critical value, then the demand of each kind in RESOURCE_KINDS order.
     """
-    users = rng.random((len(fn_counts), 3))
+    return fn_counts, rng.random((len(fn_counts), 3)), rng.random((sum(fn_counts), 7))
+
+
+def _stack(cfg: GeneratorConfig, draws: list) -> BucketStack:
+    """The buckets of these draws as one stack, every value computed in one array pass.
+
+    A value on a range is ``lo + (hi - lo) * u``; every user priority is one
+    ``user_priorities`` call, and every function priority one ``ssr_priorities`` call.
+    """
+    counts = [count for fn_counts, _, _ in draws for count in fn_counts]
+    users = np.concatenate([block for _, block, _ in draws])
+    drawn = np.concatenate([block for _, _, block in draws])
     # uniform over the disc of radius D around the fog node
     radius = cfg.distance_cap * np.sqrt(users[:, 0])
     theta = 2.0 * np.pi * users[:, 1]
     x, y = (radius * np.cos(theta)).tolist(), (radius * np.sin(theta)).tolist()
     latencies = cfg.latency[0] + (cfg.latency[1] - cfg.latency[0]) * users[:, 2]
-    user_scores = user_priorities(zip(x, y), latencies.tolist(), cfg.distance_cap,
-                                  cfg.priority_blend)
+    ssr_count = [len(fn_counts) for fn_counts, _, _ in draws]
+    user_scores = user_priorities(zip(x, y), latencies, cfg.distance_cap, cfg.priority_blend,
+                                  counts=ssr_count)
 
-    drawn = rng.random((sum(fn_counts), 7))
     # the table's order: the demand kinds, then code and input size
     low, high = np.array([*cfg.demand_ranges().values(), cfg.code_size, cfg.input_size],
                          dtype=float).T
     table = np.empty((len(drawn), len(TABLE_COLUMNS)))
     table[:, :6] = low + (high - low) * drawn[:, [3, 4, 5, 6, 0, 1]]
     table[:, 6] = _integers(*cfg.critical_value, drawn[:, 2])
-    table[:, 7] = ssr_priorities(table[:, 6], table[:, 4], table[:, 5], cfg.delta,
-                                 counts=fn_counts)
-    return SSRBucket(table, fn_counts, latencies, user_scores, cfg.link_latency, cfg.fog,
-                     cfg.cloud, cfg.importance_factors)
+    table[:, 7] = ssr_priorities(table[:, 6], table[:, 4], table[:, 5], cfg.delta, counts=counts)
+    return BucketStack(table, counts, latencies, user_scores, cfg.link_latency, cfg.fog,
+                       cfg.cloud, cfg.importance_factors, ssr_count)
 
 
 def generate_bucket(cfg: GeneratorConfig, seed: int | None = None) -> SSRBucket:
@@ -152,13 +164,10 @@ def generate_bucket(cfg: GeneratorConfig, seed: int | None = None) -> SSRBucket:
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n = int(_integers(*cfg.n_ssrs, rng.random()))
     counts = _integers(*cfg.functions_per_ssr, rng.random(n)).astype(int)
-    return _build_bucket(cfg, rng, counts.tolist())
+    return _stack(cfg, [_draw(rng, counts.tolist())]).bucket(0)
 
 
-def generate_sweep(
-    cfg: GeneratorConfig, total_functions: int, seed: int | None = None
-) -> SSRBucket:
-    """Exactly `total_functions` functions over exactly 10 SSRs, 1-10 each."""
+def _draw_sweep(cfg: GeneratorConfig, total_functions: int, seed: int | None):
     if not 10 <= total_functions <= 100:
         raise ValueError(
             f"total functions {total_functions} outside [10, 100]; "
@@ -172,4 +181,22 @@ def generate_sweep(
         counts[slot] += 1
         if counts[slot] == 10:
             open_slots.remove(slot)
-    return _build_bucket(cfg, rng, counts)
+    return _draw(rng, counts)
+
+
+def generate_sweeps(cfg: GeneratorConfig,
+                    points: Sequence[tuple[int, int | None]]) -> BucketStack:
+    """The sweep buckets of these (total functions, seed) points as one stack, in order.
+
+    Each bucket is drawn from its own ``default_rng(seed)`` exactly as
+    ``generate_sweep`` draws it, so bucket i of the stack equals
+    ``generate_sweep(cfg, *points[i])``.
+    """
+    return _stack(cfg, [_draw_sweep(cfg, total, seed) for total, seed in points])
+
+
+def generate_sweep(
+    cfg: GeneratorConfig, total_functions: int, seed: int | None = None
+) -> SSRBucket:
+    """Exactly `total_functions` functions over exactly 10 SSRs, 1-10 each."""
+    return generate_sweeps(cfg, [(total_functions, seed)]).bucket(0)

@@ -82,7 +82,7 @@ def forced_and_free_bucket(pattern):
 def bucket_objective(bucket, placement):
     """The unweighted sum of the bucket's per-SSR objectives under the placement."""
     ctx = bucket.costs
-    return float(ctx.objective_total(ctx.on_fog(placement)))
+    return float(ctx.objective_total(ctx.on_fog(placement))[0])
 
 
 def one_ssr_context(fns, fog, cloud, latency=40.0, link=10.0, priority=0.6,

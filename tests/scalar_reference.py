@@ -11,6 +11,11 @@ the seed contract of ``fogplace.workload``, which draws the same doubles in
 blocks and must build the same buckets from them.
 ``fits_platform`` tests one function against one platform's limits, clause by
 clause: the ground truth for the package's broadcasting ``fits``.
+``run_compare`` is the sweep one bucket at a time, as the package ran it before
+it stacked every bucket of a sweep: each bucket drawn by ``generate_sweep`` here,
+placed by each algorithm (``random`` one draw per fog fit) and reported alone,
+and ``aggregate_rows`` averages with an explicit left-to-right loop. The
+package's stacked ``compare`` must reproduce both bit for bit.
 
 The reference holds a bucket as ``Ssr`` objects of function objects:
 ``bucket_from_ssrs`` writes them into a bucket's columns row by row, and
@@ -23,7 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fogplace.env import SLOT_WIDTH
+from fogplace import baselines, metrics
+from fogplace.agent import greedy_rollout
+from fogplace.env import SLOT_WIDTH, PlacementEnv
+from fogplace.experiment import MAX_FUNCTIONS
 from fogplace.model import (
     RESOURCE_KINDS,
     Placement,
@@ -260,8 +268,8 @@ def brute_force_optimum(bucket):
 
     # one row of fog flags per placement, in enumeration order
     combos = np.array(list(itertools.product(*options)), dtype=bool).reshape(-1, n)
-    steps = ctx.step_cost_sum(combos)
-    objectives = ctx.objective_total(combos)
+    steps = ctx.step_cost_sum(combos)[:, 0]  # the one bucket's totals
+    objectives = ctx.objective_total(combos)[:, 0]
     best_step = int(np.argmin(steps))  # first minimum: the enumeration's tie rule
     best_obj = int(np.argmin(objectives))
     return BruteForceResult(
@@ -367,3 +375,54 @@ def generate_sweep(cfg, total_functions, seed=None):
         open_slots = [i for i in range(10) if counts[i] < 10]
         counts[open_slots[int(rng.random() * len(open_slots))]] += 1
     return _build_bucket(cfg, rng, counts)
+
+
+def place(algorithm, bucket, net, seed):
+    """One algorithm's placement of one bucket; ``random`` draws one pick per fog fit."""
+    if algorithm == "defdrel":
+        if net is None:
+            raise ValueError("defdrel requires a trained network")
+        return greedy_rollout(net, PlacementEnv(bucket, max_functions=MAX_FUNCTIONS))[0]
+    if algorithm == "random":
+        rng = np.random.default_rng(seed)
+        return tuple(fog_ok and int(rng.integers(0, 2)) == 0
+                     for fog_ok in bucket.costs.fog_ok.tolist())
+    return getattr(baselines, algorithm)(bucket)
+
+
+def run_compare(cfg, net):
+    """``fogplace.experiment.run_compare``, one bucket at a time: rows sorted by sweep
+    point, algorithm, then run."""
+    rows, settings = [], cfg.experiment
+    for total in settings.sweep:
+        for run in range(settings.runs_per_point):
+            seed = cfg.generator.seed + 1000 * total + run
+            bucket = generate_sweep(cfg.generator, total, seed=seed)
+            placements = [place(algorithm, bucket, net, seed) for algorithm in settings.algorithms]
+            for algorithm, row in zip(settings.algorithms, metrics.report(bucket, placements)):
+                rows.append({"run": run, "algorithm": algorithm, "total_functions": total,
+                             "seed": seed, **row})
+    order = {name: i for i, name in enumerate(settings.algorithms)}
+    rows.sort(key=lambda r: (r["total_functions"], order[r["algorithm"]], r["run"]))
+    return rows
+
+
+def left_to_right_mean(values):
+    """The mean of the values that are not None, added first to last; None if none are."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return None
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total / len(values)
+
+
+def aggregate_rows(rows):
+    """``fogplace.experiment.aggregate_rows``, each mean an explicit left-to-right loop."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row["algorithm"], row["total_functions"]), []).append(row)
+    return [{"algorithm": algorithm, "total_functions": total, "runs": len(members),
+             **{c: left_to_right_mean([m[c] for m in members]) for c in metrics.PLACEMENT_COLUMNS}}
+            for (algorithm, total), members in sorted(groups.items(), key=lambda g: (g[0][1], g[0][0]))]

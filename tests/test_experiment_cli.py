@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -8,12 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogplace
-from fogplace.agent import MAX_PARAMETERS, AgentConfig, train
+from fogplace.agent import MAX_PARAMETERS, AgentConfig, ValueNetwork, train
 from fogplace.baselines import greedy_cost
 from fogplace.cli import main
 from fogplace.codec import encode
@@ -30,9 +32,19 @@ from fogplace.experiment import (
     training_env_factory,
 )
 from fogplace.env import SLOT_WIDTH, PlacementEnv
-from fogplace.model import RESOURCE_KINDS, ResourceVector, load_bucket, save_bucket
-from fogplace.workload import GeneratorConfig, generate_bucket
+from fogplace.metrics import PLACEMENT_COLUMNS
+from fogplace.model import (
+    RESOURCE_KINDS,
+    EnvironmentLimits,
+    InvalidBucket,
+    ResourceVector,
+    load_bucket,
+    save_bucket,
+    validate_bucket,
+)
+from fogplace.workload import GeneratorConfig, generate_bucket, generate_sweep
 
+import scalar_reference as ref
 from conftest import PROPERTY, locations, make_bucket, make_fn, make_ssr
 
 
@@ -92,6 +104,101 @@ def test_aggregate_rows_means():
     assert agg["runs"] == 2
     expected = sum(r["total_step_cost"] for r in group) / len(group)
     assert agg["total_step_cost"] == pytest.approx(expected, abs=1e-12)
+
+
+# functions whose cpu demand in [1, 3] meets the fog's 2 cores about half the time, and
+# functions that all fit the fog: some fog sides and some cloud sides hold no functions
+MIXED_GENERATOR = GeneratorConfig(cpu_demand=(1.0, 3.0), ram_demand=(100.0, 1024.0),
+                                  storage_demand=(10.0, 1024.0), net_io_demand=(10.0, 2048.0),
+                                  code_size=(10.0, 300.0), input_size=(100.0, 1500.0))
+FOG_FIT_GENERATOR = dataclasses.replace(MIXED_GENERATOR, cpu_demand=(1.0, 2.0))
+# random weights at the compare width: the greedy rollouts take both actions
+COMPARE_NET = ValueNetwork(MAX_FUNCTIONS * SLOT_WIDTH + 1, (8,), np.random.default_rng(7))
+
+
+def reprs(rows):
+    """Each row as its (key, repr of value) pairs, in order: equal bits, types and None."""
+    return [[(key, repr(value)) for key, value in row.items()] for row in rows]
+
+
+@PROPERTY
+@given(st.lists(st.integers(10, 100), min_size=1, max_size=4, unique=True), st.integers(1, 3),
+       st.sampled_from([GeneratorConfig(), MIXED_GENERATOR, FOG_FIT_GENERATOR]),
+       st.integers(0, 2**32 - 1), st.booleans(), st.permutations(ALGORITHMS[1:]),
+       st.integers(1, 4))
+def test_run_compare_equals_the_per_bucket_loop(sweep, runs, generator, seed, defdrel, baselines,
+                                                 n_baselines):
+    """Unsorted sweeps of uneven sizes: the stacked rows and means equal those of the
+    bucket-by-bucket loop, value for value, and ``random`` keeps one draw per fog fit."""
+    algorithms = ("defdrel",) * defdrel + tuple(baselines[:n_baselines])
+    cfg = ExperimentConfig(dataclasses.replace(generator, seed=seed), SMALL_AGENT,
+                           SweepSettings(tuple(sweep), algorithms, runs))
+    net = COMPARE_NET if defdrel else None
+    rows = run_compare(cfg, net)
+    expected = ref.run_compare(cfg, net)
+    assert reprs(rows) == reprs(expected)
+    assert reprs(aggregate_rows(rows)) == reprs(ref.aggregate_rows(expected))
+
+
+def set_unchecked(cfg, **changes):
+    """The config with these fields set past its checks, which refuse every config that
+    could generate an invalid bucket."""
+    for name, value in changes.items():
+        object.__setattr__(cfg, name, value)
+    return cfg
+
+
+# functions of code size above 480 do not fit the cloud: at seed 0 the sweep's first
+# bucket is valid and the second is not
+MISFITS = {"cloud": EnvironmentLimits(ResourceVector(6, 5120, 10240, 10240),
+                                      code_size_limit=480.0, input_size_limit=2500.0)}
+# a link of 1e308 ms over a top user latency near 100 ms overflows the cost totals of
+# the 100-function buckets only, the last ones drawn
+OVERFLOW = {"link_latency": 1e308}
+
+
+@pytest.mark.parametrize("changes", [
+    MISFITS, OVERFLOW, {**MISFITS, **OVERFLOW},
+    {"importance_factors": ResourceVector(0.5, 0.25, 0.25, 0.25)},
+], ids=["cloud-misfits", "link-overflow", "misfits-and-overflow", "factor-sum"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_compare_refuses_an_invalid_bucket_as_the_per_bucket_loop(changes, seed):
+    cfg = ExperimentConfig(set_unchecked(GeneratorConfig(seed=seed), **changes), SMALL_AGENT,
+                           SweepSettings((30, 10, 100), ALGORITHMS, 2))
+    with pytest.raises(InvalidBucket) as expected:
+        ref.run_compare(cfg, COMPARE_NET)
+    with pytest.raises(InvalidBucket) as raised:
+        run_compare(cfg, COMPARE_NET)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_means_add_left_to_right():
+    # each 1e-16 rounds away when added to 1.0, so the left-to-right sum is 1.0; an exact
+    # or a compensated sum (the builtin sum from Python 3.12 on) is 1.0000000000000002
+    values = [1.0, 1e-16, 1e-16]
+    assert ref.left_to_right_mean(values) == 1.0 / 3 != math.fsum(values) / 3
+    rows = [{"algorithm": "fog_first", "total_functions": 10,
+             **dict.fromkeys(PLACEMENT_COLUMNS, value)} for value in values]
+    rows.insert(1, {"algorithm": "cloud_only", "total_functions": 10,
+                    **dict.fromkeys(PLACEMENT_COLUMNS, None)})
+    means = aggregate_rows(rows)
+    assert reprs(means) == reprs(ref.aggregate_rows(rows))
+    assert [(m["algorithm"], m["runs"], m["objective_sum"]) for m in means] == [
+        ("cloud_only", 1, None), ("fog_first", 3, 1.0 / 3)]
+
+
+def test_cli_train_reports_a_training_fault_as_an_error(tmp_path, capsys):
+    """A learning rate of 1e308 is finite, so the config takes it, but the first update
+    overflows the parameters."""
+    config = tmp_path / "config.json"
+    save_config(ExperimentConfig(
+        GeneratorConfig(seed=2, n_ssrs=(1, 2), functions_per_ssr=(1, 2)),
+        AgentConfig(episodes=10, hidden_sizes=(4,), batch_size=2, replay_capacity=16,
+                    learning_rate=1e308)), config)
+    with np.errstate(over="ignore"):
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: training fault: episode 1: non-finite network parameters after update\n")
 
 
 def test_cli_generate_and_validate(tmp_path, capsys):
@@ -779,6 +886,7 @@ def test_output_digests_tool_prints_one_line_per_output():
         "wrap/checkpoint.json", "wrap/training_log.csv", "wrap/checkpoint params",
         "mixed/results_detail.csv", "mixed/results_mean.csv",
         "sweep100.json", "point.json", "two_critical.json",
+        "ragged/results_detail.csv", "ragged/results_mean.csv",
     ]
 
 

@@ -15,7 +15,9 @@ temporary directory that is removed afterwards:
              around and the target network syncs
   compare    all five algorithms, including defdrel, on the sweep [10, 20], and
              again on buckets where about half the functions fit the fog, so
-             the greedy rollouts alternate forced runs and free decisions
+             the greedy rollouts alternate forced runs and free decisions; last,
+             on the unsorted sweep [100, 10, 55] with two runs, whose buckets of
+             uneven sizes one stacked pass pads and whose rows it reorders
   oracle     on the generated default bucket
   validate   on a copy of that bucket edited to break rules in two SSRs, so
              the order and wording of its VIOLATION lines are pinned
@@ -65,6 +67,8 @@ MIXED_CONFIG = {**CONFIG, "generator": {
     "cpu_demand": [1.0, 3.0], "ram_demand": [100.0, 1024.0], "storage_demand": [10.0, 1024.0],
     "net_io_demand": [10.0, 2048.0], "code_size": [10.0, 300.0], "input_size": [100.0, 1500.0],
 }}
+# an unsorted sweep of uneven sizes: a padding or row-order fault changes its outputs
+RAGGED_CONFIG = {**CONFIG, "experiment": {**CONFIG["experiment"], "sweep": [100, 10, 55]}}
 # every count range and the critical value a single value: each integer's double is
 # drawn, and floor(u * 1) is 0
 POINT_CONFIG = {"generator": {"n_ssrs": [3, 3], "functions_per_ssr": [4, 4],
@@ -164,6 +168,12 @@ def digests(work: Path) -> list[tuple[str, str]]:
             "--out", str(work / f"{name}.json"))
     outputs += [(name, (work / name).read_bytes())
                 for name in ("sweep100.json", "point.json", "two_critical.json")]
+    ragged_config = work / "ragged_config.json"
+    ragged_config.write_text(json.dumps(RAGGED_CONFIG))
+    run("compare", "--config", str(ragged_config), "--checkpoint",
+        str(work / "run" / "checkpoint.json"), "--out", str(work / "ragged"))
+    outputs += [(name, (work / name).read_bytes())
+                for name in ("ragged/results_detail.csv", "ragged/results_mean.csv")]
     return [(hashlib.sha256(data).hexdigest(), name) for name, data in outputs]
 
 
